@@ -116,6 +116,8 @@ class JoinAlgorithm(abc.ABC):
     def reference_match_count(build: Table, probe: Table) -> int:
         """Ground-truth number of matches (for tests and sanity checks)."""
         build_keys = np.sort(build["key"])
+        if len(build_keys) == 0:
+            return 0
         positions = np.searchsorted(build_keys, probe["key"])
         positions = np.clip(positions, 0, len(build_keys) - 1)
         return int((build_keys[positions] == probe["key"]).sum())

@@ -10,6 +10,11 @@ bottleneck is gone, those passes are pure overhead: CrkJoin lands at
 ~60 M rows/s in Fig. 1/3, 12x slower than RHO and 20x slower than the
 SGXv2-optimized RHO.  After partitioning it joins each partition with the
 same in-cache hash method as RHO.
+
+As in RHO, the cracking passes and the per-partition joins are priced but
+not executed: cracking ends in the same low-bit grouping as radix
+partitioning, so the matches come from RHO's one global hash table
+(:func:`~repro.core.joins.radix.partitioned_match`) and are identical.
 """
 
 from __future__ import annotations
@@ -125,8 +130,9 @@ class CrkJoin(JoinAlgorithm):
         num_partitions = 1 << bits
 
         # ---- real computation (in-place cracking ends in the same
-        # grouping as radix partitioning by the low bits) ------------------
-        build_index, hit_mask = partitioned_match(build, probe, num_partitions)
+        # grouping as radix partitioning by the low bits, so RHO's global
+        # table gives the partition-wise matches) -----------------------
+        build_index, hit_mask = partitioned_match(build, probe)
         matches = int(hit_mask.sum())
 
         # ---- cost: cracking passes (one per radix bit, both inputs);

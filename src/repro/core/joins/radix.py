@@ -9,6 +9,11 @@ comes from the *loop-execution* effect of Sec. 4.2 (histogram creation up
 to 4x slower) rather than from memory encryption.  The ``variant``
 parameter selects the naive loops (Listing 1) or the manually
 unrolled-and-reordered ones (Listing 2), the paper's headline optimization.
+
+The passes and the per-partition build/probe exist only as priced
+``AccessProfile``s; the matches come from one global hash table over the
+build side (:func:`partitioned_match`), which yields exactly the
+partition-wise result.
 """
 
 from __future__ import annotations
@@ -50,62 +55,22 @@ _PROBE_SENSITIVITY = 0.15
 _SCATTER_STATE_BYTES = 256
 
 
-def radix_partition(
-    keys: np.ndarray, num_partitions: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group rows by their low key bits.
-
-    Returns ``(order, offsets)``: ``order`` permutes rows into partition
-    order and ``offsets[p]:offsets[p+1]`` bounds partition ``p``.  The
-    grouping is computed exactly as the C code does — partition id =
-    ``key & (P - 1)`` — with the physical reordering done by one stable
-    sort (the result of the two radix passes is identical).
-    """
-    mask = num_partitions - 1
-    pids = np.asarray(keys).astype(np.int64) & mask
-    order = np.argsort(pids, kind="stable")
-    counts = np.bincount(pids, minlength=num_partitions)
-    offsets = np.zeros(num_partitions + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return order, offsets
-
-
-def partitioned_match(
-    build: Table,
-    probe: Table,
-    num_partitions: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Join co-partitioned inputs partition by partition.
+def partitioned_match(build: Table, probe: Table) -> Tuple[np.ndarray, np.ndarray]:
+    """Matches of the partitioned in-cache join, from one global table.
 
     Returns ``(build_index, hit_mask)`` aligned to the probe table's
     original row order: ``build_index[i]`` is the matching build row of
     probe row ``i`` (foreign-key joins have at most one).  Shared by RHO
     and CrkJoin, which use the same in-cache join method (Sec. 4).
+
+    The partition passes are priced, not executed.  Joining partition by
+    partition gives the same ``build_index`` as one table over the whole
+    build side: equal keys share their low bits and so one partition, a
+    partition keeps its rows in ascending order, and a chain walk's first
+    hit is therefore the highest build row with the probe's key either way.
     """
-    r_keys, r_payloads = build["key"], build["payload"]
-    s_keys = probe["key"]
-    if num_partitions > 4096 or num_partitions >= len(r_keys):
-        # Degenerate fan-outs (tiny partitions, e.g. the Fig. 10 contention
-        # experiment) would spend all wall-clock time in the Python loop
-        # below; one global hash join produces the identical result.
-        table = ChainedHashTable(r_keys, r_payloads)
-        index, _hits = table.probe_first(s_keys)
-        return index, index >= 0
-    r_order, r_offsets = radix_partition(build["key"], num_partitions)
-    s_order, s_offsets = radix_partition(probe["key"], num_partitions)
-    build_index = np.full(len(s_keys), -1, dtype=np.int64)
-    for p in range(num_partitions):
-        r_lo, r_hi = r_offsets[p], r_offsets[p + 1]
-        s_lo, s_hi = s_offsets[p], s_offsets[p + 1]
-        if r_hi == r_lo or s_hi == s_lo:
-            continue
-        r_rows = r_order[r_lo:r_hi]
-        s_rows = s_order[s_lo:s_hi]
-        table = ChainedHashTable(r_keys[r_rows], r_payloads[r_rows])
-        local_index, hits = table.probe_first(s_keys[s_rows])
-        matched = s_rows[hits]
-        build_index[matched] = r_rows[local_index[hits]]
-    return build_index, build_index >= 0
+    table = ChainedHashTable(build["key"], build["payload"])
+    return table.probe_first(probe["key"])
 
 
 class RadixJoin(JoinAlgorithm):
@@ -225,7 +190,7 @@ class RadixJoin(JoinAlgorithm):
         num_partitions = 1 << total_bits
 
         # ---- real computation -------------------------------------------
-        build_index, hit_mask = partitioned_match(build, probe, num_partitions)
+        build_index, hit_mask = partitioned_match(build, probe)
         matches = int(hit_mask.sum())
 
         # Scratch space for the out-of-place partition passes (pre-sized,

@@ -59,6 +59,12 @@ class ChainedHashTable:
         self.payloads = np.asarray(payloads)
         n = len(self.keys)
         self.num_buckets = next_power_of_two(max(1, int(n / load_factor)))
+        # _build sorts (bucket << row_bits) | row in one int64 per row.
+        self._row_bits = max(0, n - 1).bit_length()
+        if self._row_bits + self.num_buckets.bit_length() - 1 > 63:
+            raise ConfigurationError(
+                f"{self.num_buckets} buckets x {n} rows do not pack into 63 bits"
+            )
         self._mask = np.uint64(self.num_buckets - 1)
         self.heads = np.full(self.num_buckets, -1, dtype=np.int64)
         self.links = np.full(n, -1, dtype=np.int64)
@@ -68,8 +74,10 @@ class ChainedHashTable:
     # -- construction ----------------------------------------------------
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
-        hashed = keys.astype(np.uint64) * _KNUTH_MULTIPLIER
-        return (hashed & self._mask).astype(np.int64)
+        hashed = keys.astype(np.uint64)
+        hashed *= _KNUTH_MULTIPLIER
+        hashed &= self._mask
+        return hashed.view(np.int64)
 
     def _build(self) -> None:
         """Vectorized equivalent of chained insertion.
@@ -77,13 +85,23 @@ class ChainedHashTable:
         Sequential insertion prepends each tuple to its bucket, so after
         inserting indexes 0..n-1 the chain of a bucket lists its members in
         *descending* index order.  We reproduce exactly that linkage.
+
+        Rows are grouped by bucket with one in-place sort of the packed
+        values ``(bucket << row_bits) | row``: they are unique, so numpy's
+        fast unstable sort yields exactly the stable bucket order (ascending
+        row index within a bucket) without an argsort permutation.
         """
-        buckets = self._hash(self.keys)
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        # Within one bucket run (ascending index order because the sort is
-        # stable), element i is pointed to by element i+1 — the later
-        # insertion prepends and links to the earlier one.
+        row_bits = self._row_bits
+        packed = self._hash(self.keys)
+        packed <<= row_bits
+        packed |= np.arange(len(self.keys), dtype=np.int64)
+        packed.sort()
+        order = packed & ((1 << row_bits) - 1)
+        packed >>= row_bits
+        sorted_buckets = packed
+        # Within one bucket run (ascending index order), element i is
+        # pointed to by element i+1 — the later insertion prepends and links
+        # to the earlier one.
         same_bucket = sorted_buckets[1:] == sorted_buckets[:-1]
         self.links[order[1:][same_bucket]] = order[:-1][same_bucket]
         # The head of each bucket is its highest index = last of the run.
@@ -131,14 +149,19 @@ class ChainedHashTable:
         probe_keys = np.asarray(probe_keys)
         result = np.full(len(probe_keys), -1, dtype=np.int64)
         cursor = self.heads[self._hash(probe_keys)]
-        unresolved = cursor >= 0
-        while unresolved.any():
-            idx = cursor[unresolved]
-            hit = self.keys[idx] == probe_keys[unresolved]
-            targets = np.flatnonzero(unresolved)
-            result[targets[hit]] = idx[hit]
-            advance = targets[~hit]
-            cursor[advance] = self.links[cursor[advance]]
-            unresolved = np.zeros_like(unresolved)
-            unresolved[advance] = cursor[advance] >= 0
+        # Walk only the unresolved probes: (targets, keys, cursor) shrink
+        # to the rows still on a chain after every step.
+        targets = np.flatnonzero(cursor >= 0)
+        keys = probe_keys[targets]
+        cursor = cursor[targets]
+        while len(targets):
+            hit = self.keys[cursor] == keys
+            result[targets[hit]] = cursor[hit]
+            keep = np.flatnonzero(~hit)
+            cursor = self.links[cursor[keep]]
+            live = cursor >= 0
+            keep = keep[live]
+            targets = targets[keep]
+            keys = keys[keep]
+            cursor = cursor[live]
         return result, result >= 0

@@ -10,11 +10,13 @@ byte pays seal + I/O on the way out and unseal + I/O on the way back
 crossover is a priced trade the planner can reason about, not a free
 escape hatch.
 
-Results are **bag-identical** to the in-memory variants: the real
-computation is the same numpy join/aggregate run per partition, and a hash
-partition never splits a key group across partitions.  When the working
-set already fits the budget, both operators skip the partition pass
-entirely and degenerate to their in-memory counterparts (zero sealed
+Results are **bag-identical** to the in-memory variants: a hash partition
+never splits a key group across partitions.  The join's partition pass and
+partition-wise build/probe are priced but not executed; its matches come
+from one global hash table, which gives exactly the partition-wise result.
+The aggregate runs the same numpy aggregation per partition.  When the
+working set already fits the budget, both operators skip the partition
+pass entirely and degenerate to their in-memory counterparts (zero sealed
 bytes) — the property the planner's crossover pricing relies on.
 """
 
@@ -70,10 +72,10 @@ _PROBE_MLP_SENSITIVITY = 0.55
 
 def _partition_of(keys: np.ndarray, partitions: int) -> np.ndarray:
     """Deterministic hash partition id per key (``partitions`` a power of 2)."""
-    hashed = keys.astype(np.uint64) * _PARTITION_MULTIPLIER
-    shift = np.uint64(64 - max(1, (partitions - 1).bit_length()))
     if partitions == 1:
         return np.zeros(len(keys), dtype=np.int64)
+    hashed = keys.astype(np.uint64) * _PARTITION_MULTIPLIER
+    shift = np.uint64(64 - max(1, (partitions - 1).bit_length()))
     return (hashed >> shift).astype(np.int64) % partitions
 
 
@@ -160,8 +162,6 @@ class GraceHashJoin(JoinAlgorithm):
 
         # ---- partition pass (skipped entirely on the in-memory path) ----
         if partitions > 1:
-            build_parts = _partition_of(build_keys, partitions)
-            probe_parts = _partition_of(probe_keys, partitions)
             spilled_bytes = float(build.logical_bytes + probe.logical_bytes)
             share = self.split_rows(
                 build.logical_rows + probe.logical_rows, threads
@@ -187,37 +187,30 @@ class GraceHashJoin(JoinAlgorithm):
             )
             executor.run_uniform_phase("partition", profile)
         else:
-            build_parts = np.zeros(len(build_keys), dtype=np.int64)
-            probe_parts = np.zeros(len(probe_keys), dtype=np.int64)
             spilled_bytes = 0.0
 
         # ---- partition-wise build + probe -------------------------------
-        build_index = np.full(len(probe_keys), -1, dtype=np.int64)
-        hit_mask = np.zeros(len(probe_keys), dtype=bool)
+        # Only the largest probed partition's table is sized: a partition
+        # with no probe rows is never built.
+        build_counts = np.bincount(
+            _partition_of(build_keys, partitions), minlength=partitions
+        )
+        probed = np.bincount(
+            _partition_of(probe_keys, partitions), minlength=partitions
+        ) > 0
         logical_table_bytes = 0.0
-        for part in range(partitions):
-            build_rows = np.flatnonzero(build_parts == part)
-            probe_rows = np.flatnonzero(probe_parts == part)
-            if len(probe_rows) == 0:
-                continue
-            table = ChainedHashTable(
-                build_keys[build_rows],
-                build["payload"][build_rows],
-                self.load_factor,
+        if probed.any():
+            largest = int(build_counts[probed].max())
+            logical_table_bytes = float(
+                table_bytes_for(
+                    max(1, int(largest * build.sim_scale)), self.load_factor
+                )
             )
-            local_index, local_hits = table.probe_first(probe_keys[probe_rows])
-            hits = probe_rows[local_hits]
-            build_index[hits] = build_rows[local_index[local_hits]]
-            hit_mask[hits] = True
-            logical_table_bytes = max(
-                logical_table_bytes,
-                float(
-                    table_bytes_for(
-                        max(1, int(len(build_rows) * build.sim_scale)),
-                        self.load_factor,
-                    )
-                ),
-            )
+        # The matches come from one global table: a hash partition holds
+        # every row of its keys in ascending row order, so the first chain
+        # hit (the highest build row with the key) is the same either way.
+        table = ChainedHashTable(build_keys, build["payload"], self.load_factor)
+        build_index, hit_mask = table.probe_first(probe_keys)
         matches = int(hit_mask.sum())
         ctx.allocate("grace-hash-table", int(logical_table_bytes))
 
@@ -240,7 +233,7 @@ class GraceHashJoin(JoinAlgorithm):
                 variant=self.variant,
                 parallelism=_BUILD_PARALLELISM,
                 compute_cycles_per_item=_BUILD_COMPUTE,
-                table_bytes=logical_table_bytes,
+                table_bytes=max(1.0, logical_table_bytes),
                 table_locality=locality,
                 table_writes=True,
                 reorder_sensitivity=_BUILD_REORDER_SENSITIVITY,
@@ -269,7 +262,7 @@ class GraceHashJoin(JoinAlgorithm):
                 variant=self.variant,
                 parallelism=_PROBE_PARALLELISM,
                 compute_cycles_per_item=_PROBE_COMPUTE,
-                table_bytes=logical_table_bytes,
+                table_bytes=max(1.0, logical_table_bytes),
                 table_locality=locality,
                 table_writes=False,
                 reorder_sensitivity=_PROBE_REORDER_SENSITIVITY,

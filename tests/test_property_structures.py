@@ -1,10 +1,9 @@
-"""Property-based tests: hash table, B+-tree, radix partitioning, LCG."""
+"""Property-based tests: hash table, B+-tree, LCG."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.joins.radix import radix_partition
 from repro.core.micro import Lcg, build_pointer_cycle
 from repro.core.structures.btree import BPlusTree
 from repro.core.structures.hashtable import ChainedHashTable, next_power_of_two
@@ -79,25 +78,6 @@ class TestBTreeProperties:
         assert tree.height >= 1
         # Each extra level multiplies capacity by the fanout.
         assert fanout ** (tree.height - 1) <= max(n, 1) * fanout
-
-
-class TestRadixPartitionProperties:
-    @given(keys=any_keys, bits=st.integers(min_value=0, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_is_permutation_grouped_by_low_bits(self, keys, bits):
-        keys_arr = np.array(keys, dtype=np.int64)
-        partitions = 1 << bits
-        order, offsets = radix_partition(keys_arr, partitions)
-        # order is a permutation of all rows.
-        assert sorted(order.tolist()) == list(range(len(keys_arr)))
-        # offsets are monotone and cover everything.
-        assert offsets[0] == 0 and offsets[-1] == len(keys_arr)
-        assert (np.diff(offsets) >= 0).all()
-        # every row landed in the partition its low bits dictate.
-        mask = partitions - 1
-        for p in range(partitions):
-            rows = order[offsets[p]:offsets[p + 1]]
-            assert ((keys_arr[rows] & mask) == p).all()
 
 
 class TestPointerCycleProperties:
