@@ -20,7 +20,9 @@ in request order.  Three properties hold by construction:
   ``bench.cache.misses`` (one ``bench.cache.hit``/``.miss`` event per
   experiment), ``bench.memo.hits`` / ``bench.memo.misses`` (per-query
   profile-memo traffic, summed across workers), and gauges per-worker
-  wall seconds.  This is the only non-deterministic output (wall clock,
+  wall seconds (``bench.worker.wall_s.<id>``, the simulation) and, for
+  traced runs, trace-export seconds (``bench.worker.export_s.<id>``).
+  This is the only non-deterministic output (wall clock,
   cache state), which is why it lives in a separate ``_session`` trace,
   never in the per-experiment files the byte-identity guarantee covers.
 
@@ -122,11 +124,14 @@ class SessionResult:
         it apart from experiment ids and flags it as the one artifact that
         is *not* byte-deterministic (it carries wall-clock gauges).
         """
-        from repro.trace import write_csv, write_jsonl
+        from repro.trace import export_texts
 
         trace_dir = pathlib.Path(trace_dir)
-        path = write_jsonl(self.tracer, trace_dir / "_session.trace.jsonl")
-        write_csv(self.tracer, trace_dir / "_session.trace.csv")
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        jsonl, csv_text = export_texts(self.tracer)
+        (trace_dir / "_session.trace.csv").write_text(csv_text)
+        path = trace_dir / "_session.trace.jsonl"
+        path.write_text(jsonl)
         return path
 
 
@@ -169,10 +174,12 @@ def _execute(
         "wall_s": time.perf_counter() - start,
     }
     if tracer is not None:
-        from repro.trace import to_csv, to_jsonl
+        from repro.trace import export_texts
 
-        payload["trace_jsonl"] = to_jsonl(tracer)
-        payload["trace_csv"] = to_csv(tracer)
+        # Export falls outside wall_s; it is reported on its own as export_s.
+        start = time.perf_counter()
+        payload["trace_jsonl"], payload["trace_csv"] = export_texts(tracer)
+        payload["export_s"] = time.perf_counter() - start
     return payload
 
 
@@ -449,8 +456,12 @@ def _absorb(
     run = _run_from_payload(experiment_id, payload, from_cache=False)
     results[experiment_id] = run
     session.tracer.gauge(f"bench.worker.wall_s.{experiment_id}", run.wall_s)
-    # Memo traffic belongs to the session trace only (it depends on what
-    # ran before), never to the cached payload the replay guarantee covers.
+    # Export time and memo traffic belong to the session trace only (wall
+    # clock; what ran before), never to the cached payload the replay
+    # guarantee covers.
+    export_s = payload.pop("export_s", None)
+    if export_s is not None:
+        session.tracer.gauge(f"bench.worker.export_s.{experiment_id}", export_s)
     memo_hits = int(payload.pop("memo_hits", 0))
     memo_misses = int(payload.pop("memo_misses", 0))
     if memo_hits:

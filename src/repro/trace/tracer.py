@@ -135,24 +135,55 @@ class NullTracer:
 
 
 class TeeTracer:
-    """Fans every record out to each enabled child tracer."""
+    """Fans every record out to each child tracer.
+
+    A span or event is built once and the same frozen record is appended
+    to every child's ``records``; counters and gauges fan out per child.
+    Nested tees flatten into their leaves, so every child is a plain
+    :class:`Tracer` and a record reaches each leaf once however the tees
+    were composed.
+    """
 
     enabled = True
 
-    def __init__(self, children: Sequence[Tracer]) -> None:
-        self.children = tuple(children)
+    def __init__(self, children: Sequence[Union[Tracer, "TeeTracer"]]) -> None:
+        leaves: List[Tracer] = []
+        for child in children:
+            if isinstance(child, TeeTracer):
+                leaves.extend(child.children)
+            else:
+                leaves.append(child)
+        self.children = tuple(leaves)
         self.label = "+".join(c.label for c in self.children if c.label)
 
-    def span(self, name: str, **kwargs: Any) -> Span:
-        record = None
+    def span(
+        self,
+        name: str,
+        *,
+        category: str,
+        start: float,
+        duration: float,
+        unit: str = "cycles",
+        **attrs: Any,
+    ) -> Span:
+        record = Span(
+            name=name,
+            category=category,
+            start=start,
+            duration=duration,
+            unit=unit,
+            attrs=attrs,
+        )
         for child in self.children:
-            record = child.span(name, **kwargs)
+            child.records.append(record)
         return record
 
-    def event(self, name: str, **kwargs: Any) -> Event:
-        record = None
+    def event(
+        self, name: str, *, time_s: Optional[float] = None, **attrs: Any
+    ) -> Event:
+        record = Event(name=name, time_s=time_s, attrs=attrs)
         for child in self.children:
-            record = child.event(name, **kwargs)
+            child.records.append(record)
         return record
 
     def count(self, name: str, delta: int = 1) -> None:

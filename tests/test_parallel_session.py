@@ -97,6 +97,18 @@ class TestSessionCache:
         assert "bench.worker.wall_s.tab01" not in warm.tracer.gauges
         assert warm.runs[0].wall_s == 0.0
 
+    def test_export_time_gauged_for_traced_runs_but_never_cached(self, tmp_path):
+        store = MemoStore(tmp_path)
+        cold = run_session(["tab01"], cache=store, traced=True)
+        assert cold.tracer.gauges["bench.worker.export_s.tab01"] >= 0.0
+        entries = list(tmp_path.glob("*.json"))
+        assert entries
+        assert all('"export_s"' not in p.read_text() for p in entries)
+        warm = run_session(["tab01"], cache=store, traced=True)
+        assert "bench.worker.export_s.tab01" not in warm.tracer.gauges
+        untraced = run_session(["tab01"])
+        assert "bench.worker.export_s.tab01" not in untraced.tracer.gauges
+
     def test_seed_rotates_cache_key(self, tmp_path):
         store = MemoStore(tmp_path)
         run_session(["tab01"], cache=store, base_seed=1)

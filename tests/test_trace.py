@@ -124,6 +124,32 @@ class TestTracer:
         assert len(a) == len(b) == 1
         assert a.counters == b.counters == {"c": 1}
 
+    def test_tee_appends_one_shared_record_to_every_child(self):
+        a, b = Tracer(), Tracer()
+        sink = tee(a, b)
+        event = sink.event("e", time_s=1.0, query_id=3)
+        span = sink.span("s", category="c", start=0.0, duration=2.0)
+        sink.count("c", 2)
+        sink.gauge("g", 0.5)
+        assert a.records == [event, span]
+        assert all(x is y for x, y in zip(a.records, b.records))
+        assert a.counters == b.counters == {"c": 2}
+        assert a.gauges == b.gauges == {"g": 0.5}
+
+    def test_nested_tee_records_once_into_each_leaf(self):
+        a, b, c = Tracer("a"), Tracer("b"), Tracer("c")
+        sink = tee(tee(a, b), c)
+        assert sink.children == (a, b, c)
+        assert sink.label == "a+b+c"
+        sink.event("e", time_s=1.0)
+        sink.span("s", category="c", start=0.0, duration=1.0)
+        sink.count("n")
+        sink.gauge("g", 2.0)
+        for leaf in (a, b, c):
+            assert [r.name for r in leaf.records] == ["e", "s"]
+            assert leaf.counters == {"n": 1}
+            assert leaf.gauges == {"g": 2.0}
+
     def test_tee_collapses_to_single_or_null(self):
         only = Tracer()
         assert tee(only, NULL_TRACER) is only
