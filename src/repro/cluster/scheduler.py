@@ -35,7 +35,7 @@ serves (see :mod:`repro.cluster.elastic`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.config import ClusterConfig
@@ -70,6 +70,10 @@ _CONTROL = -1
 # A global arrival's shard tie-break key: after every real shard id, so a
 # shard-internal retry at (t, _ARRIVAL) precedes a new global arrival.
 _GLOBAL = 1 << 30
+
+# What one multiplex iteration does: nothing is left, step a shard loop,
+# place the next global arrival, or apply the next control edge.
+_IDLE, _STEP_SHARD, _PLACE_ARRIVAL, _RUN_CONTROL = range(4)
 
 
 @dataclass
@@ -435,50 +439,65 @@ class ClusterScheduler:
                         mean_load=mean_load,
                     )
 
-        # The multiplex: always advance the globally earliest event.
+        # The multiplex: always advance the globally earliest event, keyed
+        # (time, kind, tie-break id) — control edges, each shard's heap
+        # head (read in place: a (time, kind, seq, payload) tuple), then
+        # the next global arrival.  Ties on time compare the rest of the
+        # key, exactly like the tuple comparison they stand for.
+        heads = [
+            (rt.loop._events, rt.spec.shard_id, rt.loop.step)
+            for rt in runtimes
+        ]
         while True:
-            best_key: Optional[Tuple[float, int, int]] = None
-            best_action: Optional[Callable[[], None]] = None
+            action = _IDLE
             if control_idx < len(controls):
-                time_s, _, edge, shard_id = controls[control_idx]
-                best_key = (time_s, _CONTROL, shard_id)
-
-                def do_control(
-                    edge: str = edge, shard_id: int = shard_id, t: float = time_s
-                ) -> None:
-                    nonlocal control_idx
-                    control_idx += 1
-                    if edge == "down":
-                        crash(shard_id, t)
-                    elif edge == "up":
-                        recover(shard_id, t)
-                    else:
-                        elastic_tick(t)
-
-                best_action = do_control
-            for rt in runtimes:
-                if not rt.loop.pending:
+                control = controls[control_idx]
+                best_t, best_k, best_id = control[0], _CONTROL, control[3]
+                action = _RUN_CONTROL
+            for events, shard_id, step in heads:
+                if not events:
                     continue
-                time_s, kind = rt.loop.peek()
-                key = (time_s, kind, rt.spec.shard_id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_action = rt.loop.step
+                head = events[0]
+                time_s = head[0]
+                if (
+                    action == _IDLE
+                    or time_s < best_t
+                    or (
+                        time_s == best_t
+                        and (head[1], shard_id) < (best_k, best_id)
+                    )
+                ):
+                    best_t, best_k, best_id = time_s, head[1], shard_id
+                    best_step = step
+                    action = _STEP_SHARD
             if arrival_idx < len(arrivals):
                 arrival = arrivals[arrival_idx]
-                key = (arrival.time_s, _ARRIVAL, _GLOBAL)
-                if best_key is None or key < best_key:
-                    best_key = key
-
-                    def do_arrival(a: Arrival = arrival) -> None:
-                        nonlocal arrival_idx
-                        arrival_idx += 1
-                        place(a, a.time_s)
-
-                    best_action = do_arrival
-            if best_action is None:
+                time_s = arrival.time_s
+                if (
+                    action == _IDLE
+                    or time_s < best_t
+                    or (
+                        time_s == best_t
+                        and (_ARRIVAL, _GLOBAL) < (best_k, best_id)
+                    )
+                ):
+                    action = _PLACE_ARRIVAL
+            if action == _STEP_SHARD:
+                best_step()
+            elif action == _PLACE_ARRIVAL:
+                arrival_idx += 1
+                place(arrival, time_s)
+            elif action == _RUN_CONTROL:
+                control_idx += 1
+                time_s, _, edge, shard_id = control
+                if edge == "down":
+                    crash(shard_id, time_s)
+                elif edge == "up":
+                    recover(shard_id, time_s)
+                else:
+                    elastic_tick(time_s)
+            else:
                 break
-            best_action()
 
         for rt in runtimes:
             result.registry.register(rt.spec.label, rt.loop.result())

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -40,6 +40,17 @@ class QueryMix:
                 raise ConfigurationError(
                     f"query mix weight for {name!r} must be positive"
                 )
+        # The draw table, built once with the arithmetic each draw used
+        # to redo (``sum`` for the total, a running float for the
+        # bounds), so every draw is bit-identical.  Plain attributes,
+        # not fields: equality, repr and cache keys see only ``weights``.
+        cumulative = 0.0
+        bounds = []
+        for name, weight in self.weights:
+            cumulative += weight
+            bounds.append((cumulative, name))
+        object.__setattr__(self, "_total", sum(w for _, w in self.weights))
+        object.__setattr__(self, "_bounds", tuple(bounds))
 
     @classmethod
     def of(cls, weights: Mapping[str, float]) -> "QueryMix":
@@ -51,18 +62,14 @@ class QueryMix:
 
     def sample(self, rng: random.Random) -> str:
         """One weighted draw from the mix."""
-        total = sum(weight for _, weight in self.weights)
-        point = rng.random() * total
-        cumulative = 0.0
-        for name, weight in self.weights:
-            cumulative += weight
-            if point < cumulative:
+        point = rng.random() * self._total
+        for bound, name in self._bounds:
+            if point < bound:
                 return name
         return self.weights[-1][0]
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One query submission: when, from which stream, which template."""
 
     time_s: float
@@ -108,11 +115,12 @@ class OpenLoopStream:
             raise ConfigurationError("duration must be positive")
         horizon = duration_s if self.end_s is None else min(self.end_s, duration_s)
         rng = random.Random(self.seed)
+        qps, name, sample = self.qps, self.name, self.mix.sample
         out: List[Arrival] = []
-        t = self.start_s + rng.expovariate(self.qps)
+        t = self.start_s + rng.expovariate(qps)
         while t < horizon:
-            out.append(Arrival(t, self.name, self.mix.sample(rng)))
-            t += rng.expovariate(self.qps)
+            out.append(Arrival(t, name, sample(rng)))
+            t += rng.expovariate(qps)
         return out
 
 

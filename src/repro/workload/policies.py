@@ -18,12 +18,17 @@ blocked, the first queued query whose working set is at most
 ``bypass_bytes`` (and which fits the policy's gates) may jump ahead —
 interactive point-queries are not stuck behind a bulk join waiting for
 half the EPC.
+
+The scheduler asks through :meth:`AdmissionPolicy.pick_fast`, which takes
+the free cores and the clamped EPC headroom as plain numbers;
+:meth:`AdmissionPolicy.pick` is the same decision over a
+:class:`ResourceState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 from repro.units import GiB
@@ -36,7 +41,12 @@ MAX_BYPASS_BYTES = 64 * GiB
 
 @dataclass(frozen=True)
 class ResourceState:
-    """What the scheduler exposes to a policy at decision time."""
+    """The resources :meth:`AdmissionPolicy.pick` decides against.
+
+    The scheduler hands the same quantities to
+    :meth:`AdmissionPolicy.pick_fast` as scalars instead of building one
+    per dispatch round.
+    """
 
     free_cores: int
     total_cores: int
@@ -52,8 +62,7 @@ class ResourceState:
         return max(0.0, self.epc_budget_bytes - self.epc_used_bytes)
 
 
-@dataclass
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
     """The policy's pick: a queue index plus how it may be admitted."""
 
     queue_index: int
@@ -86,11 +95,15 @@ class AdmissionPolicy:
 
     # -- hooks -----------------------------------------------------------
 
-    def _admissible(self, pending, state: ResourceState) -> Optional[AdmissionDecision]:
-        """A decision for ``pending`` if this policy would admit it now."""
+    def _admissible(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> Optional[int]:
+        """``pending``'s overflow bytes if this policy would admit it now."""
         raise NotImplementedError
 
-    def _block_reason(self, pending, state: ResourceState) -> str:
+    def _block_reason(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> str:
         """Why ``pending`` cannot be admitted (diagnostic counter key)."""
         raise NotImplementedError
 
@@ -98,23 +111,38 @@ class AdmissionPolicy:
 
     def pick(self, queue: Deque, state: ResourceState) -> Optional[AdmissionDecision]:
         """The next query to dispatch, or None (with a block reason)."""
+        return self.pick_fast(
+            queue, state.free_cores, state.epc_headroom_bytes
+        )
+
+    def pick_fast(
+        self, queue: Deque, free_cores: int, headroom_bytes: float
+    ) -> Optional[AdmissionDecision]:
+        """:meth:`pick` over scalars, the scheduler's per-event path.
+
+        ``headroom_bytes`` must already be clamped at zero, exactly as
+        :attr:`ResourceState.epc_headroom_bytes` clamps it.
+        """
         self.last_block_reason = None
         if not queue:
             return None
-        head = self._admissible(queue[0], state)
-        if head is not None:
-            head.queue_index = 0
-            return head
-        if self.bypass_bytes is not None:
+        head = queue[0]
+        overflow = self._admissible(head, free_cores, headroom_bytes)
+        if overflow is not None:
+            return AdmissionDecision(0, overflow)
+        bypass_bytes = self.bypass_bytes
+        if bypass_bytes is not None:
             for index, pending in enumerate(queue):
-                if index == 0 or pending.working_set_bytes > self.bypass_bytes:
+                if index == 0 or pending.working_set_bytes > bypass_bytes:
                     continue
-                decision = self._admissible(pending, state)
-                if decision is not None:
-                    decision.queue_index = index
-                    decision.bypassed = True
-                    return decision
-        self.last_block_reason = self._block_reason(queue[0], state)
+                overflow = self._admissible(
+                    pending, free_cores, headroom_bytes
+                )
+                if overflow is not None:
+                    return AdmissionDecision(index, overflow, True)
+        self.last_block_reason = self._block_reason(
+            head, free_cores, headroom_bytes
+        )
         return None
 
 
@@ -123,16 +151,16 @@ class FifoPolicy(AdmissionPolicy):
 
     name = "fifo"
 
-    def _admissible(self, pending, state: ResourceState) -> Optional[AdmissionDecision]:
-        if pending.threads > state.free_cores:
+    def _admissible(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> Optional[int]:
+        if pending.threads > free_cores:
             return None
-        overflow = max(
-            0.0,
-            pending.working_set_bytes - state.epc_headroom_bytes,
-        )
-        return AdmissionDecision(queue_index=0, overflow_bytes=int(overflow))
+        return int(max(0.0, pending.working_set_bytes - headroom_bytes))
 
-    def _block_reason(self, pending, state: ResourceState) -> str:
+    def _block_reason(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> str:
         return "cores"
 
 
@@ -141,15 +169,19 @@ class EpcAwarePolicy(AdmissionPolicy):
 
     name = "epc-aware"
 
-    def _admissible(self, pending, state: ResourceState) -> Optional[AdmissionDecision]:
-        if pending.threads > state.free_cores:
+    def _admissible(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> Optional[int]:
+        if pending.threads > free_cores:
             return None
-        if pending.working_set_bytes > state.epc_headroom_bytes:
+        if pending.working_set_bytes > headroom_bytes:
             return None
-        return AdmissionDecision(queue_index=0)
+        return 0
 
-    def _block_reason(self, pending, state: ResourceState) -> str:
-        if pending.threads > state.free_cores:
+    def _block_reason(
+        self, pending, free_cores: int, headroom_bytes: float
+    ) -> str:
+        if pending.threads > free_cores:
             return "cores"
         return "epc"
 

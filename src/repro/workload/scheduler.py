@@ -31,9 +31,9 @@ default :data:`~repro.faults.NULL_INJECTOR`, so an un-faulted run is
 byte-identical to a pre-fault build.
 
 **Multiplexing** (:mod:`repro.cluster`): the event loop lives in
-:class:`SchedulerLoop`, a steppable object exposing ``peek``/``step`` so a
-cluster scheduler can interleave many shards' loops on one simulated
-clock, plus ``submit``/``evict``/``reject`` so routed arrivals, shard
+:class:`SchedulerLoop`, a steppable object whose event heap a cluster
+scheduler reads in place and whose ``step`` it calls, so it can
+interleave many shards' loops on one simulated clock, plus ``submit``/``evict``/``reject`` so routed arrivals, shard
 crashes, and dead-shard rejections cross shard boundaries.  A shard label
 threads into every trace event's attrs (``shard=...``) so tee'd shards
 stay distinguishable; un-sharded runs omit the attr and stay
@@ -93,7 +93,7 @@ from repro.workload.metrics import (
     SchedulerCounters,
     WorkloadMetrics,
 )
-from repro.workload.policies import AdmissionPolicy, ResourceState
+from repro.workload.policies import AdmissionPolicy
 
 #: Service-time multiplier per fraction of the working set beyond the EPC
 #: budget.  Fig. 11 measures a 22x collapse when the *whole* working set is
@@ -206,8 +206,9 @@ class WorkloadScheduler:
             closed_streams=closed_streams,
             duration_s=duration_s,
         )
-        while loop.pending:
-            loop.step()
+        events, step = loop._events, loop.step
+        while events:
+            step()
         return loop.result()
 
     def loop(
@@ -243,9 +244,11 @@ class SchedulerLoop:
     """One scheduler's event loop, steppable from outside.
 
     Extracted from the old monolithic ``run`` body so a cluster scheduler
-    can multiplex many loops on one simulated clock: ``peek`` exposes the
-    next event's ``(time, kind)``, ``step`` processes exactly one event,
-    and ``result`` finalises metrics once ``pending`` is False.  Routed
+    can multiplex many loops on one simulated clock: the head of the
+    ``_events`` heap is the next ``(time, kind, seq, payload)`` (read in
+    place, never popped, by the multiplexer), ``step`` processes exactly
+    one event, and ``result`` finalises metrics once ``pending`` is
+    False.  Routed
     work crosses shard boundaries through ``submit`` (deliver an arrival,
     optionally priced with a cross-socket shuffle), ``evict`` (a crashing
     shard hands back its queued + running queries), and ``reject`` (a
@@ -267,6 +270,7 @@ class SchedulerLoop:
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
         self._s = scheduler
+        self._costs = scheduler._costs
         self._duration_s = duration_s
         self._tracer = current_tracer()
         self._injector = scheduler._injector
@@ -309,6 +313,7 @@ class SchedulerLoop:
         self._queued_threads = 0  # incremental; backs the router's load score
         self._reserved: Dict[int, int] = {}  # qid -> EPC bytes held running
         self._cancelled: Set[int] = set()  # qids evicted while running
+        self._finalised = False  # result() has run
 
         # (time, kind, seq, payload): kind breaks same-instant ties so a
         # finishing query releases its cores before a new arrival is seen.
@@ -347,11 +352,6 @@ class SchedulerLoop:
     def pending(self) -> bool:
         """True while events remain to be stepped."""
         return bool(self._events)
-
-    def peek(self) -> Tuple[float, int]:
-        """``(time_s, kind)`` of the next event (events must be pending)."""
-        time_s, kind, _, _ = self._events[0]
-        return time_s, kind
 
     @property
     def load_score(self) -> float:
@@ -428,44 +428,18 @@ class SchedulerLoop:
 
     def reject(self, arrival: Arrival, now: float, outcome: str = "shard_down") -> None:
         """Terminally shed an arrival routed at a dead shard."""
-        cost = self._s._cost_of(arrival.template)
+        self._s._cost_of(arrival.template)  # an unpriced template still raises
         self._counters.arrivals += 1
-        pending = PendingQuery(
-            query_id=self._next_id,
-            stream=arrival.stream,
-            template=arrival.template,
-            client=arrival.client,
-            arrival_s=now,
-            threads=cost.threads,
-            service_s=cost.service_s,
-            working_set_bytes=cost.working_set_bytes,
-        )
-        self._next_id += 1
-        if self._tracer.enabled:
-            self._emit(
-                ARRIVAL,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                queue_depth=len(self._queue),
-            )
-            self._emit(
-                SHED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                retry=False,
-            )
         self._counters.shed += 1
+        query_id = self._next_id
+        self._next_id += 1
         self._failures.append(
             FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
+                query_id=query_id,
+                stream=arrival.stream,
+                template=arrival.template,
+                client=arrival.client,
+                arrival_s=now,
                 failed_s=now,
                 attempts=1,
                 outcome=outcome,
@@ -473,11 +447,27 @@ class SchedulerLoop:
         )
         if self._tracer.enabled:
             self._emit(
+                ARRIVAL,
+                time_s=now,
+                query_id=query_id,
+                stream=arrival.stream,
+                template=arrival.template,
+                queue_depth=len(self._queue),
+            )
+            self._emit(
+                SHED,
+                time_s=now,
+                query_id=query_id,
+                stream=arrival.stream,
+                template=arrival.template,
+                retry=False,
+            )
+            self._emit(
                 FAILED,
                 time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
+                query_id=query_id,
+                stream=arrival.stream,
+                template=arrival.template,
                 attempts=1,
                 outcome=outcome,
                 latency_s=0.0,
@@ -671,32 +661,34 @@ class SchedulerLoop:
             )
 
     def _dispatch(self, now: float) -> None:
+        queue = self._queue
+        if not queue:
+            # Nothing to admit, and an empty queue counts no block reason.
+            return
         scheduler = self._s
+        policy = scheduler._policy
         counters = self._counters
         injector = self._injector
         resilience = self._resilience
         faulting = self._faulting
-        queue = self._queue
-        while True:
+        while queue:
             budget = scheduler._epc_budget
             if faulting:
                 budget = budget * injector.epc_multiplier(now)
-            state = ResourceState(
-                free_cores=self._free_cores,
-                total_cores=scheduler._cores,
-                epc_used_bytes=self._epc_used,
-                epc_budget_bytes=budget,
+            # The same clamp as ResourceState.epc_headroom_bytes.
+            decision = policy.pick_fast(
+                queue, self._free_cores, max(0.0, budget - self._epc_used)
             )
-            decision = scheduler._policy.pick(queue, state)
             if decision is None:
-                if queue:
-                    if scheduler._policy.last_block_reason == "epc":
-                        counters.blocked_on_epc += 1
-                    elif scheduler._policy.last_block_reason == "cores":
-                        counters.blocked_on_cores += 1
+                reason = policy.last_block_reason
+                if reason == "epc":
+                    counters.blocked_on_epc += 1
+                elif reason == "cores":
+                    counters.blocked_on_cores += 1
                 return
-            pending = queue[decision.queue_index]
-            del queue[decision.queue_index]
+            index, overflow_bytes, bypassed = decision
+            pending = queue[index]
+            del queue[index]
             self._queued_threads -= pending.threads
             busy_before = scheduler._cores - self._free_cores
             # The dispatch-time service decomposition: a frozen base
@@ -714,7 +706,7 @@ class SchedulerLoop:
             degraded_penalty_s = 0.0
             spill_penalty_s = 0.0
             reserved_bytes = pending.working_set_bytes
-            if decision.overflow_bytes > 0 and self._spill is not None:
+            if overflow_bytes > 0 and self._spill is not None:
                 # Sealed spill path: the overflowing share of the
                 # working set is sealed out to untrusted storage at
                 # dispatch and streamed back (unsealed + re-scanned)
@@ -736,16 +728,16 @@ class SchedulerLoop:
                             stream=pending.stream,
                             template=pending.template,
                             attempt=pending.attempt,
-                            spilled_bytes=float(decision.overflow_bytes),
+                            spilled_bytes=float(overflow_bytes),
                         )
                     self._fail_attempt(pending, now, "torn_block")
                     continue
                 reserved_bytes = max(
                     0,
-                    pending.working_set_bytes - decision.overflow_bytes,
+                    pending.working_set_bytes - overflow_bytes,
                 )
                 seal_s, unseal_s = self._spill.charge(
-                    decision.overflow_bytes
+                    overflow_bytes
                 )
                 stall = 1.0
                 if faulting:
@@ -767,7 +759,7 @@ class SchedulerLoop:
                 spill_penalty_s = seal_s + unseal_s
                 service += spill_penalty_s
                 counters.spills += 1
-                counters.spilled_bytes += float(decision.overflow_bytes)
+                counters.spilled_bytes += float(overflow_bytes)
                 if self._tracer.enabled:
                     self._emit(
                         SPILL,
@@ -775,15 +767,15 @@ class SchedulerLoop:
                         query_id=pending.query_id,
                         stream=pending.stream,
                         template=pending.template,
-                        spilled_bytes=float(decision.overflow_bytes),
+                        spilled_bytes=float(overflow_bytes),
                         seal_s=seal_s,
                         unseal_s=unseal_s,
                         stalled=stalled,
                         penalty_s=spill_penalty_s,
                     )
-            elif decision.overflow_bytes > 0:
+            elif overflow_bytes > 0:
                 overflow_fraction = (
-                    decision.overflow_bytes / pending.working_set_bytes
+                    overflow_bytes / pending.working_set_bytes
                 )
                 if (
                     faulting
@@ -799,7 +791,7 @@ class SchedulerLoop:
                     reserved_bytes = max(
                         0,
                         pending.working_set_bytes
-                        - decision.overflow_bytes,
+                        - overflow_bytes,
                     )
                     degraded_penalty_s = (
                         service
@@ -816,7 +808,7 @@ class SchedulerLoop:
                             stream=pending.stream,
                             template=pending.template,
                             reserved_bytes=reserved_bytes,
-                            shortfall_bytes=decision.overflow_bytes,
+                            shortfall_bytes=overflow_bytes,
                             penalty_s=degraded_penalty_s,
                         )
                 elif faulting and injector.edmm_denied(
@@ -833,7 +825,7 @@ class SchedulerLoop:
                             stream=pending.stream,
                             template=pending.template,
                             attempt=pending.attempt,
-                            overflow_bytes=decision.overflow_bytes,
+                            overflow_bytes=overflow_bytes,
                         )
                     self._fail_attempt(pending, now, "edmm_denied")
                     continue
@@ -850,7 +842,7 @@ class SchedulerLoop:
                             query_id=pending.query_id,
                             stream=pending.stream,
                             template=pending.template,
-                            overflow_bytes=decision.overflow_bytes,
+                            overflow_bytes=overflow_bytes,
                             overflow_fraction=overflow_fraction,
                             penalty_s=edmm_penalty_s,
                         )
@@ -901,7 +893,7 @@ class SchedulerLoop:
                     attempt_s = resilience.timeout_s
                     crash = None
                     counters.timeouts += 1
-            if decision.bypassed:
+            if bypassed:
                 counters.bypass_dispatches += 1
             if now == pending.arrival_s:
                 counters.dispatched_immediately += 1
@@ -918,8 +910,8 @@ class SchedulerLoop:
                     base_service_s=pending.service_s,
                     interference_s=interference_s,
                     edmm_penalty_s=edmm_penalty_s,
-                    overflow_bytes=decision.overflow_bytes,
-                    bypassed=decision.bypassed,
+                    overflow_bytes=overflow_bytes,
+                    bypassed=bypassed,
                     free_cores=self._free_cores,
                     epc_used_bytes=self._epc_used,
                 )
@@ -942,13 +934,13 @@ class SchedulerLoop:
                 now + attempt_s,
                 _FINISH,
                 _Finish(
-                    query_id=pending.query_id,
-                    start_s=now,
-                    overflow_bytes=decision.overflow_bytes,
-                    bypassed=decision.bypassed,
-                    outcome=outcome,
-                    reserved_bytes=reserved_bytes,
-                    crash=crash,
+                    pending.query_id,
+                    now,
+                    overflow_bytes,
+                    bypassed,
+                    outcome,
+                    reserved_bytes,
+                    crash,
                 ),
             )
 
@@ -995,7 +987,9 @@ class SchedulerLoop:
                 arrival = payload.arrival
             else:
                 arrival = payload
-            cost = self._s._cost_of(arrival.template)
+            cost = self._costs.get(arrival.template)
+            if cost is None:
+                self._s._cost_of(arrival.template)  # raises with the names
             counters.arrivals += 1
             pending = PendingQuery(
                 query_id=self._next_id,
@@ -1097,30 +1091,20 @@ class SchedulerLoop:
                         )
                 self._records.append(
                     QueryRecord(
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
-                        client=pending.client,
-                        arrival_s=pending.arrival_s,
-                        start_s=finish.start_s,
-                        finish_s=now,
-                        working_set_bytes=pending.working_set_bytes,
-                        overflow_bytes=finish.overflow_bytes,
-                        bypassed=finish.bypassed,
-                        attempts=pending.attempt + 1,
+                        pending.query_id,
+                        pending.stream,
+                        pending.template,
+                        pending.client,
+                        pending.arrival_s,
+                        finish.start_s,
+                        now,
+                        pending.working_set_bytes,
+                        finish.overflow_bytes,
+                        finish.bypassed,
+                        pending.attempt + 1,
                     )
                 )
-                stream = self._closed_by_name.get(pending.stream)
-                if stream is not None and now < self._duration_s:
-                    self._push(
-                        *_arrival_event(
-                            stream.next_arrival(
-                                self._closed_rngs[stream.name],
-                                pending.client,
-                                now,
-                            )
-                        )
-                    )
+                self._resubmit_closed(pending, now)
             else:
                 wasted_s = now - finish.start_s
                 reinit_s = 0.0
@@ -1149,6 +1133,12 @@ class SchedulerLoop:
 
     def result(self) -> WorkloadMetrics:
         """Finalise metrics and close the trace run (call exactly once)."""
+        if self._finalised:
+            raise ConfigurationError(
+                "SchedulerLoop.result() was already called: a second call "
+                "would close the trace run and count its counters twice"
+            )
+        self._finalised = True
         scheduler = self._s
         counters = self._counters
         metrics = WorkloadMetrics(
@@ -1189,15 +1179,36 @@ class SchedulerLoop:
         return metrics
 
 
-@dataclass(frozen=True)
 class _Finish:
-    query_id: int
-    start_s: float
-    overflow_bytes: int
-    bypassed: bool
-    outcome: str = "ok"
-    reserved_bytes: int = 0
-    crash: Optional[CrashDraw] = None
+    """An attempt's fate, fixed at dispatch and carried by its finish event."""
+
+    __slots__ = (
+        "query_id",
+        "start_s",
+        "overflow_bytes",
+        "bypassed",
+        "outcome",
+        "reserved_bytes",
+        "crash",
+    )
+
+    def __init__(
+        self,
+        query_id: int,
+        start_s: float,
+        overflow_bytes: int,
+        bypassed: bool,
+        outcome: str,
+        reserved_bytes: int,
+        crash: Optional[CrashDraw],
+    ) -> None:
+        self.query_id = query_id
+        self.start_s = start_s
+        self.overflow_bytes = overflow_bytes
+        self.bypassed = bypassed
+        self.outcome = outcome
+        self.reserved_bytes = reserved_bytes
+        self.crash = crash
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,31 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             scheduler().run(open_streams=(), duration_s=1.0)
 
+    def test_result_is_final(self):
+        # Regression: result() said "call exactly once" but a second call
+        # appended another run-end event and counted every scheduler.*
+        # counter into the tracer again.
+        from repro.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            loop = scheduler().loop(
+                open_streams=(
+                    OpenLoopStream("t", qps=50.0, mix=self.MIX, seed=5),
+                ),
+                duration_s=1.0,
+            )
+            while loop.pending:
+                loop.step()
+            metrics = loop.result()
+            counted = dict(tracer.counters)
+            with pytest.raises(ConfigurationError, match="already called"):
+                loop.result()
+        assert tracer.counters == counted
+        assert counted["scheduler.completed"] == metrics.counters.completed
+        run_ends = [r for r in tracer.records if r.name == "serving.run_end"]
+        assert len(run_ends) == 1
+
 
 class TestMetricsRegressions:
     """Regressions for the PR-1 serving-metrics bugs."""
