@@ -20,9 +20,9 @@ arms to one contract so they can be compared:
   (:mod:`repro.backends.calibrate`), keeping engine-priced experiments
   byte-deterministic.
 
-Backend selection is an ambient channel (:mod:`repro.backends.config`),
-like storage and planner modes: ``--backend`` unset (or ``sim``) leaves
-every existing code path — and its output bytes — untouched.
+Backend selection is the ``backend`` field of the ambient
+:class:`~repro.runconfig.RunConfig`: ``--backend`` unset (or ``sim``)
+leaves every existing code path — and its output bytes — untouched.
 """
 
 from repro.backends.base import (
@@ -36,10 +36,8 @@ from repro.backends.config import (
     BACKEND_MODES,
     BACKENDS_EXTRA,
     ENGINE_MODES,
-    current_backend_mode,
     missing_reason,
     require_available,
-    use_backend_mode,
     validate_mode,
 )
 from repro.backends.dataset import Dataset, materialize
@@ -87,7 +85,6 @@ __all__ = [
     "assert_equivalent",
     "bag_digest",
     "canonical_bag",
-    "current_backend_mode",
     "engine_profile",
     "gate_template",
     "get_profile",
@@ -97,6 +94,5 @@ __all__ = [
     "missing_reason",
     "render_sql",
     "require_available",
-    "use_backend_mode",
     "validate_mode",
 ]

@@ -1,19 +1,16 @@
-"""Backend selection and its ambient (session-scoped) channel.
+"""Backend modes: which engine prices the serving templates.
 
 ``--backend sqlite`` asks the serving layer to price engine-in-enclave
 arms from a real engine's calibrated profile instead of the operator
-simulator.  Like fault plans, planner modes, cluster topologies, and
-storage budgets, the choice flows through an explicit ambient channel
-(:func:`use_backend_mode` / :func:`current_backend_mode`) so one flag
-reshapes every serving run in a session — and ``--backend`` unset (or
-``sim``) leaves every code path byte-identical to the pre-backends build.
+simulator.  The session's choice is the ``backend`` field of the ambient
+:class:`~repro.runconfig.RunConfig`; ``--backend`` unset (or ``sim``)
+leaves every code path byte-identical to the pre-backends build.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -61,29 +58,3 @@ def require_available(mode: str) -> str:
     if reason is not None:
         raise ConfigurationError(reason)
     return mode
-
-
-_ACTIVE: List[Optional[str]] = [None]
-
-
-def current_backend_mode() -> Optional[str]:
-    """The ambient backend mode (``None``: the simulator, the default)."""
-    return _ACTIVE[-1]
-
-
-@contextlib.contextmanager
-def use_backend_mode(mode: Optional[str]) -> Iterator[Optional[str]]:
-    """Install ``mode`` as the ambient backend for the ``with`` scope.
-
-    ``None`` is a no-op scope (the session default), mirroring
-    ``use_storage``/``use_planner_mode``; ``"sim"`` is accepted and keys
-    identically to ``None`` everywhere (both serve the operator-simulator
-    path), so pre-backends cache entries stay valid for sim sessions.
-    """
-    if mode is not None:
-        validate_mode(mode)
-    _ACTIVE.append(mode)
-    try:
-        yield mode
-    finally:
-        _ACTIVE.pop()

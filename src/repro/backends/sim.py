@@ -10,6 +10,7 @@ simulated and byte-deterministic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
@@ -29,8 +30,8 @@ from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.memory.access import CodeVariant
-from repro.backends.config import use_backend_mode
 from repro.planner.candidates import build_join, static_candidate
+from repro.runconfig import current_run_config, use_run_config
 from repro.trace import NullTracer, use_tracer
 from repro.workload.jobs import JobCatalog, JobKind
 
@@ -59,7 +60,8 @@ class SimBackend(Backend):
         # Pin the sim mode: under an ambient engine mode the catalog
         # would otherwise delegate right back to the engine bridge (and
         # the bridge's equivalence gate runs this backend — recursion).
-        with use_backend_mode("sim"):
+        sim_only = replace(current_run_config(), backend="sim")
+        with use_run_config(sim_only):
             plain = self.catalog.cost(template, _PLAIN)
             enclave = self.catalog.cost(template, _SGX_IN)
         profile = MeasuredProfile(

@@ -31,15 +31,17 @@ the primitives" caveat, in both directions.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.backends.config import ENGINE_MODES, missing_reason, use_backend_mode
+from repro.backends.config import ENGINE_MODES, missing_reason
 from repro.backends.envelope import SgxCostEnvelope, get_profile, load_profiles
 from repro.backends.serving import gate_template
 from repro.bench.experiments import common
 from repro.bench.experiments.ext07_planner_ablation import PLATFORMS
 from repro.bench.report import ExperimentReport
 from repro.machine import SimMachine
+from repro.runconfig import current_run_config, use_run_config
 from repro.trace import current_tracer
 from repro.trace.breakdown import BACKEND_ENVELOPE, BACKEND_EQUIVALENCE
 from repro.workload.jobs import JobCatalog, serving_templates
@@ -105,7 +107,8 @@ def run(
         for template in chosen:
             # Pin the sim mode: the operator arm must price through the
             # operators even when a session-wide --backend is active.
-            with use_backend_mode("sim"):
+            sim_only = replace(current_run_config(), backend="sim")
+            with use_run_config(sim_only):
                 plain = catalog.cost(template, common.SETTING_PLAIN)
                 sgx = catalog.cost(template, common.SETTING_SGX_IN)
             report.add(

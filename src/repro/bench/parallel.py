@@ -47,35 +47,16 @@ from repro.bench.report import ExperimentReport
 from repro.bench.runner import DEFAULT_BASE_SEED, use_repetition_jobs
 from repro.cache import MemoStore, calibration_digest, experiment_key
 from repro.errors import BenchmarkError
-from repro.faults.plan import FaultPlan
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig, current_run_config
 from repro.trace import Tracer
 
 #: Worker payload: (experiment_id, quick, base_seed, traced,
-#: repetition_jobs, fault_plan, planner, cluster, storage, backend,
-#: rewrite, memo_enabled, memo_dir).  The plan, the planner mode, the
-#: cluster config, the storage config, the backend mode, the rewrite
-#: mode, and the memo switches ride into spawned workers as pickled
-#: values — spawn inherits no ambient
-#: ``use_fault_plan``/``use_planner_mode``/``use_cluster``/
-#: ``use_storage``/``use_backend_mode``/``use_rewrite``/
-#: ``use_profile_memo`` state, so the explicit slots are the only
-#: channel.
-_Task = Tuple[
-    str,
-    bool,
-    int,
-    bool,
-    int,
-    Optional[FaultPlan],
-    Optional[str],
-    object,
-    object,
-    Optional[str],
-    Optional[str],
-    bool,
-    Optional[str],
-]
+#: repetition_jobs, run, memo_enabled, memo_dir).  The run config and the
+#: memo switches ride into spawned workers as pickled values — spawn
+#: inherits no ambient ``use_run_config``/``use_profile_memo`` state, so
+#: the explicit slots are the only channel.
+_Task = Tuple[str, bool, int, bool, int, RunConfig, bool, Optional[str]]
 
 
 @dataclass
@@ -142,13 +123,8 @@ def _execute(
     base_seed: int,
     traced: bool,
     repetition_jobs: int,
+    run: RunConfig,
     machine: Optional[SimMachine] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
 ) -> Dict:
     """Run one experiment and return its JSON-safe result payload."""
     start = time.perf_counter()
@@ -160,12 +136,7 @@ def _execute(
             quick=quick,
             tracer=tracer,
             base_seed=base_seed,
-            fault_plan=fault_plan,
-            planner=planner,
-            cluster=cluster,
-            storage=storage,
-            backend=backend,
-            rewrite=rewrite,
+            run=run,
         )
     payload: Dict = {
         "report": report.as_dict(),
@@ -228,12 +199,7 @@ def _worker(task: _Task) -> Dict:
         base_seed,
         traced,
         repetition_jobs,
-        fault_plan,
-        planner,
-        cluster,
-        storage,
-        backend,
-        rewrite,
+        run,
         memo_enabled,
         memo_dir,
     ) = task
@@ -245,12 +211,7 @@ def _worker(task: _Task) -> Dict:
         base_seed=base_seed,
         traced=traced,
         repetition_jobs=repetition_jobs,
-        fault_plan=fault_plan,
-        planner=planner,
-        cluster=cluster,
-        storage=storage,
-        backend=backend,
-        rewrite=rewrite,
+        run=run,
     )
 
 
@@ -276,12 +237,7 @@ def run_session(
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
     traced: bool = False,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> SessionResult:
     """Run ``experiment_ids`` (possibly in parallel, possibly cached).
@@ -293,28 +249,22 @@ def run_session(
     and returns its exported texts on each :class:`ExperimentRun`.  A
     non-default ``machine`` runs in-process (live machine objects stay out
     of worker pickles) but still keys the cache by its calibration digest.
-    ``faults`` installs a session fault plan for every run — threaded
-    explicitly into workers and hashed into every cache key, so serial,
-    parallel, and cached-replay runs of one plan stay byte-identical while
-    differently-faulted runs never collide.  ``planner`` installs a
-    session planner mode through the same three channels (in-process
-    scope, worker task slot, cache key) with the same guarantee, and
-    ``cluster`` (a :class:`~repro.cluster.ClusterConfig`) a session
-    cluster topology likewise, and ``storage`` (a
-    :class:`~repro.storage.StorageConfig`) a session sealed-storage
-    budget likewise, and ``backend`` a session backend mode likewise
-    (``None``/``"sim"`` key identically — both serve the operator
-    simulator), and ``rewrite`` a session rewrite mode likewise
-    (``None``/``"off"`` key identically — both serve the reference
-    logical plans).  ``memo=False`` disables the per-query
-    profile memo for every run (the ``--no-memo`` channel); memoized and
-    unmemoized runs are byte-identical, so the flag is never keyed.
+    ``run`` (a :class:`~repro.runconfig.RunConfig`; ``None`` takes the
+    ambient one) applies the session's subsystem settings to every run.
+    It is validated once, installed in-process, pickled into each
+    worker's task, and hashed into every cache key, so serial, parallel,
+    and cached-replay runs of one config stay byte-identical while
+    differently-configured runs never collide.  ``memo=False`` disables
+    the per-query profile memo for every run (the ``--no-memo`` channel);
+    memoized and unmemoized runs are byte-identical, so the flag is never
+    keyed.
     """
     ids = list(experiment_ids)
     for experiment_id in ids:
         get_experiment(experiment_id)  # fail fast on unknown ids
     if jobs < 1:
         raise BenchmarkError(f"jobs must be at least 1, got {jobs}")
+    run = (current_run_config() if run is None else run).validate()
     if base_seed is None:
         base_seed = DEFAULT_BASE_SEED
     store: Optional[MemoStore]
@@ -342,25 +292,20 @@ def run_session(
                 traced=traced,
                 params=params,
                 spec=spec,
-                faults=faults,
-                planner=planner,
-                cluster=cluster,
-                storage=storage,
-                backend=backend,
-                rewrite=rewrite,
+                run=run,
             )
             payload = store.get(keys[experiment_id])
-            run: Optional[ExperimentRun] = None
+            hit: Optional[ExperimentRun] = None
             if payload is not None:
                 try:
-                    run = _run_from_payload(experiment_id, payload, from_cache=True)
-                    run.wall_s = 0.0  # a hit costs no simulation time
+                    hit = _run_from_payload(experiment_id, payload, from_cache=True)
+                    hit.wall_s = 0.0  # a hit costs no simulation time
                 except BenchmarkError:
-                    run = None  # malformed entry: recompute below
-            if run is not None and traced and run.trace_jsonl is None:
-                run = None  # entry predates tracing for this key shape
-            if run is not None:
-                results[experiment_id] = run
+                    hit = None  # malformed entry: recompute below
+            if hit is not None and traced and hit.trace_jsonl is None:
+                hit = None  # entry predates tracing for this key shape
+            if hit is not None:
+                results[experiment_id] = hit
                 session.tracer.count("bench.cache.hits")
                 session.tracer.event("bench.cache.hit", experiment=experiment_id)
             else:
@@ -392,13 +337,8 @@ def run_session(
                     base_seed=base_seed,
                     traced=traced,
                     repetition_jobs=repetition_jobs,
+                    run=run,
                     machine=machine,
-                    fault_plan=faults,
-                    planner=planner,
-                    cluster=cluster,
-                    storage=storage,
-                    backend=backend,
-                    rewrite=rewrite,
                 )
                 _absorb(session, results, store, keys, digest, experiment_id, payload)
         else:
@@ -419,12 +359,7 @@ def run_session(
                             base_seed,
                             traced,
                             repetition_jobs,
-                            faults,
-                            planner,
-                            cluster,
-                            storage,
-                            backend,
-                            rewrite,
+                            run,
                             memo,
                             memo_dir,
                         ),

@@ -47,6 +47,7 @@ from repro.bench.experiments import (
 from repro.bench.report import ExperimentReport
 from repro.errors import BenchmarkError
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig, current_run_config, use_run_config
 
 EXPERIMENTS: Dict[str, object] = {
     module.EXPERIMENT_ID: module
@@ -107,12 +108,7 @@ def run_experiment(
     quick: bool = True,
     tracer=None,
     base_seed: Optional[int] = None,
-    fault_plan=None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
 ) -> ExperimentReport:
     """Run one experiment and return its report.
 
@@ -123,52 +119,19 @@ def run_experiment(
 
     ``base_seed`` pins the repetition/stream base seed for this run (the
     explicit channel parallel workers use; ``None`` keeps the process
-    default).  ``fault_plan`` installs a session fault plan
-    (:class:`~repro.faults.FaultPlan`) for the run's scope — serving runs
-    whose configs leave ``faults=None`` inject from it; experiments that
-    pin explicit plans (wl04's arms) are unaffected.  ``planner`` installs
-    a session planner mode the same way — serving configs with
-    ``planner=None`` serve under it; experiments that pin modes (ext07,
-    wl05's arms) are unaffected.  ``cluster`` installs a session cluster
-    topology (a :class:`~repro.cluster.ClusterConfig` or a spec string
-    like ``"2x4"``) — serving configs with ``cluster=None`` shard over
-    it; experiments that pin explicit clusters (wl06's arms) are
-    unaffected.  ``storage`` installs a session sealed-storage budget (a
-    :class:`~repro.storage.StorageConfig` or a spec string like ``"2G"``)
-    the same way — serving configs with ``storage=None`` spill against
-    it.  ``backend`` installs a session backend mode (``--backend``):
-    engine modes price serving templates from calibrated engine profiles
-    through the SGX cost envelope; ``None``/``"sim"`` leave the operator
-    simulator in charge (byte-identical to the pre-backends path).
-    ``rewrite`` installs a session rewrite mode (``--rewrite``): active
-    modes prove (and race) logical rewrite candidates while serving runs
-    plan their arms, and ``"learned"`` adds winning rewrites to the
-    adaptive planner's arm set; ``None``/``"off"`` leave the reference
-    logical plans in charge (byte-identical to the pre-rewrite path).
+    default).  ``run`` is validated and installed as the ambient
+    :class:`~repro.runconfig.RunConfig` for the run's scope (``None``
+    keeps the ambient one): serving configs that leave a subsystem field
+    ``None`` serve under its value, while experiments that pin their own
+    (wl04's fault plans, wl05's planner modes, wl06's clusters) are
+    unaffected.  Default fields leave every code path byte-identical to a
+    build without that subsystem.
     """
     module = get_experiment(experiment_id)
-    import contextlib
-
-    from repro.backends.config import use_backend_mode
     from repro.bench.runner import use_base_seed
-    from repro.rewrite.config import use_rewrite
-    from repro.cluster import ClusterConfig, use_cluster
-    from repro.faults import use_fault_plan
-    from repro.planner import use_planner_mode
-    from repro.storage import StorageConfig, use_storage
 
-    plan_scope = (
-        use_fault_plan(fault_plan)
-        if fault_plan is not None
-        else contextlib.nullcontext()
-    )
-    if isinstance(cluster, str):
-        cluster = ClusterConfig.parse(cluster)
-    if isinstance(storage, str):
-        storage = StorageConfig.parse(storage)
-    with plan_scope, use_planner_mode(planner), use_base_seed(base_seed), \
-            use_cluster(cluster), use_storage(storage), \
-            use_backend_mode(backend), use_rewrite(rewrite):
+    run = current_run_config() if run is None else run
+    with use_base_seed(base_seed), use_run_config(run.validate()):
         if tracer is None:
             return module.run(machine, quick=quick)
         from repro.trace import use_tracer

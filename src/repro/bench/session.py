@@ -18,8 +18,8 @@ from repro.bench.report import ExperimentReport
 from repro.bench.validate import CalibrationValidator
 from repro.cache import MemoStore
 from repro.errors import BenchmarkError
-from repro.faults.plan import FaultPlan
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig
 
 
 def _experiment_section(report: ExperimentReport) -> str:
@@ -60,12 +60,7 @@ def build_report(
     jobs: int = 1,
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> str:
     """Render the full Markdown report for ``experiment_ids`` (default all).
@@ -78,13 +73,10 @@ def build_report(
     ``jobs`` fans the experiments out across worker processes and ``cache``
     memoizes their results (see :func:`repro.bench.parallel.run_session`);
     the rendered report is byte-identical for any ``jobs``/``cache``
-    combination.  ``faults`` applies a session fault plan to every run
-    (the ``--faults`` channel); ``planner`` a session planner mode (the
-    ``--planner`` channel); ``cluster`` a session cluster topology (the
-    ``--cluster`` channel); ``storage`` a session sealed-storage budget
-    (the ``--storage`` channel); ``backend`` a session backend mode (the
-    ``--backend`` channel); ``rewrite`` a session rewrite mode (the
-    ``--rewrite`` channel); ``memo=False`` disables the per-query profile
+    combination.  ``run`` applies a session
+    :class:`~repro.runconfig.RunConfig` to every run (the ``--faults``,
+    ``--planner``, ``--cluster``, ``--storage``, ``--backend`` and
+    ``--rewrite`` flags); ``memo=False`` disables the per-query profile
     memo (the ``--no-memo`` channel) — output bytes are identical either
     way, only wall-clock changes.
     """
@@ -126,25 +118,22 @@ def build_report(
         cache=cache,
         base_seed=base_seed,
         traced=trace_dir is not None,
-        faults=faults,
-        planner=planner,
-        cluster=cluster,
-        storage=storage,
-        backend=backend,
-        rewrite=rewrite,
+        run=run,
         memo=memo,
     )
-    for run in session.runs:
+    for result in session.runs:
         if csv_dir is not None:
-            (csv_dir / f"{run.experiment_id}.csv").write_text(run.report.to_csv())
-        if trace_dir is not None and run.trace_jsonl is not None:
-            (trace_dir / f"{run.experiment_id}.trace.jsonl").write_text(
-                run.trace_jsonl
+            (csv_dir / f"{result.experiment_id}.csv").write_text(
+                result.report.to_csv()
             )
-            (trace_dir / f"{run.experiment_id}.trace.csv").write_text(
-                run.trace_csv
+        if trace_dir is not None and result.trace_jsonl is not None:
+            (trace_dir / f"{result.experiment_id}.trace.jsonl").write_text(
+                result.trace_jsonl
             )
-        sections.append(_experiment_section(run.report))
+            (trace_dir / f"{result.experiment_id}.trace.csv").write_text(
+                result.trace_csv
+            )
+        sections.append(_experiment_section(result.report))
     if trace_dir is not None and (cache is not None or jobs > 1):
         # Cache/worker telemetry; wall-clock gauges make it the one trace
         # file outside the byte-determinism guarantee.
@@ -163,12 +152,7 @@ def write_report(
     jobs: int = 1,
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> pathlib.Path:
     """Build the report and write it to ``path``; returns the path."""
@@ -184,12 +168,7 @@ def write_report(
             jobs=jobs,
             cache=cache,
             base_seed=base_seed,
-            faults=faults,
-            planner=planner,
-            cluster=cluster,
-            storage=storage,
-            backend=backend,
-            rewrite=rewrite,
+            run=run,
             memo=memo,
         )
     )

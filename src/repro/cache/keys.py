@@ -18,9 +18,9 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.errors import CacheError
-from repro.faults.plan import FaultPlan
 from repro.hardware.calibration import CostParameters, paper_calibration
 from repro.hardware.spec import HardwareSpec, paper_testbed
+from repro.runconfig import RunConfig
 
 #: Bump to invalidate every existing cache entry (serialization changes,
 #: cost-model semantics changes that the calibration digest cannot see).
@@ -41,7 +41,9 @@ from repro.hardware.spec import HardwareSpec, paper_testbed
 #:    runs the logical-rewrite layer before physical planning; ``None``
 #:    and ``"off"`` key identically, so pre-rewrite entries stay valid
 #:    for default sessions while rewriting runs never alias them).
-CACHE_FORMAT = 8
+#: 9: the six subsystem components folded into one normalized
+#:    :class:`~repro.runconfig.RunConfig` component.
+CACHE_FORMAT = 9
 
 
 def canonical(value: Any) -> Any:
@@ -107,39 +109,21 @@ def experiment_key(
     traced: bool = False,
     params: Optional[CostParameters] = None,
     spec: Optional[HardwareSpec] = None,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The cache key of one experiment run.
 
     ``quick`` folds in the fidelity mode (repetition count and physical row
     caps), ``traced`` whether the entry must carry a replayable trace,
-    ``faults`` the session fault plan (every spec and the plan seed hash
-    into the key, so a faulted run never replays an un-faulted entry or
-    vice versa), ``planner`` the session planner mode (``None`` and
-    ``"static"`` key identically: both serve the historical static plans,
-    so pre-planner entries stay valid for static sessions), ``cluster``
-    the session cluster topology (a
-    :class:`~repro.cluster.ClusterConfig`; every shard-map, routing,
-    shard-fault, and elastic field hashes into the key, so a sharded run
-    never replays a single-enclave entry or vice versa), ``storage`` the
-    session sealed-storage config (a
-    :class:`~repro.storage.StorageConfig`; the budget and block size both
-    hash in, so a spilling run never replays an in-EPC entry or vice
-    versa), ``backend`` the session backend mode (``None`` and ``"sim"``
-    key identically: both serve the operator simulator, so pre-backends
-    entries stay valid for sim sessions, while engine-priced runs never
-    alias simulated ones), ``rewrite`` the session rewrite mode (``None``
-    and ``"off"`` key identically: both serve the static logical plans,
-    so pre-rewrite entries stay valid for default sessions, while
-    rewriting runs never alias them), and ``extra`` any additional operator
-    parameters a caller wants keyed (e.g. an
-    :class:`~repro.enclave.runtime.ExecutionSetting`).
+    ``run`` the session's :class:`~repro.runconfig.RunConfig` (``None``:
+    the default one), and ``extra`` any additional operator parameters a
+    caller wants keyed (e.g. an
+    :class:`~repro.enclave.runtime.ExecutionSetting`).  ``run`` is keyed
+    in its normalized form, so configs that serve identically (``None``
+    and ``"static"``, ``--faults none`` and no plan) share entries, while
+    every non-default field — each fault spec, shard-map field, storage
+    budget — keys apart.
     """
     return fingerprint(
         format=CACHE_FORMAT,
@@ -148,12 +132,7 @@ def experiment_key(
         base_seed=int(base_seed),
         traced=bool(traced),
         calibration=calibration_digest(params, spec),
-        faults=faults,
-        planner=planner if planner not in (None, "static") else "static",
-        cluster=cluster,
-        storage=storage,
-        backend=backend if backend not in (None, "sim") else "sim",
-        rewrite=rewrite if rewrite not in (None, "off") else "off",
+        run=run if run is not None else RunConfig(),
         extra=extra or {},
     )
 

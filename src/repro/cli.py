@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.bench.registry import EXPERIMENTS
+from repro.errors import ConfigurationError
+from repro.runconfig import RunConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,100 +189,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.faults:
-        # Resolve before creating any output dirs/files so an unknown
-        # plan name leaves the filesystem untouched (same contract as
-        # unknown experiment ids below).
-        from repro.errors import ConfigurationError
-        from repro.faults import get_fault_plan
-
-        try:
-            fault_plan = get_fault_plan(args.faults)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.planner is not None:
-        # Same fail-fast contract as --faults: an unknown mode exits
-        # before any output dirs exist.  The oracle selector is not
-        # offered here — it is the experiment-only upper bound.
-        from repro.planner import PLANNER_MODES
-
-        if args.planner not in PLANNER_MODES:
-            print(
-                f"unknown planner mode {args.planner!r}; "
-                f"known: {', '.join(PLANNER_MODES)}",
-                file=sys.stderr,
-            )
-            return 2
-    cluster = None
-    if args.cluster is not None:
-        # Same fail-fast contract: a malformed spec exits before any
-        # output dirs exist.
-        from repro.cluster import ClusterConfig
-        from repro.errors import ConfigurationError
-
-        try:
-            cluster = ClusterConfig.parse(args.cluster)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    storage = None
-    if args.storage is not None:
-        # Same fail-fast contract: a malformed budget exits before any
-        # output dirs exist.
-        from repro.errors import ConfigurationError
-        from repro.storage import StorageConfig
-
-        try:
-            storage = StorageConfig.parse(args.storage)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.backend is not None:
-        # Same fail-fast contract: an unknown or unavailable backend
-        # exits 2 (one line naming the pip extra) before any output dirs
-        # exist — never an ImportError traceback mid-session.
-        from repro.backends import missing_reason, validate_mode
-        from repro.errors import ConfigurationError
-
-        try:
-            validate_mode(args.backend)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        reason = missing_reason(args.backend)
-        if reason is not None:
-            print(reason, file=sys.stderr)
-            return 2
-        if args.backend != "sim" and args.planner not in (None, "static"):
-            print(
-                f"--backend {args.backend} prices templates from calibrated "
-                "engine profiles, which cover only the static plans; it "
-                f"cannot be combined with --planner {args.planner}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.rewrite is not None:
-        # Same fail-fast contract: an unknown rewrite mode exits 2 before
-        # any output dirs exist.
-        from repro.errors import ConfigurationError
-        from repro.rewrite import validate_mode as validate_rewrite_mode
-
-        try:
-            validate_rewrite_mode(args.rewrite)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if args.rewrite != "off" and args.backend not in (None, "sim"):
-            print(
-                f"--rewrite {args.rewrite} races logical rewrites through "
-                "the operator simulator's costing; it cannot be combined "
-                f"with --backend {args.backend} (engine profiles cover "
-                "only the reference plans)",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        # Build and validate before creating any output dirs/files, so a
+        # bad flag or flag pair leaves the filesystem untouched (same
+        # contract as unknown experiment ids below).  Each field's flag
+        # is named after it.
+        run_config = RunConfig(
+            **{f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        ).validate()
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.seed is not None:
         from repro.bench import runner
 
@@ -298,12 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.experiments and args.experiments[0] == "explain":
         return _explain(
-            args.experiments[1:],
-            quick=not args.full,
-            cluster=cluster,
-            storage=storage,
-            backend=args.backend,
-            rewrite=args.rewrite,
+            args.experiments[1:], quick=not args.full, run=run_config
         )
     requested = args.experiments or ["all"]
     if "all" in requested:
@@ -338,23 +253,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         from repro.bench.session import write_report
 
-        path = write_report(
-            args.report,
-            requested,
-            quick=not args.full,
-            csv_dir=args.csv,
-            trace_dir=args.trace,
-            jobs=args.jobs,
-            cache=store,
-            base_seed=args.seed,
-            faults=fault_plan,
-            planner=args.planner,
-            cluster=cluster,
-            storage=storage,
-            backend=args.backend,
-            rewrite=args.rewrite,
-            memo=not args.no_memo,
-        )
+        try:
+            path = write_report(
+                args.report,
+                requested,
+                quick=not args.full,
+                csv_dir=args.csv,
+                trace_dir=args.trace,
+                jobs=args.jobs,
+                cache=store,
+                base_seed=args.seed,
+                run=run_config,
+                memo=not args.no_memo,
+            )
+        except ConfigurationError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         print(f"wrote {path}")
         _print_cache_summary(store, args.cache)
         return 0
@@ -366,21 +280,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
     from repro.bench.parallel import run_session
 
-    session = run_session(
-        requested,
-        quick=not args.full,
-        jobs=args.jobs,
-        cache=store,
-        base_seed=args.seed,
-        traced=trace_dir is not None,
-        faults=fault_plan,
-        planner=args.planner,
-        cluster=cluster,
-        storage=storage,
-        backend=args.backend,
-        rewrite=args.rewrite,
-        memo=not args.no_memo,
-    )
+    try:
+        session = run_session(
+            requested,
+            quick=not args.full,
+            jobs=args.jobs,
+            cache=store,
+            base_seed=args.seed,
+            traced=trace_dir is not None,
+            run=run_config,
+            memo=not args.no_memo,
+        )
+    except ConfigurationError as exc:
+        # A valid flag set can still meet an experiment it cannot serve,
+        # e.g. --backend sqlite and a template with no calibrated engine
+        # profile: a one-line reason, not a traceback.
+        print(str(exc), file=sys.stderr)
+        return 2
     for run in session.runs:
         print(run.report.print_table())
         if args.chart:
@@ -407,36 +323,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _explain(
-    names: List[str],
-    *,
-    quick: bool,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
-) -> int:
+def _explain(names: List[str], *, quick: bool, run: RunConfig) -> int:
     """``sgxv2-bench explain JOB``: the planner's view of one template.
 
     Prints the ranked candidate plans (estimated cycles, EPC working set,
     chosen/rejected status) for each requested serving job template under
     the data-in-enclave setting, against the machine's real EPC budget.
-    The ambient session flags apply: ``--cluster`` explains against one
-    shard's EPC slice, ``--storage`` ranks the spill twins alongside the
-    in-EPC arms, and an active ``--rewrite`` appends the ranked-rewrites
-    section; ``--backend`` engine modes exit 2 (engine profiles cover
-    only the reference plans, so there is nothing to rank).  Unknown job
-    names exit 2 without touching the filesystem.
+    The session's :class:`~repro.runconfig.RunConfig` ``run`` applies:
+    a cluster explains against one shard's EPC slice, a storage budget
+    ranks the spill twins alongside the in-EPC arms, and an active
+    rewrite mode appends the ranked-rewrites section; engine backends
+    exit 2 (engine profiles cover only the reference plans, so there is
+    nothing to rank).  Unknown job names exit 2 without touching the
+    filesystem.
     """
     from repro.bench.experiments.common import SETTING_SGX_IN
     from repro.machine import SimMachine
     from repro.planner import Planner
     from repro.workload.jobs import serving_templates
 
-    if backend not in (None, "sim"):
+    if run.backend != "sim":
         print(
             f"explain ranks candidate plans through the operator "
-            f"simulator; --backend {backend} prices only the reference "
+            f"simulator; --backend {run.backend} prices only the reference "
             "plans and cannot be explained — drop the flag or use "
             "--backend sim",
             file=sys.stderr,
@@ -464,6 +373,7 @@ def _explain(
     machine = SimMachine()
     budget = float(machine.topology.node(0).epc_bytes)
     budget_note = None
+    cluster = run.cluster
     if cluster is not None:
         # A sharded session plans per enclave: each shard sees its own
         # EPC slice, so explain against the first shard's budget.
@@ -477,7 +387,7 @@ def _explain(
         machine,
         SETTING_SGX_IN,
         epc_budget_bytes=budget,
-        storage=storage,
+        storage=run.storage,
     )
     for index, name in enumerate(names):
         if index:
@@ -485,8 +395,8 @@ def _explain(
         if budget_note is not None:
             print(budget_note)
         print(planner.explain(templates[name]))
-        if rewrite not in (None, "off"):
-            print(_explain_rewrites(templates[name], rewrite, machine))
+        if run.rewrite != "off":
+            print(_explain_rewrites(templates[name], run.rewrite, machine))
     return 0
 
 

@@ -8,11 +8,7 @@ faults with failover re-routing, and an elastic pool grown/shrunk through
 the EDMM model.  See ``docs/architecture.md`` ("Cluster serving").
 """
 
-from repro.cluster.config import (
-    ClusterConfig,
-    current_cluster,
-    use_cluster,
-)
+from repro.cluster.config import ClusterConfig
 from repro.cluster.elastic import ElasticPolicy
 from repro.cluster.faults import (
     NO_SHARD_FAULTS,
@@ -42,7 +38,5 @@ __all__ = [
     "ShardFaultSpec",
     "ShardRuntime",
     "ShardSpec",
-    "current_cluster",
     "make_router",
-    "use_cluster",
 ]

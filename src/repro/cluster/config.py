@@ -1,19 +1,17 @@
-"""Cluster configuration and its ambient (session-scoped) channel.
+"""Cluster configuration: topology, routing, failover, faults, elasticity.
 
 A :class:`ClusterConfig` bundles the topology (:class:`ClusterSpec`), the
 routing policy, the failover switch, the shard-level fault plan, and the
-optional elastic policy.  Like fault plans and planner modes, the cluster
-config flows through an explicit ambient channel (:func:`use_cluster` /
-:func:`current_cluster`) so ``--cluster 2x4`` reshapes every serving run
-in a session without threading a parameter through every experiment
-module — and experiments that pin topologies explicitly are unaffected.
+optional elastic policy.  The session's cluster is the ``cluster`` field
+of the ambient :class:`~repro.runconfig.RunConfig`, so ``--cluster 2x4``
+reshapes every serving run in a session; experiments that pin topologies
+explicitly are unaffected.
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.cluster.elastic import ElasticPolicy
@@ -75,26 +73,3 @@ class ClusterConfig:
                 f"-{self.elastic.max_shards}]"
             )
         return " ".join(parts)
-
-
-_ACTIVE: List[Optional[ClusterConfig]] = [None]
-
-
-def current_cluster() -> Optional[ClusterConfig]:
-    """The ambient cluster config (``None``: single-enclave serving)."""
-    return _ACTIVE[-1]
-
-
-@contextlib.contextmanager
-def use_cluster(config: Optional[ClusterConfig]) -> Iterator[Optional[ClusterConfig]]:
-    """Install ``config`` as the ambient cluster for the ``with`` scope.
-
-    ``None`` is a no-op scope (the session default), mirroring
-    ``use_fault_plan``/``use_planner_mode``: a workload config whose
-    ``cluster`` field is set explicitly is never overridden.
-    """
-    _ACTIVE.append(config)
-    try:
-        yield config
-    finally:
-        _ACTIVE.pop()

@@ -21,10 +21,8 @@ from repro.faults.plan import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    current_fault_plan,
     fault_plans,
     get_fault_plan,
-    use_fault_plan,
 )
 from repro.faults.resilience import (
     DEGRADED_SLOWDOWN,
@@ -44,9 +42,7 @@ __all__ = [
     "NullInjector",
     "PlanInjector",
     "ResiliencePolicy",
-    "current_fault_plan",
     "fault_plans",
     "get_fault_plan",
     "make_injector",
-    "use_fault_plan",
 ]

@@ -37,11 +37,10 @@ runs of the same plan are bit-identical regardless of scheduling.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -198,30 +197,3 @@ def get_fault_plan(name: str) -> FaultPlan:
         raise ConfigurationError(
             f"unknown fault plan {name!r}; known: {known}"
         ) from None
-
-
-# -- the session-level plan (the CLI's --faults channel) -------------------
-
-_current_plan: Optional[FaultPlan] = None
-
-
-def current_fault_plan() -> Optional[FaultPlan]:
-    """The session-level fault plan, if one is installed."""
-    return _current_plan
-
-
-@contextlib.contextmanager
-def use_fault_plan(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
-    """Install ``plan`` as the session fault plan for the ``with`` scope.
-
-    Serving runs whose :class:`~repro.workload.engine.WorkloadConfig`
-    leaves ``faults=None`` pick this plan up; a config with an explicit
-    plan (including :data:`NO_FAULTS`) is never overridden.
-    """
-    global _current_plan
-    previous = _current_plan
-    _current_plan = plan
-    try:
-        yield plan
-    finally:
-        _current_plan = previous

@@ -38,9 +38,6 @@ Planner *modes* select how much of this machinery a run uses:
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional
-
 from repro.errors import ConfigurationError
 from repro.planner.adaptive import (
     ArmCost,
@@ -81,35 +78,6 @@ def validate_mode(mode: str, *, allow_oracle: bool = True) -> str:
     return mode
 
 
-# -- the session-level mode (the CLI's --planner channel) ------------------
-
-_current_mode: str = DEFAULT_MODE
-
-
-def current_planner_mode() -> str:
-    """The session-level planner mode (``static`` unless installed)."""
-    return _current_mode
-
-
-@contextlib.contextmanager
-def use_planner_mode(mode: Optional[str]) -> Iterator[str]:
-    """Install ``mode`` as the session planner mode for the ``with`` scope.
-
-    Serving runs whose :class:`~repro.workload.engine.WorkloadConfig`
-    leaves ``planner=None`` pick this mode up; a config with an explicit
-    mode (wl05 pins all of its arms) is never overridden.  ``None`` keeps
-    the current mode (a nested no-op scope).
-    """
-    global _current_mode
-    previous = _current_mode
-    if mode is not None:
-        _current_mode = validate_mode(mode)
-    try:
-        yield _current_mode
-    finally:
-        _current_mode = previous
-
-
 __all__ = [
     "ALL_MODES",
     "ArmCost",
@@ -127,10 +95,8 @@ __all__ = [
     "Planner",
     "WorkStats",
     "build_join",
-    "current_planner_mode",
     "enumerate_candidates",
     "estimate_candidate",
     "static_candidate",
-    "use_planner_mode",
     "validate_mode",
 ]

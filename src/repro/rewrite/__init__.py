@@ -17,9 +17,10 @@ analytic estimates with observations, and the race's screening order
 (and ``explain``'s ranked-rewrites section) sharpen as templates get
 observed — the ``rewrite.qerror`` events show the worst error falling.
 
-Everything is opt-in via the ambient channel (:func:`use_rewrite`) or
-the ``--rewrite {off,prove,race,learned}`` CLI flag; with the channel
-unset the serving path is byte-identical to the pre-rewrite repo.
+Everything is opt-in via the ``rewrite`` field of the ambient
+:class:`~repro.runconfig.RunConfig` (the ``--rewrite
+{off,prove,race,learned}`` CLI flag); with it off the serving path is
+byte-identical to the pre-rewrite repo.
 """
 
 from repro.rewrite.candidates import (
@@ -32,8 +33,6 @@ from repro.rewrite.candidates import (
 from repro.rewrite.config import (
     ACTIVE_MODES,
     REWRITE_MODES,
-    current_rewrite,
-    use_rewrite,
     validate_mode,
 )
 from repro.rewrite.prove import (
@@ -64,7 +63,6 @@ __all__ = [
     "RewriteEstimate",
     "actual_cardinalities",
     "base_tables",
-    "current_rewrite",
     "estimate_rewrite",
     "generate_rewrites",
     "plan_rewrites",
@@ -72,6 +70,5 @@ __all__ = [
     "proxy_cost_bytes",
     "reference_proof_plan",
     "static_physical",
-    "use_rewrite",
     "validate_mode",
 ]

@@ -1,20 +1,15 @@
-"""Rewrite-mode selection and its ambient (session-scoped) channel.
+"""Rewrite modes: how much of the logical-rewrite layer a run uses.
 
 ``--rewrite learned`` asks the serving layer to generate logical rewrite
 candidates per TPC-H-style template, prove each bag-identical to the
 reference plan, race the survivors through the planner's real-operator
 costing, and append per-template winners to the adaptive bandit's arm
-set.  Like fault plans, planner modes, cluster topologies, storage
-budgets, and backend modes, the choice flows through an explicit ambient
-channel (:func:`use_rewrite` / :func:`current_rewrite`) so one flag
-reshapes every serving run in a session — and ``--rewrite`` unset (or
-``off``) leaves every code path byte-identical to the pre-rewrite build.
+set.  The session's mode is the ``rewrite`` field of the ambient
+:class:`~repro.runconfig.RunConfig`; ``--rewrite`` unset (or ``off``)
+leaves every code path byte-identical to the pre-rewrite build.
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -38,29 +33,3 @@ def validate_mode(mode: str) -> str:
             f"unknown rewrite mode {mode!r}; known: {', '.join(REWRITE_MODES)}"
         )
     return mode
-
-
-_ACTIVE: List[Optional[str]] = [None]
-
-
-def current_rewrite() -> Optional[str]:
-    """The ambient rewrite mode (``None``: rewriting off, the default)."""
-    return _ACTIVE[-1]
-
-
-@contextlib.contextmanager
-def use_rewrite(mode: Optional[str]) -> Iterator[Optional[str]]:
-    """Install ``mode`` as the ambient rewrite mode for the ``with`` scope.
-
-    ``None`` is a no-op scope (the session default), mirroring
-    ``use_storage``/``use_backend_mode``; ``"off"`` is accepted and keys
-    identically to ``None`` everywhere (both serve the reference logical
-    plans), so pre-rewrite cache entries stay valid for off sessions.
-    """
-    if mode is not None:
-        validate_mode(mode)
-    _ACTIVE.append(mode)
-    try:
-        yield mode
-    finally:
-        _ACTIVE.pop()

@@ -7,8 +7,8 @@ integrity-checked) on the way back in, and every byte is priced through
 the calibrated cycle-accounting path (`hardware/calibration.py`).
 
 * :class:`~repro.storage.config.StorageConfig` — the ``--storage BUDGET``
-  knob and its ambient channel (:func:`use_storage` /
-  :func:`current_storage`), mirroring ``--cluster``/``--faults``.
+  knob, carried as the ``storage`` field of the ambient
+  :class:`~repro.runconfig.RunConfig`.
 * :class:`~repro.storage.sealed.SealedStore` — per-block seal/unseal/IO
   pricing plus traffic counters.
 * :mod:`~repro.storage.spill` — spill-aware operator variants
@@ -16,12 +16,7 @@ the calibrated cycle-accounting path (`hardware/calibration.py`).
   results to their in-memory counterparts.
 """
 
-from repro.storage.config import (
-    StorageConfig,
-    current_storage,
-    parse_size,
-    use_storage,
-)
+from repro.storage.config import StorageConfig, parse_size
 from repro.storage.sealed import SealedStore, SpillModel
 from repro.storage.spill import ExternalGroupAggregate, GraceHashJoin
 
@@ -31,7 +26,5 @@ __all__ = [
     "SpillModel",
     "GraceHashJoin",
     "ExternalGroupAggregate",
-    "current_storage",
     "parse_size",
-    "use_storage",
 ]

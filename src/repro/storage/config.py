@@ -1,20 +1,16 @@
-"""Storage configuration and its ambient (session-scoped) channel.
+"""Storage configuration: the spill budget and the sealed block size.
 
 A :class:`StorageConfig` bundles the spill budget (the EPC/static-size
 ceiling an operator's working set must stay under before it partitions to
-sealed storage) and the sealed block size.  Like fault plans, planner
-modes, and cluster configs, it flows through an explicit ambient channel
-(:func:`use_storage` / :func:`current_storage`) so ``--storage 256m``
-reshapes every serving run in a session without threading a parameter
-through every experiment module — and ``--storage`` unset leaves every
-code path byte-identical to the pre-storage build.
+sealed storage) and the sealed block size.  The session's budget is the
+``storage`` field of the ambient :class:`~repro.runconfig.RunConfig`, so
+``--storage 256m`` reshapes every serving run in a session; ``--storage``
+unset leaves every code path byte-identical to the pre-storage build.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.units import GB, GiB, KB, KiB, MB, MiB, PAGE_BYTES, format_bytes
@@ -109,28 +105,3 @@ class StorageConfig:
         if self.block_bytes != DEFAULT_BLOCK_BYTES:
             text += f", {format_bytes(self.block_bytes)} blocks"
         return text
-
-
-_ACTIVE: List[Optional[StorageConfig]] = [None]
-
-
-def current_storage() -> Optional[StorageConfig]:
-    """The ambient storage config (``None``: no sealed spill path)."""
-    return _ACTIVE[-1]
-
-
-@contextlib.contextmanager
-def use_storage(
-    config: Optional[StorageConfig],
-) -> Iterator[Optional[StorageConfig]]:
-    """Install ``config`` as the ambient storage for the ``with`` scope.
-
-    ``None`` is a no-op scope (the session default), mirroring
-    ``use_cluster``/``use_fault_plan``: a workload config whose
-    ``storage`` field is set explicitly is never overridden.
-    """
-    _ACTIVE.append(config)
-    try:
-        yield config
-    finally:
-        _ACTIVE.pop()

@@ -23,6 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
@@ -30,7 +31,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.faults.injector import make_injector
-from repro.faults.plan import FaultPlan, current_fault_plan
+from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.planner import (
     ArmCost,
@@ -39,9 +40,9 @@ from repro.planner import (
     OracleSelector,
     Planner,
     PlanSelector,
-    current_planner_mode,
     validate_mode,
 )
+from repro.runconfig import RunConfig, current_run_config, use_run_config
 from repro.workload.generators import ClosedLoopStream, OpenLoopStream
 from repro.workload.jobs import JobCatalog, JobCost, JobTemplate
 from repro.workload.metrics import WorkloadMetrics
@@ -64,14 +65,14 @@ class WorkloadConfig:
     policy: str = "fifo"
     bypass_bytes: Optional[int] = None  # small-query lane threshold
     epc_budget_bytes: Optional[float] = None  # None: socket EPC (or inf, plain)
-    #: None defers to the ambient plan (``use_fault_plan`` / ``--faults``);
-    #: an explicit plan — including :data:`~repro.faults.NO_FAULTS` — pins
-    #: this config regardless of context (wl04 pins all three of its arms).
+    #: None defers to the ambient run config (``--faults``); an explicit
+    #: plan — including :data:`~repro.faults.NO_FAULTS` — pins this config
+    #: regardless of context (wl04 pins all three of its arms).
     faults: Optional[FaultPlan] = None
     resilience: Optional[ResiliencePolicy] = None
-    #: None defers to the ambient mode (``use_planner_mode`` /
-    #: ``--planner``); an explicit mode — including ``"static"`` — pins
-    #: this config regardless of context (wl05 pins all four of its arms).
+    #: None defers to the ambient run config (``--planner``); an explicit
+    #: mode — including ``"static"`` — pins this config regardless of
+    #: context (wl05 pins all four of its arms).
     planner: Optional[str] = None
     #: How many of the analytically best candidates per template become
     #: bandit/oracle arms in the non-static planner modes.
@@ -81,27 +82,27 @@ class WorkloadConfig:
     #: adaptive --seed N`` reproducible across serial/parallel/cached runs.
     plan_seed: Optional[int] = None
     #: Cluster topology: a :class:`~repro.cluster.ClusterConfig`, a spec
-    #: string (``"2x4"``), or ``None`` to defer to the ambient cluster
-    #: (``use_cluster`` / ``--cluster``).  With a cluster in effect the
-    #: engine serves through :class:`~repro.cluster.ClusterScheduler`:
+    #: string (``"2x4"``), or ``None`` to defer to the ambient run config
+    #: (``--cluster``).  With a cluster in effect the engine serves
+    #: through :class:`~repro.cluster.ClusterScheduler`:
     #: per-shard cores and EPC budgets come from the shard map, not from
     #: ``cores``/``epc_budget_bytes`` (an explicit ``epc_budget_bytes``
     #: applies per shard).
     cluster: Optional[object] = None
     #: Sealed-storage budget: a :class:`~repro.storage.StorageConfig`, a
     #: spec string (``"2G"`` or ``"2G:1M"``), or ``None`` to defer to the
-    #: ambient storage config (``use_storage`` / ``--storage``).  With one
-    #: in effect the serving budget is clamped to the storage budget and
-    #: overflow admissions spill their overflowing share to sealed
-    #: untrusted storage (priced seal/unseal traffic) instead of paying
-    #: the EDMM/paging penalty.
+    #: ambient run config (``--storage``).  With one in effect the
+    #: serving budget is clamped to the storage budget and overflow
+    #: admissions spill their overflowing share to sealed untrusted
+    #: storage (priced seal/unseal traffic) instead of paying the
+    #: EDMM/paging penalty.
     storage: Optional[object] = None
     #: Logical rewrite mode: ``"off"``/``"prove"``/``"race"``/``"learned"``,
-    #: or ``None`` to defer to the ambient mode (``use_rewrite`` /
-    #: ``--rewrite``).  Active modes prove (and race) rewrite candidates
-    #: while the planner builds its arms; ``"learned"`` additionally adds
-    #: each TPC-H template's proven-and-priced winner to the bandit's arm
-    #: set.  Rewriting rides the planner's arm machinery, so it takes a
+    #: or ``None`` to defer to the ambient run config (``--rewrite``).
+    #: Active modes prove (and race) rewrite candidates while the planner
+    #: builds its arms; ``"learned"`` additionally adds each TPC-H
+    #: template's proven-and-priced winner to the bandit's arm set.
+    #: Rewriting rides the planner's arm machinery, so it takes a
     #: non-static ``planner`` mode to serve a learned rewrite.
     rewrite: Optional[str] = None
 
@@ -126,6 +127,15 @@ class WorkloadConfig:
             for name in stream.mix.template_names:
                 seen.setdefault(name, None)
         return tuple(seen)
+
+
+#: The :class:`~repro.runconfig.RunConfig` fields a workload can pin: the
+#: ones :class:`WorkloadConfig` has a same-named field for.
+_PINNABLE = tuple(
+    field.name
+    for field in dataclasses.fields(RunConfig)
+    if field.name in {f.name for f in dataclasses.fields(WorkloadConfig)}
+)
 
 
 class ServingEngine:
@@ -172,20 +182,23 @@ class ServingEngine:
         machine = self.catalog.machine_prototype()
         return float(machine.topology.node(0).epc_bytes)
 
+    def run_config_of(self, config: WorkloadConfig) -> RunConfig:
+        """The ambient run config with ``config``'s explicit pins applied."""
+        run = current_run_config()
+        pins = {
+            name: getattr(config, name)
+            for name in _PINNABLE
+            if getattr(config, name) is not None
+        }
+        return dataclasses.replace(run, **pins) if pins else run
+
     def planner_mode(self, config: WorkloadConfig) -> str:
         """The planner mode this config serves under (explicit or ambient)."""
-        if config.planner is not None:
-            return validate_mode(config.planner)
-        return current_planner_mode()
+        return self.run_config_of(config).planner
 
-    def rewrite_of(self, config: WorkloadConfig) -> Optional[str]:
-        """The effective rewrite mode (explicit, ambient, or ``None``)."""
-        from repro.rewrite.config import current_rewrite
-        from repro.rewrite.config import validate_mode as validate_rewrite
-
-        if config.rewrite is not None:
-            return validate_rewrite(config.rewrite)
-        return current_rewrite()
+    def rewrite_of(self, config: WorkloadConfig) -> str:
+        """The rewrite mode this config serves under (explicit or ambient)."""
+        return self.run_config_of(config).rewrite
 
     def plan_arms(self, config: WorkloadConfig) -> Dict[str, Tuple[ArmCost, ...]]:
         """Per-template bandit/oracle arms: the top-k candidates, priced.
@@ -204,11 +217,9 @@ class ServingEngine:
         knob hints applied, as one more arm (labelled ``rw:...``, never
         colliding with the physical arms' labels).
         """
-        from repro.storage.config import use_storage
-
         budget = self.epc_budget(config)
-        storage = self.storage_of(config)
-        rewrite_mode = self.rewrite_of(config)
+        run = self.run_config_of(config)
+        storage = run.storage
         planner = Planner(
             self.catalog.machine_prototype(),
             config.setting,
@@ -219,9 +230,9 @@ class ServingEngine:
         )
         arms: Dict[str, Tuple[ArmCost, ...]] = {}
         # Pricing spill arms goes through the catalog, which resolves the
-        # storage budget ambiently — pin the config's own (possibly
-        # explicit) storage for the pricing scope.
-        with use_storage(storage):
+        # storage budget ambiently — install the config's own (possibly
+        # pinned) settings for the pricing scope.
+        with use_run_config(run):
             for name in config.template_names():
                 template = self.templates[name]
                 arm_list = []
@@ -237,17 +248,17 @@ class ServingEngine:
                             working_set_bytes=cost.working_set_bytes,
                         )
                     )
-                if rewrite_mode is not None and rewrite_mode != "off":
+                if run.rewrite != "off":
                     from repro.rewrite.race import plan_rewrites
 
                     decision = plan_rewrites(
                         template,
-                        rewrite_mode,
+                        run.rewrite,
                         self.catalog.machine_prototype(),
                         config.setting,
                         tracker=self.qerror,
                     )
-                    if rewrite_mode == "learned" and decision.winner is not None:
+                    if run.rewrite == "learned" and decision.winner is not None:
                         winner = decision.winner
                         arm_list.append(
                             ArmCost(
@@ -280,35 +291,7 @@ class ServingEngine:
 
     def cluster_of(self, config: WorkloadConfig):
         """The effective cluster config (explicit, ambient, or ``None``)."""
-        from repro.cluster.config import ClusterConfig, current_cluster
-
-        raw = config.cluster if config.cluster is not None else current_cluster()
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return ClusterConfig.parse(raw)
-        if not isinstance(raw, ClusterConfig):
-            raise ConfigurationError(
-                f"cluster must be a ClusterConfig or a spec string, "
-                f"got {type(raw).__name__}"
-            )
-        return raw
-
-    def storage_of(self, config: WorkloadConfig):
-        """The effective storage config (explicit, ambient, or ``None``)."""
-        from repro.storage.config import StorageConfig, current_storage
-
-        raw = config.storage if config.storage is not None else current_storage()
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return StorageConfig.parse(raw)
-        if not isinstance(raw, StorageConfig):
-            raise ConfigurationError(
-                f"storage must be a StorageConfig or a spec string, "
-                f"got {type(raw).__name__}"
-            )
-        return raw
+        return self.run_config_of(config).cluster
 
     def _make_spill(self, storage):
         """A :class:`~repro.storage.SpillModel` priced for this machine."""
@@ -322,12 +305,11 @@ class ServingEngine:
 
     def run(self, config: WorkloadConfig) -> WorkloadMetrics:
         """Serve ``config`` to completion and return its metrics."""
-        cluster = self.cluster_of(config)
-        if cluster is not None:
-            return self.run_cluster(config, cluster).metrics
+        run = self.run_config_of(config)
+        if run.cluster is not None:
+            return self.run_cluster(config, run.cluster).metrics
         policy = make_policy(config.policy, bypass_bytes=config.bypass_bytes)
-        plan = config.faults if config.faults is not None else current_fault_plan()
-        storage = self.storage_of(config)
+        storage = run.storage
         budget = self.epc_budget(config)
         if storage is not None:
             # The storage budget caps the in-enclave working-set share:
@@ -341,7 +323,7 @@ class ServingEngine:
             cores=config.cores,
             epc_budget_bytes=budget,
             setting_label=config.setting.label,
-            injector=make_injector(plan),
+            injector=make_injector(run.faults),
             resilience=config.resilience,
             selector=self._make_selector(config),
             storage=self._make_spill(storage),
@@ -364,15 +346,15 @@ class ServingEngine:
         """
         from repro.cluster.scheduler import QUERY_ID_STRIDE, ClusterScheduler
 
+        run = self.run_config_of(config)
         if cluster is None:
-            cluster = self.cluster_of(config)
+            cluster = run.cluster
         if cluster is None:
             raise ConfigurationError("run_cluster needs a cluster config")
         machine = self.catalog.machine_prototype()
         shards = cluster.spec.shards(machine.spec)
         costs = self.costs_for(config)
-        plan = config.faults if config.faults is not None else current_fault_plan()
-        storage = self.storage_of(config)
+        storage = run.storage
         spill = self._make_spill(storage)
         schedulers = []
         for shard in shards:
@@ -398,7 +380,7 @@ class ServingEngine:
                     cores=shard.cores,
                     epc_budget_bytes=budget,
                     setting_label=config.setting.label,
-                    injector=make_injector(plan),
+                    injector=make_injector(run.faults),
                     resilience=config.resilience,
                     selector=self._make_selector(config),
                     storage=spill,

@@ -41,6 +41,7 @@ from repro.planner.candidates import (
     build_join,
     static_candidate,
 )
+from repro.runconfig import current_run_config
 from repro.tables import generate_join_relation_pair, generate_tpch
 from repro.tables.table import Column
 from repro.trace import NullTracer, use_tracer
@@ -222,20 +223,17 @@ class JobCatalog:
         once per catalog.
         """
         self._register(template)
-        # Late imports: repro.backends imports this module for the
-        # simulator backend, so the bridge cannot be a top-level import.
-        from repro.backends.config import ENGINE_MODES, current_backend_mode
-
-        mode = current_backend_mode()
-        group = mode if mode in ENGINE_MODES else "sim"
-        cached = self._profiles.get((template.name, group))
+        mode = current_run_config().backend
+        cached = self._profiles.get((template.name, mode))
         if cached is not None:
             return cached
-        if group != "sim":
+        if mode != "sim":
+            # Late import: repro.backends imports this module for the
+            # simulator backend, so the bridge cannot be a top-level import.
             from repro.backends.serving import engine_profile
 
             profile = engine_profile(self, template, mode)
-            self._profiles[(template.name, group)] = profile
+            self._profiles[(template.name, mode)] = profile
             return profile
         service: Dict[str, float] = {}
         working_set = 0
@@ -250,7 +248,7 @@ class JobCatalog:
             working_set_bytes=working_set,
             service_seconds_by_setting=service,
         )
-        self._profiles[(template.name, group)] = profile
+        self._profiles[(template.name, mode)] = profile
         return profile
 
     def cost(self, template: JobTemplate, setting: ExecutionSetting) -> JobCost:
@@ -313,9 +311,7 @@ class JobCatalog:
             candidate = static_candidate(template, self.variant)
         storage = None
         if candidate.spill:
-            from repro.storage.config import current_storage
-
-            storage = current_storage()
+            storage = current_run_config().storage
             if storage is None:
                 raise ConfigurationError(
                     f"spill candidate {candidate.label()!r} cannot be "

@@ -15,11 +15,9 @@ from repro.backends import (
     assert_equivalent,
     bag_digest,
     canonical_bag,
-    current_backend_mode,
     make_engine,
     materialize,
     missing_reason,
-    use_backend_mode,
     validate_mode,
 )
 from repro.backends.envelope import (
@@ -28,12 +26,13 @@ from repro.backends.envelope import (
     load_profiles,
 )
 from repro.backends.serving import engine_profile, gate_template
-from repro.cache.keys import experiment_key
+from repro.cache import experiment_key
 from repro.cli import main as cli_main
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError, EquivalenceError
 from repro.hardware.platforms import sgxv1_calibration, sgxv1_testbed
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig, use_run_config
 from repro.trace import Tracer, backend_breakdown, use_tracer
 from repro.workload.jobs import (
     JobCatalog,
@@ -165,15 +164,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             validate_mode("postgres")
 
-    def test_ambient_channel_nests_and_restores(self):
-        assert current_backend_mode() is None
-        with use_backend_mode("sqlite"):
-            assert current_backend_mode() == "sqlite"
-            with use_backend_mode("sim"):
-                assert current_backend_mode() == "sim"
-            assert current_backend_mode() == "sqlite"
-        assert current_backend_mode() is None
-
     def test_missing_reason_names_the_extra(self):
         assert missing_reason("sim") is None
         assert missing_reason("sqlite") is None
@@ -214,7 +204,7 @@ class TestCatalogRegression:
         catalog = JobCatalog()
         template = serving_templates()["scan-small"]
         sim_cost = catalog.cost(template, ExecutionSetting.plain_cpu())
-        with use_backend_mode("sqlite"):
+        with use_run_config(RunConfig(backend="sqlite")):
             engine_cost = catalog.cost(template, ExecutionSetting.plain_cpu())
         assert engine_cost.service_s != sim_cost.service_s
         # And the sim entry is still intact afterwards.
@@ -256,22 +246,13 @@ class TestServingBridge:
 
 
 class TestCacheKeys:
-    def test_backend_none_and_sim_key_identically(self):
-        base = experiment_key("wl01", quick=True, base_seed=42)
-        assert base == experiment_key(
-            "wl01", quick=True, base_seed=42, backend=None
-        )
-        assert base == experiment_key(
-            "wl01", quick=True, base_seed=42, backend="sim"
-        )
-
     def test_engine_backends_never_alias_sim(self):
         base = experiment_key("wl01", quick=True, base_seed=42)
         sqlite = experiment_key(
-            "wl01", quick=True, base_seed=42, backend="sqlite"
+            "wl01", quick=True, base_seed=42, run=RunConfig(backend="sqlite")
         )
         duckdb = experiment_key(
-            "wl01", quick=True, base_seed=42, backend="duckdb"
+            "wl01", quick=True, base_seed=42, run=RunConfig(backend="duckdb")
         )
         assert len({base, sqlite, duckdb}) == 3
 

@@ -12,10 +12,61 @@ from repro.cache import (
     experiment_key,
     fingerprint,
 )
+from repro.cluster import ClusterConfig
 from repro.enclave.runtime import ExecutionSetting
-from repro.errors import CacheError
+from repro.errors import CacheError, ConfigurationError
+from repro.faults import NO_FAULTS, get_fault_plan
 from repro.hardware.calibration import paper_calibration
 from repro.hardware.platforms import sgxv1_calibration
+from repro.runconfig import RunConfig, current_run_config, use_run_config
+from repro.storage import StorageConfig
+
+#: Run configs that serve identically, so they must compare and key equal.
+EQUIVALENT = {
+    "planner-None-static": ({"planner": None}, {"planner": "static"}),
+    "backend-None-sim": ({"backend": None}, {"backend": "sim"}),
+    "rewrite-None-off": ({"rewrite": None}, {"rewrite": "off"}),
+    "faults-None-none": ({"faults": None}, {"faults": "none"}),
+    "faults-None-NO_FAULTS": ({"faults": None}, {"faults": NO_FAULTS}),
+    "faults-name-plan": (
+        {"faults": "chaos"}, {"faults": get_fault_plan("chaos")}
+    ),
+    "cluster-spec-config": (
+        {"cluster": "2x4"}, {"cluster": ClusterConfig.parse("2x4")}
+    ),
+    "storage-spec-config": (
+        {"storage": "256m"}, {"storage": StorageConfig.parse("256m")}
+    ),
+}
+
+#: Non-default values per field: each must key apart from the default
+#: and from every other one.
+NON_DEFAULT = (
+    ("faults", get_fault_plan("chaos")),
+    ("faults", get_fault_plan("aex-storm")),
+    ("faults", dataclasses.replace(get_fault_plan("chaos"), seed=24)),
+    ("planner", "cost"),
+    ("planner", "adaptive"),
+    ("cluster", "2x4"),
+    ("cluster", "2x4:load-aware"),
+    ("storage", "256m"),
+    ("storage", "512m"),
+    ("backend", "sqlite"),
+    ("backend", "duckdb"),
+    ("rewrite", "prove"),
+    ("rewrite", "race"),
+    ("rewrite", "learned"),
+)
+
+#: (outer, inner) scope values per field for the nesting test.
+NESTED = {
+    "faults": ("chaos", "aex-storm"),
+    "planner": ("cost", "adaptive"),
+    "cluster": ("2x1", "2x4"),
+    "storage": ("256m", "64m"),
+    "backend": ("sqlite", "sim"),
+    "rewrite": ("learned", "prove"),
+}
 
 
 class TestCanonical:
@@ -94,6 +145,71 @@ class TestExperimentKey:
             extra={"setting": ExecutionSetting.plain_cpu()},
         )
         assert plain != with_setting
+
+
+class TestRunConfigKeys:
+    BASE = dict(quick=True, base_seed=42)
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENT))
+    def test_equivalent_configs_key_equal(self, name):
+        left, right = (RunConfig(**fields) for fields in EQUIVALENT[name])
+        assert left == right
+        assert experiment_key("wl01", run=left, **self.BASE) == \
+            experiment_key("wl01", run=right, **self.BASE)
+
+    def test_every_non_default_value_keys_apart(self):
+        sampled = {name for name, _ in NON_DEFAULT}
+        assert sampled == {f.name for f in dataclasses.fields(RunConfig)}
+        keys = {experiment_key("wl01", **self.BASE)}
+        for name, value in NON_DEFAULT:
+            keys.add(
+                experiment_key(
+                    "wl01", run=RunConfig(**{name: value}), **self.BASE
+                )
+            )
+        assert len(keys) == len(NON_DEFAULT) + 1
+
+    def test_default_config_is_the_none_key(self):
+        assert experiment_key("wl01", **self.BASE) == experiment_key(
+            "wl01", run=RunConfig(), **self.BASE
+        )
+
+    @pytest.mark.parametrize("field", sorted(NESTED))
+    def test_use_run_config_nests_and_restores(self, field):
+        default = current_run_config()
+        assert default == RunConfig()
+        outer_value, inner_value = NESTED[field]
+        outer = RunConfig(**{field: outer_value})
+        with use_run_config(outer) as active:
+            assert active is outer and current_run_config() is outer
+            inner = dataclasses.replace(outer, **{field: inner_value})
+            with use_run_config(inner):
+                assert current_run_config() is inner
+                assert getattr(inner, field) == getattr(
+                    RunConfig(**{field: inner_value}), field
+                )
+            assert current_run_config() is outer
+        assert current_run_config() is default
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"planner": "oracle"}, "unknown planner mode"),
+            ({"backend": "postgres"}, "unknown backend"),
+            ({"rewrite": "aggressive"}, "unknown rewrite mode"),
+            ({"backend": "sqlite", "planner": "cost"}, "the static plans"),
+            ({"backend": "sqlite", "rewrite": "race"}, "the reference plans"),
+        ],
+    )
+    def test_validate_rejects_with_a_reason(self, fields, reason):
+        config = RunConfig(**fields)  # construction only normalizes
+        with pytest.raises(ConfigurationError, match=reason):
+            config.validate()
+
+    def test_bad_spec_types_rejected_at_construction(self):
+        for fields in ({"cluster": 42}, {"storage": 123}, {"faults": 1}):
+            with pytest.raises(ConfigurationError, match="must be a"):
+                RunConfig(**fields)
 
 
 class TestMemoStore:

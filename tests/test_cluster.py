@@ -15,9 +15,7 @@ from repro.cluster import (
     NO_SHARD_FAULTS,
     ShardFaultKind,
     ShardFaultSpec,
-    current_cluster,
     make_router,
-    use_cluster,
 )
 from repro.cluster.scheduler import QUERY_ID_STRIDE
 from repro.errors import ConfigurationError
@@ -325,17 +323,6 @@ class TestClusterConfig:
         text = config.describe()
         for token in ("2x4", "load-aware", "no-failover", "elastic[2-8]"):
             assert token in text
-
-    def test_ambient_channel_stacks_and_restores(self):
-        assert current_cluster() is None
-        outer = ClusterConfig.parse("2x1")
-        inner = ClusterConfig.parse("2x4")
-        with use_cluster(outer):
-            assert current_cluster() is outer
-            with use_cluster(inner):
-                assert current_cluster() is inner
-            assert current_cluster() is outer
-        assert current_cluster() is None
 
 
 class TestClusterServing:

@@ -5,6 +5,7 @@ from repro.bench.parallel import run_session
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.cache import MemoStore, experiment_key
 from repro.cluster import ClusterConfig
+from repro.runconfig import RunConfig
 
 # One quick wl06 run shared across the module (deterministic per seed).
 _cache = {}
@@ -98,16 +99,12 @@ class TestClusterDeterminismGate:
     """Serial == --jobs N == cached replay under --cluster 2x4 --seed 7."""
 
     def test_serial_parallel_and_replay_agree(self, tmp_path):
-        cluster = ClusterConfig.parse("2x4")
+        run = RunConfig(cluster="2x4")
         ids = ["wl01", "tab01"]  # two pending: exercises the spawn pool
-        serial = run_session(ids, base_seed=7, cluster=cluster)
+        serial = run_session(ids, base_seed=7, run=run)
         store = MemoStore(tmp_path / "cache")
-        cold = run_session(
-            ids, jobs=2, base_seed=7, cluster=cluster, cache=store
-        )
-        warm = run_session(
-            ids, jobs=2, base_seed=7, cluster=cluster, cache=store
-        )
+        cold = run_session(ids, jobs=2, base_seed=7, run=run, cache=store)
+        warm = run_session(ids, jobs=2, base_seed=7, run=run, cache=store)
         for runs in zip(serial.runs, cold.runs, warm.runs):
             texts = {run.report.to_csv() for run in runs}
             assert len(texts) == 1
@@ -118,18 +115,18 @@ class TestClusterDeterminismGate:
         plain = experiment_key("wl01", quick=True, base_seed=7)
         sharded = experiment_key(
             "wl01", quick=True, base_seed=7,
-            cluster=ClusterConfig.parse("2x4"),
+            run=RunConfig(cluster=ClusterConfig.parse("2x4")),
         )
         other = experiment_key(
             "wl01", quick=True, base_seed=7,
-            cluster=ClusterConfig.parse("2x4:load-aware"),
+            run=RunConfig(cluster=ClusterConfig.parse("2x4:load-aware")),
         )
         assert len({plain, sharded, other}) == 3
 
     def test_ambient_cluster_reshapes_wl01(self):
         sharded = run_experiment(
             "wl01", quick=True, base_seed=7,
-            cluster=ClusterConfig.parse("2x4"),
+            run=RunConfig(cluster=ClusterConfig.parse("2x4")),
         )
         plain = run_experiment("wl01", quick=True, base_seed=7)
         assert [(r.series, r.x, r.value) for r in sharded.rows] != \

@@ -13,12 +13,11 @@ from repro.faults import (
     FaultSpec,
     PlanInjector,
     ResiliencePolicy,
-    current_fault_plan,
     fault_plans,
     get_fault_plan,
     make_injector,
-    use_fault_plan,
 )
+from repro.runconfig import RunConfig
 from repro.trace import Tracer, fault_breakdown, use_tracer
 from repro.trace.breakdown import FAILED, RETRY, SHED
 from repro.workload import (
@@ -122,12 +121,6 @@ class TestFaultPlan:
         )
         assert plan.window_edges(10.0) == (1.0, 3.0)
         assert plan.window_edges(2.0) == (1.0,)  # end past the horizon
-
-    def test_use_fault_plan_scopes(self):
-        assert current_fault_plan() is None
-        with use_fault_plan(get_fault_plan("chaos")) as plan:
-            assert current_fault_plan() is plan
-        assert current_fault_plan() is None
 
 
 class TestInjector:
@@ -452,22 +445,18 @@ class TestFaultCacheKeys:
     def test_plan_changes_experiment_key(self):
         base = experiment_key("wl01", quick=True, base_seed=42)
         chaos = experiment_key("wl01", quick=True, base_seed=42,
-                               faults=get_fault_plan("chaos"))
-        storm = experiment_key("wl01", quick=True, base_seed=42,
-                               faults=get_fault_plan("aex-storm"))
+                               run=RunConfig(faults=get_fault_plan("chaos")))
+        storm = experiment_key(
+            "wl01", quick=True, base_seed=42,
+            run=RunConfig(faults=get_fault_plan("aex-storm")),
+        )
         assert len({base, chaos, storm}) == 3
-
-    def test_same_plan_same_key(self):
-        a = experiment_key("wl01", quick=True, base_seed=42,
-                           faults=get_fault_plan("chaos"))
-        b = experiment_key("wl01", quick=True, base_seed=42,
-                           faults=get_fault_plan("chaos"))
-        assert a == b
 
     def test_plan_seed_changes_key(self):
         plan = get_fault_plan("chaos")
         reseeded = FaultPlan(name=plan.name, seed=plan.seed + 1,
                              specs=plan.specs)
-        assert experiment_key("wl01", quick=True, base_seed=42, faults=plan) \
+        assert experiment_key("wl01", quick=True, base_seed=42,
+                              run=RunConfig(faults=plan)) \
             != experiment_key("wl01", quick=True, base_seed=42,
-                              faults=reseeded)
+                              run=RunConfig(faults=reseeded))

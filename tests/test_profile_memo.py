@@ -203,13 +203,13 @@ class TestByteIdentity:
         assert vars(warm_metrics.counters) == vars(bare_metrics.counters)
 
     def test_clustered_run_identical_with_and_without_memo(self):
-        from repro.cluster import ClusterConfig, use_cluster
+        from repro.runconfig import RunConfig, use_run_config
 
-        cluster = ClusterConfig.parse("1x2")
-        with use_cluster(cluster), use_profile_memo(None):
+        cluster = RunConfig(cluster="1x2")
+        with use_run_config(cluster), use_profile_memo(None):
             bare_metrics, bare_trace = _serve()
         memo = ProfileMemo()
-        with use_cluster(cluster), use_profile_memo(memo):
+        with use_run_config(cluster), use_profile_memo(memo):
             warm_metrics, warm_trace = _serve()
         assert warm_trace == bare_trace
         assert warm_metrics.records == bare_metrics.records

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.keys import experiment_key
+from repro.cache import experiment_key
 from repro.cli import main as cli_main
 from repro.core.queries.tpch_queries import TPCH_QUERIES
 from repro.enclave.runtime import ExecutionSetting
@@ -20,14 +20,13 @@ from repro.rewrite import (
     REWRITE_KINDS,
     actual_cardinalities,
     base_tables,
-    current_rewrite,
     generate_rewrites,
     plan_rewrites,
     prove_candidate,
     static_physical,
-    use_rewrite,
     validate_mode,
 )
+from repro.runconfig import RunConfig, use_run_config
 from repro.trace import Tracer, use_tracer
 from repro.trace.breakdown import rewrite_breakdown
 from repro.workload import (
@@ -81,19 +80,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown rewrite mode"):
             validate_mode("aggressive")
 
-    def test_ambient_channel_nests_and_restores(self):
-        assert current_rewrite() is None
-        with use_rewrite("learned"):
-            assert current_rewrite() == "learned"
-            with use_rewrite("prove"):
-                assert current_rewrite() == "prove"
-            assert current_rewrite() == "learned"
-        assert current_rewrite() is None
-
     def test_ambient_channel_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            with use_rewrite("nope"):
-                pass  # pragma: no cover - never entered
+        with pytest.raises(ConfigurationError, match="unknown rewrite mode"):
+            RunConfig(rewrite="nope").validate()
 
 
 class TestCandidates:
@@ -261,24 +250,6 @@ class TestQErrorBaseline:
         assert tracker.corrected_worst(query) == 1.0
 
 
-class TestCacheKeys:
-    def test_off_and_none_key_identically(self):
-        base = dict(quick=True, base_seed=17)
-        assert experiment_key("fig03", **base) == experiment_key(
-            "fig03", rewrite="off", **base
-        )
-
-    def test_active_modes_key_differently(self):
-        base = dict(quick=True, base_seed=17)
-        default = experiment_key("fig03", **base)
-        keys = {
-            experiment_key("fig03", rewrite=mode, **base)
-            for mode in ("prove", "race", "learned")
-        }
-        assert default not in keys
-        assert len(keys) == 3
-
-
 class TestEngineWiring:
     def test_config_validates_rewrite(self):
         with pytest.raises(ConfigurationError, match="unknown rewrite mode"):
@@ -287,10 +258,10 @@ class TestEngineWiring:
     def test_config_beats_ambient(self):
         engine = ServingEngine(JobCatalog(None, quick=True))
         config = workload(rewrite="prove")
-        with use_rewrite("learned"):
+        with use_run_config(RunConfig(rewrite="learned")):
             assert engine.rewrite_of(config) == "prove"
-        assert engine.rewrite_of(workload()) is None
-        with use_rewrite("race"):
+        assert engine.rewrite_of(workload()) == "off"
+        with use_run_config(RunConfig(rewrite="race")):
             assert engine.rewrite_of(workload()) == "race"
 
     def test_learned_adds_rw_arm(self):
@@ -311,6 +282,18 @@ class TestEngineWiring:
             workload(planner="adaptive", plan_top_k=3)
         )
         assert not any(a.label.startswith("rw:") for a in plain["q3"])
+
+
+class TestCacheKeys:
+    def test_active_modes_key_differently(self):
+        base = dict(quick=True, base_seed=17)
+        default = experiment_key("fig03", **base)
+        keys = {
+            experiment_key("fig03", run=RunConfig(rewrite=mode), **base)
+            for mode in ("prove", "race", "learned")
+        }
+        assert default not in keys
+        assert len(keys) == 3
 
 
 class TestCli:

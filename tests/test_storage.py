@@ -21,15 +21,14 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.hardware.calibration import CostParameters
 from repro.memory.access import CodeVariant
+from repro.runconfig import RunConfig, use_run_config
 from repro.storage import (
     ExternalGroupAggregate,
     GraceHashJoin,
     SealedStore,
     SpillModel,
     StorageConfig,
-    current_storage,
     parse_size,
-    use_storage,
 )
 from repro.storage.spill import partition_count
 from repro.tables import generate_join_relation_pair
@@ -77,21 +76,6 @@ class TestStorageConfig:
     def test_canonical_round_trips(self):
         for text in ("1048576", "268435456:4194304"):
             assert StorageConfig.parse(text).canonical() == text
-
-    def test_ambient_channel_nests_and_restores(self):
-        assert current_storage() is None
-        outer = StorageConfig.parse("256m")
-        inner = StorageConfig.parse("64m")
-        with use_storage(outer):
-            assert current_storage() is outer
-            with use_storage(inner):
-                assert current_storage() is inner
-            assert current_storage() is outer
-        assert current_storage() is None
-
-    def test_ambient_none_is_a_no_op_scope(self):
-        with use_storage(None):
-            assert current_storage() is None
 
 
 @pytest.fixture
@@ -316,7 +300,7 @@ class TestServingSpill:
 
     def test_ambient_storage_config_applies(self):
         engine = self.engine()
-        with use_storage(StorageConfig.parse("64m")):
+        with use_run_config(RunConfig(storage="64m")):
             ambient = engine.run(self.config())
         explicit = engine.run(self.config(storage="64m"))
         assert ambient.counters.storage_dict() == \
@@ -480,13 +464,13 @@ class TestCacheKeysStorage:
             "wl01",
             quick=True,
             base_seed=42,
-            storage=StorageConfig.parse("256m"),
+            run=RunConfig(storage=StorageConfig.parse("256m")),
         )
         other = experiment_key(
             "wl01",
             quick=True,
             base_seed=42,
-            storage=StorageConfig.parse("512m"),
+            run=RunConfig(storage=StorageConfig.parse("512m")),
         )
         assert len({base, stored, other}) == 3
 

@@ -7,6 +7,7 @@ from repro.bench.experiments.wl07_spill_scaleout import (
 from repro.bench.parallel import run_session
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.cache import MemoStore
+from repro.runconfig import RunConfig
 from repro.storage import StorageConfig
 
 # One quick wl07 run shared across the module (deterministic per seed).
@@ -76,16 +77,12 @@ class TestStorageDeterminismGate:
     """Serial == --jobs N == cached replay under --storage 200m --seed 7."""
 
     def test_serial_parallel_and_replay_agree(self, tmp_path):
-        storage = StorageConfig.parse("200m")
+        run = RunConfig(storage="200m")
         ids = ["wl01", "tab01"]  # two pending: exercises the spawn pool
-        serial = run_session(ids, base_seed=7, storage=storage)
+        serial = run_session(ids, base_seed=7, run=run)
         store = MemoStore(tmp_path / "cache")
-        cold = run_session(
-            ids, jobs=2, base_seed=7, storage=storage, cache=store
-        )
-        warm = run_session(
-            ids, jobs=2, base_seed=7, storage=storage, cache=store
-        )
+        cold = run_session(ids, jobs=2, base_seed=7, run=run, cache=store)
+        warm = run_session(ids, jobs=2, base_seed=7, run=run, cache=store)
         for runs in zip(serial.runs, cold.runs, warm.runs):
             texts = {run.report.to_csv() for run in runs}
             assert len(texts) == 1
@@ -95,7 +92,7 @@ class TestStorageDeterminismGate:
     def test_ambient_storage_reshapes_wl01(self):
         spilling = run_experiment(
             "wl01", quick=True, base_seed=7,
-            storage=StorageConfig.parse("200m"),
+            run=RunConfig(storage=StorageConfig.parse("200m")),
         )
         plain = run_experiment("wl01", quick=True, base_seed=7)
         assert [(r.series, r.x, r.value) for r in spilling.rows] != \
@@ -103,11 +100,11 @@ class TestStorageDeterminismGate:
 
     def test_spec_string_accepted_too(self):
         by_string = run_experiment(
-            "wl01", quick=True, base_seed=7, storage="200m"
+            "wl01", quick=True, base_seed=7, run=RunConfig(storage="200m")
         )
         by_config = run_experiment(
             "wl01", quick=True, base_seed=7,
-            storage=StorageConfig.parse("200m"),
+            run=RunConfig(storage=StorageConfig.parse("200m")),
         )
         assert [(r.series, r.x, r.value) for r in by_string.rows] == \
             [(r.series, r.x, r.value) for r in by_config.rows]

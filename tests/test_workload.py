@@ -755,12 +755,13 @@ class TestEngineClusterChannel:
         return WorkloadConfig(**base)
 
     def test_ambient_cluster_matches_explicit(self):
-        from repro.cluster import ClusterConfig, use_cluster
+        from repro.cluster import ClusterConfig
+        from repro.runconfig import RunConfig, use_run_config
 
         engine = ServingEngine(JobCatalog(quick=True))
         cluster = ClusterConfig.parse("2x2")
         explicit = engine.run(self.config(cluster=cluster))
-        with use_cluster(cluster):
+        with use_run_config(RunConfig(cluster=cluster)):
             ambient = engine.run(self.config())
         assert explicit.records == ambient.records
         assert vars(explicit.counters) == vars(ambient.counters)

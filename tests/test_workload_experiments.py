@@ -1,7 +1,8 @@
 """Golden-shape checks for the serving-workload experiments (wl01-wl04)."""
 
 from repro.bench.registry import EXPERIMENTS, run_experiment
-from repro.faults import get_fault_plan, use_fault_plan
+from repro.faults import get_fault_plan
+from repro.runconfig import RunConfig, use_run_config
 
 # One quick run of each wl experiment, shared across the module's tests
 # (quick-mode serving metrics are deterministic per seed).
@@ -125,7 +126,7 @@ class TestWl04FaultResilience:
         # wl04 pins every arm's plan explicitly, so running it under a
         # session-level --faults plan must not change a single row.
         clean = report_for("wl04")
-        with use_fault_plan(get_fault_plan("chaos")):
+        with use_run_config(RunConfig(faults=get_fault_plan("chaos"))):
             contaminated = run_experiment("wl04", quick=True)
         assert [(r.series, r.x, r.value) for r in clean.rows] == \
             [(r.series, r.x, r.value) for r in contaminated.rows]
