@@ -13,8 +13,8 @@ arms to one contract so they can be compared:
   DuckDB (:class:`~repro.backends.engines.DuckDBBackend`, optional: the
   ``repro[backends]`` extra);
 * a **cross-backend equivalence gate**
-  (:mod:`repro.backends.equivalence`): result bags must canonicalize to
-  one digest before any backend's timing is reported;
+  (:mod:`repro.backends.equivalence`): result bags must hold the same
+  rows, column by column, before any backend's timing is reported;
 * an **SGX cost envelope** (:mod:`repro.backends.envelope`) that prices
   engine-in-enclave arms from checked-in calibrated profiles
   (:mod:`repro.backends.calibrate`), keeping engine-priced experiments

@@ -104,12 +104,16 @@ class Backend(abc.ABC):
         self, template: JobTemplate, *, seed: int, row_cap: int, sf_cap: float
     ) -> Tuple[Rows, MeasuredProfile]:
         """Materialize, prepare, and execute ``template`` in one call."""
-        dataset = materialize(
-            template, seed=seed, row_cap=row_cap, sf_cap=sf_cap
+        return self.run_dataset(
+            materialize(template, seed=seed, row_cap=row_cap, sf_cap=sf_cap)
         )
+
+    def run_dataset(self, dataset: Dataset) -> Tuple[Rows, MeasuredProfile]:
+        """Prepare ``dataset`` and execute its template's query."""
         handle = self.prepare(dataset)
         query = BackendQuery(
-            template=template, sql=render_sql(template, dataset)
+            template=dataset.template,
+            sql=render_sql(dataset.template, dataset),
         )
         try:
             return self.execute(handle, query)

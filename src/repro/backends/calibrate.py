@@ -60,9 +60,7 @@ def capture_profile(
     rows = None
     dataset = materialize(template, seed=seed, row_cap=row_cap, sf_cap=sf_cap)
     for _ in range(max(1, repeats)):
-        run_rows, profile = backend.run_template(
-            template, seed=seed, row_cap=row_cap, sf_cap=sf_cap
-        )
+        run_rows, profile = backend.run_dataset(dataset)
         if best_execute is None or profile.execute_s < best_execute:
             best_execute = profile.execute_s
         if best_prepare is None or profile.prepare_s < best_prepare:

@@ -13,11 +13,11 @@ through the :class:`~repro.backends.envelope.SgxCostEnvelope` —
 Before any engine-priced profile is handed out, the **equivalence gate**
 runs once per catalog and template: the operator simulator and the live
 engine execute the same query over the same materialized rows, and their
-result bags must canonicalize to one digest (which must also match the
-digest the calibration artifact recorded).  Result *bags* are
-deterministic even though engine *timings* are not, so the gate keeps
-engine-priced arms byte-deterministic while proving the two renderings
-of the query agree.
+result bags must hold the same rows column by column; their shared
+digest must also match the one the calibration artifact recorded.
+Result *bags* are deterministic even though engine *timings* are not,
+so the gate keeps engine-priced arms byte-deterministic while proving
+the two renderings of the query agree.
 
 Both steps announce themselves on the ambient tracer (``backend.envelope``
 and ``backend.equivalence`` events) so the backend breakdown reporter can
@@ -39,6 +39,7 @@ from repro.backends.envelope import (
 from repro.backends.dataset import materialize
 from repro.backends.equivalence import assert_equivalent
 from repro.backends.sim import SimBackend
+from repro.backends.sqlgen import output_columns
 from repro.errors import ConfigurationError
 from repro.trace.breakdown import BACKEND_ENVELOPE, BACKEND_EQUIVALENCE
 from repro.trace.tracer import current_tracer
@@ -103,8 +104,9 @@ def gate_template(
     """Run the cross-backend equivalence gate; return the shared digest.
 
     Executes the template through the operator simulator *and* the live
-    engine over identically materialized rows, then requires both bags to
-    canonicalize to one digest.  Raises
+    engine over one materialized dataset, then requires both bags to hold
+    the same rows in the columns of the declared projection
+    (:func:`~repro.backends.sqlgen.output_columns`).  Raises
     :class:`~repro.errors.EquivalenceError` on disagreement — an engine
     arm must never report a timing for a query the engine answers
     differently.
@@ -118,14 +120,11 @@ def gate_template(
     # Rows only, no pricing: the gate compares result bags, and pricing
     # the sim arm here would re-enter the catalog mid-delegation.
     sim_rows = SimBackend(catalog).compute_rows(dataset)
-    engine_rows, _ = make_engine(mode).run_template(
-        template,
-        seed=catalog.pricing_seed,
-        row_cap=catalog.row_cap,
-        sf_cap=catalog.sf_cap,
-    )
+    engine_rows, _ = make_engine(mode).run_dataset(dataset)
+    projection = output_columns(template)
     return assert_equivalent(
         {"sim": sim_rows, mode: engine_rows},
+        columns={"sim": projection, mode: projection},
         context=f"template {template.name!r}",
     )
 

@@ -82,9 +82,11 @@ class SimBackend(Backend):
     def compute_rows(self, dataset: Dataset) -> Rows:
         """The result bag, computed by the real operator kernels.
 
-        Runs silently (``NullTracer``) under a plain-CPU context: the row
-        computation is gate bookkeeping, not priced serving work — the
-        priced seconds come from the catalog's memoized pricing runs.
+        Columns follow the SQL rendering's projection
+        (:func:`~repro.backends.sqlgen.output_columns`).  Runs silently
+        (``NullTracer``) under a plain-CPU context: the row computation is
+        gate bookkeeping, not priced serving work — the priced seconds
+        come from the catalog's memoized pricing runs.
         """
         template = dataset.template
         candidate = static_candidate(template, self.catalog.variant)

@@ -11,6 +11,8 @@ the SQL and the operator plans are two renderings of one logical query.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.backends.dataset import Dataset
 from repro.errors import ConfigurationError
 from repro.tables.tpch import (
@@ -25,7 +27,7 @@ from repro.workload.jobs import JobKind, JobTemplate
 
 def _q3_sql() -> str:
     return (
-        "SELECT COUNT(*) FROM customer, orders, lineitem "
+        "FROM customer, orders, lineitem "
         "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
         f"AND c_mktsegment = {segment_code('BUILDING')} "
         f"AND o_orderdate < {date_code(1995, 3, 15)} "
@@ -35,7 +37,7 @@ def _q3_sql() -> str:
 
 def _q10_sql() -> str:
     return (
-        "SELECT COUNT(*) FROM customer, orders, lineitem "
+        "FROM customer, orders, lineitem "
         "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
         f"AND o_orderdate >= {date_code(1993, 10, 1)} "
         f"AND o_orderdate < {date_code(1994, 1, 1)} "
@@ -45,7 +47,7 @@ def _q10_sql() -> str:
 
 def _q12_sql() -> str:
     return (
-        "SELECT COUNT(*) FROM orders, lineitem "
+        "FROM orders, lineitem "
         "WHERE o_orderkey = l_orderkey "
         f"AND l_shipmode IN ({shipmode_code('MAIL')}, "
         f"{shipmode_code('SHIP')}) "
@@ -66,7 +68,7 @@ def _q19_sql() -> str:
         )
 
     return (
-        "SELECT COUNT(*) FROM part, lineitem "
+        "FROM part, lineitem "
         "WHERE p_partkey = l_partkey "
         f"AND l_shipmode IN ({shipmode_code('AIR')}, "
         f"{shipmode_code('REG AIR')}) "
@@ -81,6 +83,7 @@ def _q19_sql() -> str:
     )
 
 
+#: The FROM/WHERE clauses of the TPC-H queries (each selects ``COUNT(*)``).
 _TPCH_SQL = {
     "Q3": _q3_sql,
     "Q10": _q10_sql,
@@ -89,28 +92,37 @@ _TPCH_SQL = {
 }
 
 
-def render_sql(template: JobTemplate, dataset: Dataset) -> str:
-    """The SQL text of ``template`` against ``dataset``'s tables."""
+def output_columns(template: JobTemplate) -> Tuple[str, ...]:
+    """The projection :func:`render_sql` selects, in column order.
+
+    Every backend's result bag follows it, so the equivalence gate can
+    align engine and simulator columns by name.
+    """
     if template.kind is JobKind.JOIN:
         # The FK join of the paper: every probe (s) row matches one build
         # (r) row; the bag is the matched payload pairs.
-        return (
-            'SELECT s.payload, r.payload FROM s, r '
-            'WHERE s."key" = r."key"'
-        )
+        return ("s.payload", "r.payload")
     if template.kind is JobKind.SCAN:
-        lower = dataset.params["scan_lower"]
-        upper = dataset.params["scan_upper"]
-        return (
-            f"SELECT v FROM scan_values WHERE v BETWEEN {lower} AND {upper}"
-        )
+        return ("v",)
     if template.kind is JobKind.TPCH:
-        try:
-            return _TPCH_SQL[template.query]()
-        except KeyError:
-            raise ConfigurationError(
-                f"no SQL rendering for TPC-H query {template.query!r}"
-            ) from None
+        return ("COUNT(*)",)
     raise ConfigurationError(  # pragma: no cover - enum is exhaustive
         f"no SQL rendering for job kind {template.kind!r}"
     )
+
+
+def render_sql(template: JobTemplate, dataset: Dataset) -> str:
+    """The SQL text of ``template`` against ``dataset``'s tables."""
+    select = "SELECT " + ", ".join(output_columns(template))
+    if template.kind is JobKind.JOIN:
+        return f'{select} FROM s, r WHERE s."key" = r."key"'
+    if template.kind is JobKind.SCAN:
+        lower = dataset.params["scan_lower"]
+        upper = dataset.params["scan_upper"]
+        return f"{select} FROM scan_values WHERE v BETWEEN {lower} AND {upper}"
+    try:
+        return f"{select} {_TPCH_SQL[template.query]()}"
+    except KeyError:
+        raise ConfigurationError(
+            f"no SQL rendering for TPC-H query {template.query!r}"
+        ) from None

@@ -4,11 +4,12 @@ A rewrite candidate is admitted to the race only after this module has
 *executed* both the reference plan and the candidate plan — through the
 real :class:`~repro.core.queries.executor.QueryExecutor`, over the same
 physical stand-in rows the catalog's pricing runs use — and shown their
-witness bags identical under the canonical-digest machinery of
-:mod:`repro.backends.equivalence` (quantized values, row- and
-column-order insensitivity, duplicates preserved).  Nothing is assumed:
-a candidate whose bag differs, or whose plan fails to execute at all, is
-rejected with the first differing row (or the error) as the reason.
+witness bags identical under
+:func:`~repro.backends.equivalence.assert_equivalent` (columns aligned
+by the final tables' names, values quantized, row order free, duplicates
+preserved).  Nothing is assumed: a candidate whose bag differs (a value
+in the wrong column included), or whose plan fails to execute at all,
+is rejected with the first differing row (or the error) as the reason.
 
 The proof runs the *witness-widened* plan twins (see
 :mod:`repro.rewrite.candidates`): same filters and joins, wider ``keep``
@@ -73,11 +74,14 @@ class ProofResult:
 _MEMO: Dict[Tuple[str, str, float, float], ProofResult] = {}
 
 
-def _witness_rows(namespace: Dict[str, Table], plan: QueryPlan) -> List[tuple]:
-    """The final pre-count table's rows, as plain tuples."""
+def _witness_rows(
+    namespace: Dict[str, Table], plan: QueryPlan
+) -> Tuple[Tuple[str, ...], List[tuple]]:
+    """The final pre-count table's column names and rows (plain tuples)."""
     final = namespace[plan.steps[-1].source]
-    arrays = [final[name] for name in final.column_names]
-    return list(zip(*arrays)) if arrays else []
+    names = tuple(final.column_names)
+    arrays = [final[name] for name in names]
+    return names, (list(zip(*arrays)) if arrays else [])
 
 
 def _run_proof_plan(
@@ -85,8 +89,9 @@ def _run_proof_plan(
     tables: Dict[str, Table],
     candidate: RewriteCandidate,
     threads: int,
-) -> Tuple[List[tuple], int, Dict[str, Table]]:
-    """Execute ``plan`` for real on the plain CPU; witness bag + count.
+) -> Tuple[Tuple[str, ...], List[tuple], int, Dict[str, Table]]:
+    """Execute ``plan`` for real on the plain CPU; witness columns, bag,
+    count and namespace.
 
     Proofs are about results, not cycles: the plain-CPU setting and
     the silent tracer keep them fast and invisible to any enclave or
@@ -104,7 +109,7 @@ def _run_proof_plan(
     with use_tracer(NullTracer()):
         with sim.context(ExecutionSetting.plain_cpu(), threads=threads) as ctx:
             result = executor.run(ctx, plan, used, namespace_out=namespace)
-    return _witness_rows(namespace, plan), result.count, namespace
+    return (*_witness_rows(namespace, plan), result.count, namespace)
 
 
 def static_candidate_for(candidate: RewriteCandidate, threads: int):
@@ -158,7 +163,7 @@ def prove_candidate(
     }
     threads = template.threads
     reference_plan = reference_proof_plan(template.query)
-    ref_rows, ref_count, ref_namespace = _run_proof_plan(
+    ref_columns, ref_rows, ref_count, ref_namespace = _run_proof_plan(
         reference_plan, tables, _reference_stub(template.query), threads
     )
     truth = reference_count(data, template.query)
@@ -174,11 +179,12 @@ def prove_candidate(
         if name not in tables
     )
     try:
-        cand_rows, cand_count, _ = _run_proof_plan(
+        cand_columns, cand_rows, cand_count, _ = _run_proof_plan(
             candidate.proof_plan(), tables, candidate, threads
         )
         digest = assert_equivalent(
             {"reference": ref_rows, candidate.name: cand_rows},
+            columns={"reference": ref_columns, candidate.name: cand_columns},
             context=f"{template.query} rewrite {candidate.name!r}",
         )
     except ReproError as error:

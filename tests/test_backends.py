@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import re
 
 import pytest
@@ -20,11 +21,13 @@ from repro.backends import (
     missing_reason,
     validate_mode,
 )
+from repro.backends import base, serving
 from repro.backends.envelope import (
     SgxCostEnvelope,
     get_profile,
     load_profiles,
 )
+from repro.backends.equivalence import canonical_value
 from repro.backends.serving import engine_profile, gate_template
 from repro.cache import experiment_key
 from repro.cli import main as cli_main
@@ -79,10 +82,11 @@ class TestEquivalence:
         weird = [(float("nan"), float("inf"), float("-inf"))]
         assert bag_digest(weird) == bag_digest(list(weird))
 
-    def test_column_order_insensitivity(self):
+    def test_digest_ignores_column_order(self):
+        # The digest sorts values within rows; the check does not (below).
         assert bag_digest([(1, 2), (3, 4)]) == bag_digest([(2, 1), (4, 3)])
 
-    def test_column_order_insensitivity_for_large_ints(self):
+    def test_digest_ignores_column_order_for_large_ints(self):
         # Regression guard: value ordering must be exact, not via a lossy
         # float rendering (2**60 and 2**60 + 1 format identically there).
         a, b = 2**60, 2**60 + 1
@@ -102,14 +106,114 @@ class TestEquivalence:
             )
 
 
+class TestEquivalenceMutations:
+    """The check compares aligned columns: each mutation below must fail
+    (or pass) exactly as the canonical values say."""
+
+    def test_one_swapped_row_fails_naming_it(self):
+        with pytest.raises(
+            EquivalenceError,
+            match=re.escape("first misaligned row #1: (3, 4) vs (4, 3)"),
+        ):
+            assert_equivalent({"a": [(1, 2), (3, 4)], "b": [(1, 2), (4, 3)]})
+
+    def test_one_swapped_row_fails_among_many(self):
+        rows = [(i, 10 * i) for i in range(1000)]
+        swapped = list(rows)
+        swapped[500] = (5000, 500)
+        with pytest.raises(EquivalenceError, match="misaligned row"):
+            assert_equivalent({"a": rows, "b": swapped})
+
+    def test_values_recombined_across_rows_fail(self):
+        # Each column keeps its values; the rows do not.
+        with pytest.raises(EquivalenceError, match="first differing row"):
+            assert_equivalent({"a": [(1, 2), (3, 4)], "b": [(1, 4), (3, 2)]})
+
+    def test_dropped_duplicate_fails(self):
+        with pytest.raises(EquivalenceError, match="row counts differ"):
+            assert_equivalent({"a": [(1, 2), (1, 2), (3, 4)],
+                               "b": [(1, 2), (3, 4)]})
+        # Same count: one copy of a doubled row traded for another row.
+        with pytest.raises(EquivalenceError, match="first differing row"):
+            assert_equivalent({"a": [(1, 2), (1, 2), (3, 4)],
+                               "b": [(1, 2), (3, 4), (3, 4)]})
+
+    def test_negative_zero_equals_zero(self):
+        assert assert_equivalent(
+            {"a": [(-0.0, 1)], "b": [(0.0, 1)], "c": [(0, 1.0)]}
+        ) == bag_digest([(0, 1)])
+
+    def test_nan_equals_nan_only(self):
+        nan = float("nan")
+        assert assert_equivalent({"a": [(nan, 1)], "b": [(nan, 1)]})
+        with pytest.raises(EquivalenceError, match="first differing row"):
+            assert_equivalent({"a": [(nan, 1)], "b": [(0.0, 1)]})
+
+    @pytest.mark.parametrize("step", [1.5e-9, 1 + 0.5e-9, -2.5e-9])
+    def test_floats_one_ulp_around_a_quantization_step(self, step):
+        below = math.nextafter(step, -math.inf)
+        above = math.nextafter(step, math.inf)
+        assert canonical_value(below) != canonical_value(above)
+        for left in (below, step, above):
+            for right in (below, step, above):
+                agree = canonical_value(left) == canonical_value(right)
+                try:
+                    assert_equivalent({"a": [(left,)], "b": [(right,)]})
+                except EquivalenceError:
+                    assert not agree, (left, right)
+                else:
+                    assert agree, (left, right)
+
+    def test_named_columns_align_in_any_order(self):
+        digest = assert_equivalent(
+            {"a": [(1, 2), (3, 4)], "b": [(2, 1), (4, 3)]},
+            columns={"a": ("x", "y"), "b": ("y", "x")},
+        )
+        assert digest == bag_digest([(1, 2), (3, 4)])
+
+    def test_permuted_columns_without_names_fail(self):
+        with pytest.raises(EquivalenceError, match="misaligned row #0"):
+            assert_equivalent({"a": [(1, 2), (3, 4)], "b": [(2, 1), (4, 3)]})
+
+    def test_named_columns_must_match(self):
+        with pytest.raises(EquivalenceError, match="column names differ"):
+            assert_equivalent(
+                {"a": [(1, 2)], "b": [(1, 2)]},
+                columns={"a": ("x", "y"), "b": ("x", "z")},
+            )
+        with pytest.raises(EquivalenceError, match="width"):
+            assert_equivalent(
+                {"a": [(1, 2)], "b": [(1, 2, 3)]},
+                columns={"a": ("x", "y"), "b": ("x", "y")},
+            )
+
+
 class TestBackendsAgree:
     """Sim and SQLite must produce identical bags on every template."""
 
     @pytest.mark.parametrize("name", sorted(serving_templates()))
     def test_serving_template_bags_match(self, name):
+        # The gate's digest is the one the calibration artifact pins.
         catalog = JobCatalog()
         digest = gate_template(catalog, serving_templates()[name], "sqlite")
-        assert len(digest) == 64
+        assert digest == load_profiles()[("sqlite", name)].bag_digest
+
+    def test_artifact_pins_every_serving_template(self):
+        pinned = {name for mode, name in load_profiles() if mode == "sqlite"}
+        assert pinned == set(serving_templates())
+
+    def test_gate_materializes_the_dataset_once(self, monkeypatch):
+        calls = []
+
+        def counting(template, **caps):
+            calls.append(template.name)
+            return materialize(template, **caps)
+
+        monkeypatch.setattr(serving, "materialize", counting)
+        monkeypatch.setattr(base, "materialize", counting)
+        template = serving_templates()["scan-small"]
+        gate_template(JobCatalog(), template, "sqlite")
+        assert calls == ["scan-small"]
 
     def test_sqlite_rows_match_sim_rows_directly(self):
         template = serving_templates()["scan-small"]

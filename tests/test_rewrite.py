@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import run_experiment
 from repro.cache import experiment_key
 from repro.cli import main as cli_main
 from repro.core.queries.tpch_queries import TPCH_QUERIES
@@ -146,6 +147,47 @@ class TestProofs:
         candidate = generate_rewrites(template)[0]
         first = prove_candidate(template, candidate)
         assert prove_candidate(template, candidate) is first
+
+
+class TestProofDigestsPinned:
+    """wl08's accepted proofs keep their digests byte for byte.
+
+    The full digest is pinned per (query, rewrite); a ``rewrite.proved``
+    trace event carries its first 16 hex digits.
+    """
+
+    Q3 = "8c88ddb0e21af0e054327c4d31bc5f6ca2f7d407f53313379058b48cba508c31"
+    Q10 = "e5afce12e1e91f59bcabbfd8565a7a744634b7f48e967f0d92aa2f7ea319000e"
+    PINNED = {
+        ("Q3", "fuse-pipeline"): Q3,
+        ("Q3", "knob-fanout6"): Q3,
+        ("Q3", "reorder-lineitem-first"): Q3,
+        ("Q3", "swap-join-crkjoin"): Q3,
+        ("Q3", "swap-join-pht"): Q3,
+        ("Q10", "drop-customer-join"): Q10,
+        ("Q10", "fuse-pipeline"): Q10,
+        ("Q10", "swap-join-crkjoin"): Q10,
+        ("Q10", "swap-join-pht"): Q10,
+    }
+
+    def test_wl08_proved_events_carry_pinned_digests(self):
+        tracer = Tracer(label="wl08")
+        with use_tracer(tracer):
+            run_experiment("wl08", quick=True)
+        proved = {}
+        for record in tracer.records:
+            if record.name == "rewrite.proved":
+                attrs = record.attrs
+                proved[(attrs["query"], attrs["rewrite"])] = attrs["digest"]
+        assert set(proved) == set(self.PINNED)
+        for (query, rewrite), digest in proved.items():
+            pinned = self.PINNED[(query, rewrite)]
+            assert digest == pinned[:16]
+            template = tpch_template(query)  # wl08's scale factor, 1.0
+            candidate = next(
+                c for c in generate_rewrites(template) if c.name == rewrite
+            )
+            assert prove_candidate(template, candidate).digest == pinned
 
 
 class TestRace:
