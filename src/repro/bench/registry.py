@@ -48,6 +48,7 @@ from repro.bench.report import ExperimentReport
 from repro.errors import BenchmarkError
 from repro.machine import SimMachine
 from repro.runconfig import RunConfig, current_run_config, use_run_config
+from repro.tables import reuse_generated_data
 
 EXPERIMENTS: Dict[str, object] = {
     module.EXPERIMENT_ID: module
@@ -126,12 +127,20 @@ def run_experiment(
     (wl04's fault plans, wl05's planner modes, wl06's clusters) are
     unaffected.  Default fields leave every code path byte-identical to a
     build without that subsystem.
+
+    The run is one :func:`~repro.tables.reuse_generated_data` scope: cells
+    that ask for the same seeded dataset share one read-only copy, and the
+    memo is emptied when the run returns or raises.
     """
     module = get_experiment(experiment_id)
     from repro.bench.runner import use_base_seed
 
     run = current_run_config() if run is None else run
-    with use_base_seed(base_seed), use_run_config(run.validate()):
+    with (
+        use_base_seed(base_seed),
+        use_run_config(run.validate()),
+        reuse_generated_data(),
+    ):
         if tracer is None:
             return module.run(machine, quick=quick)
         from repro.trace import use_tracer

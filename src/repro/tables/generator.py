@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.tables.reuse import reused_within_scope
 from repro.tables.table import Column, Table
 
 #: 32-bit key + 32-bit payload, as in the paper (Sec. 4, "Join data").
@@ -22,6 +23,10 @@ JOIN_TUPLE_BYTES = 8
 #: Physical rows above which generated tables are scaled down via
 #: ``sim_scale`` to keep wall-clock benchmark time reasonable.
 DEFAULT_PHYSICAL_ROW_CAP = 2_000_000
+
+#: Join pairs a reuse scope keeps: fig04 prices plain, then SGX, on the
+#: same seed back to back.
+REUSED_PAIRS = 1
 
 
 def rows_for_bytes(size_bytes: float, tuple_bytes: int = JOIN_TUPLE_BYTES) -> int:
@@ -59,6 +64,7 @@ def generate_key_value_table(
     )
 
 
+@reused_within_scope(REUSED_PAIRS, tables=lambda pair: pair)
 def generate_join_relation_pair(
     build_bytes: float,
     probe_bytes: float,
@@ -70,8 +76,10 @@ def generate_join_relation_pair(
 
     The build (primary-key) relation has unique keys; every probe tuple's
     key references some build key uniformly at random, so every probe row
-    finds exactly one match.  Both relations report 8-byte logical tuples
-    regardless of the physical (int64) representation numpy needs.
+    finds exactly one match.  Keys and payloads are int32 columns, so
+    both relations report the paper's 8-byte logical tuples.  Inside a
+    :func:`~repro.tables.reuse.reuse_generated_data` scope a repeated
+    call returns the same, read-only pair.
     """
     rng = np.random.default_rng(seed)
     build = generate_key_value_table(

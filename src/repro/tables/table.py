@@ -128,9 +128,13 @@ class Table:
         """A new table containing the rows where ``mask`` is true."""
         if len(mask) != self.num_rows:
             raise ConfigurationError("selection mask length mismatch")
+        rows = mask
+        if len(self._order) > 1 and getattr(mask, "dtype", None) == np.bool_:
+            # One pass over the mask, then a cheaper gather per column.
+            rows = np.flatnonzero(mask)
         return Table(
             name or f"{self.name}_sel",
-            [Column(c.name, c.data[mask]) for c in self._columns.values()],
+            [Column(c.name, c.data[rows]) for c in self._columns.values()],
             sim_scale=self.sim_scale,
         )
 

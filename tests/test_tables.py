@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.tables import (
@@ -78,6 +80,57 @@ class TestTable:
     def test_non_1d_column_rejected(self):
         with pytest.raises(ConfigurationError):
             Column("m", np.zeros((2, 2)))
+
+
+_SELECT_DTYPES = (np.int32, np.int64, np.uint8, np.float64, np.bool_)
+
+
+@st.composite
+def _tables_and_masks(draw):
+    rows = draw(st.integers(0, 40))
+    dtypes = draw(st.lists(st.sampled_from(_SELECT_DTYPES), min_size=1, max_size=5))
+    columns = [
+        Column(f"c{i}", np.array(
+            draw(st.lists(st.integers(0, 255), min_size=rows, max_size=rows)),
+        ).astype(dtype))
+        for i, dtype in enumerate(dtypes)
+    ]
+    kind = draw(st.sampled_from(("random", "all-true", "all-false")))
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    else:
+        bits = [kind == "all-true"] * rows
+    scale = draw(st.sampled_from((1.0, 3.5)))
+    return Table("t", columns, sim_scale=scale), np.array(bits, dtype=bool)
+
+
+class TestSelectGather:
+    """``select`` gathers by index; it must equal masking column by column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables_and_masks())
+    def test_matches_column_by_column_masking(self, table_and_mask):
+        table, mask = table_and_mask
+        selected = table.select(mask, name="out")
+        assert selected.name == "out"
+        assert selected.sim_scale == table.sim_scale
+        assert selected.column_names == table.column_names
+        assert selected.num_rows == int(mask.sum())
+        for name in table.column_names:
+            expected = table[name][mask]
+            assert selected[name].dtype == expected.dtype
+            assert selected[name].tobytes() == expected.tobytes()
+
+    def test_integer_mask_keeps_fancy_indexing(self):
+        table = Table.from_arrays("t", a=np.arange(3), b=np.arange(3) * 10)
+        selected = table.select(np.array([2, 2, 0]))
+        assert list(selected["a"]) == [2, 2, 0]
+        assert list(selected["b"]) == [20, 20, 0]
+
+    def test_mask_length_checked_before_gathering(self):
+        table = Table.from_arrays("t", a=np.arange(4), b=np.arange(4))
+        with pytest.raises(ConfigurationError):
+            table.select(np.ones(5, dtype=bool))
 
 
 class TestJoinGenerator:
