@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.spec import ShardSpec
@@ -51,6 +51,8 @@ class HashRouter:
         ring.sort()
         self._points = [point for point, _ in ring]
         self._owners = [owner for _, owner in ring]
+        #: key -> its ring point; a key's point never changes.
+        self._key_points: Dict[str, int] = {}
 
     def route(
         self,
@@ -61,7 +63,10 @@ class HashRouter:
         """The first eligible shard clockwise of ``key``'s ring point."""
         if not eligible:
             raise ConfigurationError("no eligible shard to route to")
-        start = bisect.bisect_right(self._points, _hash64(key))
+        point = self._key_points.get(key)
+        if point is None:
+            point = self._key_points[key] = _hash64(key)
+        start = bisect.bisect_right(self._points, point)
         n = len(self._owners)
         for offset in range(n):
             owner = self._owners[(start + offset) % n]

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
 from repro.core.joins.skew import skew_gain
-from repro.core.structures.hashtable import ChainedHashTable, table_bytes_for
+from repro.core.structures.hashtable import match_first, table_bytes_for
 from repro.machine import ExecutionContext
 from repro.memory.access import AccessBatch, AccessProfile, CodeVariant, PatternKind
 from repro.tables.generator import JOIN_TUPLE_BYTES
@@ -66,8 +66,9 @@ class ParallelHashJoin(JoinAlgorithm):
         threads = ctx.threads
 
         # ---- real computation ------------------------------------------
-        table = ChainedHashTable(build["key"], build["payload"], self.load_factor)
-        build_index, hit_mask = table.probe_first(probe["key"])
+        build_index, hit_mask = match_first(
+            build["key"], probe["key"], self.load_factor
+        )
         matches = int(hit_mask.sum())
 
         # ---- cost: build phase ------------------------------------------

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
-from repro.core.structures.hashtable import ChainedHashTable, table_bytes_for
+from repro.core.structures.hashtable import match_first, table_bytes_for
 from repro.enclave.sync import LockKind, record_lock_ops
 from repro.exec.queue import TaskQueueModel
 from repro.machine import ExecutionContext
@@ -69,8 +69,7 @@ def partitioned_match(build: Table, probe: Table) -> Tuple[np.ndarray, np.ndarra
     partition keeps its rows in ascending order, and a chain walk's first
     hit is therefore the highest build row with the probe's key either way.
     """
-    table = ChainedHashTable(build["key"], build["payload"])
-    return table.probe_first(probe["key"])
+    return match_first(build["key"], probe["key"])
 
 
 class RadixJoin(JoinAlgorithm):

@@ -3,15 +3,21 @@
 The paper's join and scan implementations are bulk-synchronous: threads run
 a phase (histogram, partition, build, probe, ...) to completion, meet at a
 barrier, and continue.  :class:`ParallelExecutor` prices one phase by
-pricing each thread's access profile independently under a shared
+pricing each thread's access profile under a shared
 :class:`~repro.memory.cost_model.CostEnvironment` (threads in a phase share
 the bandwidth domains) and taking the slowest thread plus the barrier cost.
+
+Threads of one phase differ only by their core's NUMA node, and callers
+hand the same profile object to many threads (a uniform phase repeats one
+profile per thread).  The stateless cost model gives the same cycles for
+the same (profile, node), so each distinct pair is priced once and every
+thread with that pair gets the same float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.enclave.runtime import ExecutionSetting
@@ -116,10 +122,15 @@ class ParallelExecutor:
         if not thread_profiles:
             raise ExecutionError(f"phase {name!r} has no work")
         concurrency = len(thread_profiles)
+        # Keyed by id(): thread_profiles holds every profile for this call.
+        priced: Dict[Tuple[int, int], float] = {}
         per_thread = []
         for index, profile in enumerate(thread_profiles):
-            env = self.environment(index, concurrency)
-            per_thread.append(self.cost_model.profile_cycles(profile, env))
+            key = (id(profile), self.placement.node_of(index))
+            if key not in priced:
+                env = self.environment(index, concurrency)
+                priced[key] = self.cost_model.profile_cycles(profile, env)
+            per_thread.append(priced[key])
         cycles = max(per_thread)
         if barrier and self.threads > 1:
             cycles += _BARRIER_BASE_CYCLES + _BARRIER_PER_THREAD_CYCLES * self.threads

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
 from repro.core.ops.aggregate import AggFunc, AggregateResult, HashAggregate
-from repro.core.structures.hashtable import ChainedHashTable, table_bytes_for
+from repro.core.structures.hashtable import match_first, table_bytes_for
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionContext
 from repro.memory.access import (
@@ -209,8 +209,7 @@ class GraceHashJoin(JoinAlgorithm):
         # The matches come from one global table: a hash partition holds
         # every row of its keys in ascending row order, so the first chain
         # hit (the highest build row with the key) is the same either way.
-        table = ChainedHashTable(build_keys, build["payload"], self.load_factor)
-        build_index, hit_mask = table.probe_first(probe_keys)
+        build_index, hit_mask = match_first(build_keys, probe_keys, self.load_factor)
         matches = int(hit_mask.sum())
         ctx.allocate("grace-hash-table", int(logical_table_bytes))
 

@@ -19,6 +19,11 @@ when the outermost scope exits, even on an exception, so nothing outlives
 the experiment that generated it.  Scopes nest and may be shared with the
 repetition threads of :func:`repro.bench.runner.repeat_runs`; one lock
 guards all of it.
+
+Other deterministic results derived from that data may be memoized under
+the same scope: :func:`register_scoped_memo` adds a memo to the ones the
+outermost scope empties, and such a memo takes :data:`LOCK` and checks
+:func:`reuse_active` the way the generators do.
 """
 
 from __future__ import annotations
@@ -28,35 +33,47 @@ import functools
 import inspect
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Iterator
+from typing import Callable, Dict, Iterable, Iterator, Sized
 
 from repro.tables.table import Table
 
-_LOCK = threading.RLock()
+#: Guards every scoped memo and the scope depth.
+LOCK = threading.RLock()
 _depth = 0
-#: Generator name -> its LRU of (argument key -> generated value).
-_MEMOS: Dict[str, "OrderedDict[tuple, object]"] = {}
+#: Memo name -> the memo (a generator's LRU of argument key -> value, or a
+#: registered memo); each has ``clear()`` and ``len()``.
+_MEMOS: Dict[str, Sized] = {}
 
 
 @contextlib.contextmanager
 def reuse_generated_data() -> Iterator[None]:
     """Reuse generated datasets by argument until the outermost scope exits."""
     global _depth
-    with _LOCK:
+    with LOCK:
         _depth += 1
     try:
         yield
     finally:
-        with _LOCK:
+        with LOCK:
             _depth -= 1
             if not _depth:
                 for entries in _MEMOS.values():
                     entries.clear()
 
 
+def reuse_active() -> bool:
+    """Whether a :func:`reuse_generated_data` scope is open."""
+    return bool(_depth)
+
+
+def register_scoped_memo(name: str, memo: Sized) -> None:
+    """Have the outermost scope's exit call ``memo.clear()``."""
+    _MEMOS[name] = memo
+
+
 def reused_entries() -> Dict[str, int]:
-    """Generator name -> datasets its memo holds right now."""
-    with _LOCK:
+    """Memo name -> entries it holds right now."""
+    with LOCK:
         return {name: len(entries) for name, entries in _MEMOS.items()}
 
 
@@ -84,7 +101,7 @@ def reused_within_scope(
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             key = tuple((type(v), v) for v in bound.arguments.values())
-            with _LOCK:
+            with LOCK:
                 if not _depth:
                     return generate(*args, **kwargs)
                 if key in entries:

@@ -186,3 +186,94 @@ class TestParallelExecutor:
         assert env.enclave_mode
         assert env.thread_node == 1
         assert env.concurrency == 2
+
+
+class TestPhasePricedOncePerNode:
+    """Each distinct (profile, node) is priced once, bit-identically."""
+
+    @pytest.fixture
+    def executor(self, topology, cost_model):
+        # Cores 0-3 sit on node 0 and 16-19 on node 1, interleaved.
+        placement = Placement((0, 16, 1, 17, 2, 18, 3, 19), topology)
+        assert set(placement.nodes()) == {0, 1}
+        return ParallelExecutor(
+            cost_model, ExecutionSetting.sgx_data_in_enclave(), placement
+        )
+
+    @staticmethod
+    def _profile(rows, data_node=0):
+        """A scan of enclave data on ``data_node``, remote to half the threads."""
+        profile = AccessProfile()
+        profile.seq_read(
+            rows,
+            8,
+            Locality(node=data_node, in_enclave=True),
+            working_set_bytes=1e9,
+        )
+        profile.compute(rows * 0.5)
+        return profile
+
+    @staticmethod
+    def _reference(executor, profiles):
+        """Price every thread on its own, as the executor once did."""
+        return tuple(
+            executor.cost_model.profile_cycles(
+                profile, executor.environment(index, len(profiles))
+            )
+            for index, profile in enumerate(profiles)
+        )
+
+    def _calls(self, executor, monkeypatch):
+        calls = []
+        price = executor.cost_model.profile_cycles
+
+        def counting(profile, env):
+            calls.append((id(profile), env.thread_node))
+            return price(profile, env)
+
+        monkeypatch.setattr(executor.cost_model, "profile_cycles", counting)
+        return calls
+
+    def test_uniform_phase_across_nodes(self, executor, monkeypatch):
+        profile = self._profile(1e6, data_node=1)
+        expected = self._reference(executor, [profile] * executor.threads)
+        # Cross-NUMA data: the node-0 threads are slower than node 1's.
+        assert expected[0] != expected[1]
+        calls = self._calls(executor, monkeypatch)
+        result = executor.run_uniform_phase("scan", profile)
+        assert result.per_thread_cycles == expected
+        assert result.cycles == max(expected) + 200.0 + 30.0 * executor.threads
+        assert sorted(calls) == sorted({(id(profile), 0), (id(profile), 1)})
+
+    def test_distinct_profiles(self, executor, monkeypatch):
+        profiles = [
+            self._profile(1e5 * (index + 1), data_node=index % 2)
+            for index in range(executor.threads)
+        ]
+        expected = self._reference(executor, profiles)
+        calls = self._calls(executor, monkeypatch)
+        result = executor.run_phase("mixed", profiles)
+        assert result.per_thread_cycles == expected
+        assert len(calls) == executor.threads == len(set(calls))
+
+    def test_repeated_profile_on_fewer_threads(self, executor, monkeypatch):
+        profile = self._profile(5e5)
+        active = 3
+        expected = self._reference(executor, [profile] * active)
+        calls = self._calls(executor, monkeypatch)
+        result = executor.run_phase("crack", [profile] * active)
+        assert result.per_thread_cycles == expected
+        assert result.threads == active
+        assert sorted(calls) == [(id(profile), 0), (id(profile), 1)]
+
+    def test_equal_but_distinct_profiles_priced_separately(
+        self, executor, monkeypatch
+    ):
+        first, second = self._profile(2e5), self._profile(2e5)
+        profiles = [first, second, first, second]
+        expected = self._reference(executor, profiles)
+        calls = self._calls(executor, monkeypatch)
+        result = executor.run_phase("pair", profiles)
+        assert result.per_thread_cycles == expected
+        # Threads 0 and 2 are on node 0, threads 1 and 3 on node 1.
+        assert calls == [(id(first), 0), (id(second), 1)]
