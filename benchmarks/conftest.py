@@ -23,8 +23,6 @@ SCOREBOARD = RESULTS_DIR / "BENCH_planner.json"
 
 CLUSTER_SCOREBOARD = RESULTS_DIR / "BENCH_cluster.json"
 
-ENGINE_SCOREBOARD = RESULTS_DIR / "BENCH_engine.json"
-
 STORAGE_SCOREBOARD = RESULTS_DIR / "BENCH_storage.json"
 
 BACKENDS_SCOREBOARD = RESULTS_DIR / "BENCH_backends.json"
@@ -220,26 +218,3 @@ def rewrite_scoreboard(results_dir):
 
     return _update
 
-
-@pytest.fixture
-def engine_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_engine.json``, the engine's wall-clock speed.
-
-    Same contract as the other scoreboards, but the metrics are about the
-    harness itself: ``simulated_qps`` (simulated completed queries per
-    wall-clock second), ``wall_s``, ``queries``, and ``speedup_vs_cold``.
-    CI regresses fresh numbers against the committed file.
-    """
-
-    def _update(experiment_id: str, entries):
-        existing = []
-        if ENGINE_SCOREBOARD.exists():
-            existing = json.loads(ENGINE_SCOREBOARD.read_text())
-        kept = [e for e in existing if e["experiment"] != experiment_id]
-        merged = sorted(
-            kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
-        )
-        ENGINE_SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
-        return merged
-
-    return _update

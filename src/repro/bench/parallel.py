@@ -19,29 +19,32 @@ in request order.  Three properties hold by construction:
 * **Observability** — the session tracer counts ``bench.cache.hits`` /
   ``bench.cache.misses`` (one ``bench.cache.hit``/``.miss`` event per
   experiment), ``bench.memo.hits`` / ``bench.memo.misses`` (per-query
-  profile-memo traffic, summed across workers), and gauges per-worker
-  wall seconds (``bench.worker.wall_s.<id>``, the simulation) and, for
-  traced runs, trace-export seconds (``bench.worker.export_s.<id>``).
-  This is the only non-deterministic output (wall clock,
-  cache state), which is why it lives in a separate ``_session`` trace,
-  never in the per-experiment files the byte-identity guarantee covers.
+  profile-memo traffic) and ``bench.reuse.hits`` / ``bench.reuse.misses``
+  (experiment-memo traffic), both summed across workers, and gauges
+  per-worker wall seconds (``bench.worker.wall_s.<id>``, the simulation)
+  and, for traced runs, trace-export seconds
+  (``bench.worker.export_s.<id>``).  This is the only non-deterministic
+  output (wall clock, cache state), which is why it lives in a separate
+  ``_session`` trace, never in the per-experiment files the byte-identity
+  guarantee covers.
 
-Below the experiment cache, the **per-query profile memo**
-(:mod:`repro.cache.profile`) memoizes individual pricing runs.  It is on
-by default (``memo=False`` disables it for a session); with a ``--cache``
-directory the memo gains a disk tier under ``<cache-dir>/profiles`` that
-spawned workers and later sessions share, so even a cold experiment cache
-reuses every previously priced profile.
+Below the experiment cache sit the memos of :mod:`repro.reuse`: the
+per-query profile memo and the experiment-scoped memos of generated data
+and join matches.  They are on by default, and ``memo=False`` turns every
+one of them off for a session; with a ``--cache`` directory the profile
+memo gains a disk tier under ``<cache-dir>/profiles`` that spawned
+workers and later sessions share, so even a cold experiment cache reuses
+every previously priced profile.
 """
 
 from __future__ import annotations
 
-import contextlib
 import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import reuse
 from repro.bench.registry import get_experiment, run_experiment
 from repro.bench.report import ExperimentReport
 from repro.bench.runner import DEFAULT_BASE_SEED, use_repetition_jobs
@@ -53,9 +56,9 @@ from repro.trace import Tracer
 
 #: Worker payload: (experiment_id, quick, base_seed, traced,
 #: repetition_jobs, run, memo_enabled, memo_dir).  The run config and the
-#: memo switches ride into spawned workers as pickled values — spawn
-#: inherits no ambient ``use_run_config``/``use_profile_memo`` state, so
-#: the explicit slots are the only channel.
+#: memo switch ride into spawned workers as pickled values — spawn
+#: inherits no ambient ``use_run_config``/``use_memos`` state, so the
+#: explicit slots are the only channel.
 _Task = Tuple[str, bool, int, bool, int, RunConfig, bool, Optional[str]]
 
 
@@ -154,40 +157,22 @@ def _execute(
     return payload
 
 
-def _memo_scope(enabled: bool, memo_dir: Optional[str]):
-    """The profile-memo context one task runs under.
-
-    ``enabled=False`` installs the disabled sentinel (the ``--no-memo``
-    path); an explicit directory installs a disk-backed tier (shared by
-    every worker and every later session over the same ``--cache`` dir);
-    otherwise the ambient process-global memo is left in place.
-    """
-    from repro.cache import ProfileMemo, use_profile_memo
-
-    if not enabled:
-        return use_profile_memo(None)
-    if memo_dir is not None:
-        return use_profile_memo(ProfileMemo(memo_dir))
-    return contextlib.nullcontext()
-
-
 def _executed_with_memo_stats(
     experiment_id: str, memo_enabled: bool, memo_dir: Optional[str], **kwargs
 ) -> Dict:
-    """Run one experiment inside a memo scope; stats ride on the payload.
+    """Run one experiment under the session's memo switch; traffic rides
+    on the payload.
 
-    The hit/miss *delta* is recorded (pool workers are reused across
-    tasks, and the ambient memo outlives the session), so summing the
-    payload stats across tasks never double-counts.
+    The traffic *delta* is recorded (pool workers are reused across tasks,
+    and the process memos outlive the session), so summing the payload
+    traffic across tasks never double-counts.
     """
-    from repro.cache import profile_memo
-
-    with _memo_scope(memo_enabled, memo_dir):
-        memo = profile_memo()
-        hits_before, misses_before = memo.hits, memo.misses
+    with reuse.use_memos(memo_enabled, memo_dir):
+        before = reuse.traffic()
         payload = _execute(experiment_id, **kwargs)
-        payload["memo_hits"] = memo.hits - hits_before
-        payload["memo_misses"] = memo.misses - misses_before
+        payload["memo_traffic"] = {
+            name: count - before[name] for name, count in reuse.traffic().items()
+        }
     return payload
 
 
@@ -254,10 +239,10 @@ def run_session(
     It is validated once, installed in-process, pickled into each
     worker's task, and hashed into every cache key, so serial, parallel,
     and cached-replay runs of one config stay byte-identical while
-    differently-configured runs never collide.  ``memo=False`` disables
-    the per-query profile memo for every run (the ``--no-memo`` channel);
-    memoized and unmemoized runs are byte-identical, so the flag is never
-    keyed.
+    differently-configured runs never collide.  ``memo=False`` turns
+    off every memo of :mod:`repro.reuse` for every run (the ``--no-memo``
+    channel); memoized and unmemoized runs are byte-identical, so the
+    flag is never keyed.
     """
     ids = list(experiment_ids)
     for experiment_id in ids:
@@ -397,12 +382,9 @@ def _absorb(
     export_s = payload.pop("export_s", None)
     if export_s is not None:
         session.tracer.gauge(f"bench.worker.export_s.{experiment_id}", export_s)
-    memo_hits = int(payload.pop("memo_hits", 0))
-    memo_misses = int(payload.pop("memo_misses", 0))
-    if memo_hits:
-        session.tracer.count("bench.memo.hits", memo_hits)
-    if memo_misses:
-        session.tracer.count("bench.memo.misses", memo_misses)
+    for name, count in payload.pop("memo_traffic", {}).items():
+        if count:
+            session.tracer.count(f"bench.{name}", count)
     if store is not None:
         store.put(
             keys[experiment_id],

@@ -47,8 +47,8 @@ from repro.bench.experiments import (
 from repro.bench.report import ExperimentReport
 from repro.errors import BenchmarkError
 from repro.machine import SimMachine
+from repro.reuse import experiment_scope
 from repro.runconfig import RunConfig, current_run_config, use_run_config
-from repro.tables import reuse_generated_data
 
 EXPERIMENTS: Dict[str, object] = {
     module.EXPERIMENT_ID: module
@@ -128,9 +128,10 @@ def run_experiment(
     unaffected.  Default fields leave every code path byte-identical to a
     build without that subsystem.
 
-    The run is one :func:`~repro.tables.reuse_generated_data` scope: cells
-    that ask for the same seeded dataset share one read-only copy, and the
-    memo is emptied when the run returns or raises.
+    The run is one :func:`~repro.reuse.experiment_scope`: cells that ask
+    for the same seeded dataset or join matches share one read-only copy,
+    and the memos are emptied when the run returns or raises.  With memos
+    off (``--no-memo``) no scope opens and every cell computes afresh.
     """
     module = get_experiment(experiment_id)
     from repro.bench.runner import use_base_seed
@@ -139,7 +140,7 @@ def run_experiment(
     with (
         use_base_seed(base_seed),
         use_run_config(run.validate()),
-        reuse_generated_data(),
+        experiment_scope(),
     ):
         if tracer is None:
             return module.run(machine, quick=quick)

@@ -76,9 +76,9 @@ def build_report(
     combination.  ``run`` applies a session
     :class:`~repro.runconfig.RunConfig` to every run (the ``--faults``,
     ``--planner``, ``--cluster``, ``--storage``, ``--backend`` and
-    ``--rewrite`` flags); ``memo=False`` disables the per-query profile
-    memo (the ``--no-memo`` channel) — output bytes are identical either
-    way, only wall-clock changes.
+    ``--rewrite`` flags); ``memo=False`` turns off every memo of
+    :mod:`repro.reuse` (the ``--no-memo`` channel) — output bytes are
+    identical either way, only wall-clock changes.
     """
     ids: List[str] = sorted(experiment_ids or EXPERIMENTS)
     for experiment_id in ids:

@@ -106,10 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-memo",
         action="store_true",
         help=(
-            "disable the per-query profile memo (every template/candidate "
-            "is re-priced through the real operators on each use; results "
-            "are byte-identical either way, only slower — the engine "
-            "benchmark's cold arm)"
+            "turn off every memo: the per-query profile memo (every "
+            "template/candidate is re-priced through the real operators on "
+            "each use) and the per-experiment reuse of generated data and "
+            "join matches; results are byte-identical either way, only "
+            "slower"
         ),
     )
     parser.add_argument(

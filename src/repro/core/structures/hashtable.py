@@ -10,22 +10,21 @@ The multiplicative hash is Knuth's: ``(key * 2654435761) >> shift`` masked
 to the bucket count, matching the radix-style hashing of the paper's code.
 
 The joins take their matches from :func:`match_first`.  Inside a
-:func:`~repro.tables.reuse.reuse_generated_data` scope it computes the
-matches of each (build keys, probe keys, load factor) once: an experiment
-joins the same generated keys in several settings and sizes, and matching
-does not depend on either.
+:func:`~repro.reuse.experiment_scope` it computes the matches of each
+(build keys, probe keys, load factor) once: an experiment joins the same
+generated keys in several settings and sizes, and matching does not
+depend on either.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tables.reuse import LOCK, register_scoped_memo, reuse_active
+from repro.reuse import ScopedLRU
 
 _KNUTH_MULTIPLIER = np.uint64(2654435761)
 
@@ -181,26 +180,7 @@ class ChainedHashTable:
 #: quick seeds still hits at the next build size.
 MATCH_MEMO_BYTES = 6 << 20
 _MATCH_BYTES_PER_PROBE_ROW = 9
-
-
-class _MatchMemo(OrderedDict):
-    """LRU of key -> (build_index, hit_mask), bounded by the bytes it holds."""
-
-    nbytes = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
-
-    def make_room(self, nbytes: int) -> None:
-        """Evict LRU entries until ``nbytes`` more fit the bound."""
-        while self.nbytes + nbytes > MATCH_MEMO_BYTES:
-            _, (build_index, hit_mask) = self.popitem(last=False)
-            self.nbytes -= build_index.nbytes + hit_mask.nbytes
-
-
-_MATCHES = _MatchMemo()
-register_scoped_memo("match_first", _MATCHES)
+_MATCHES = ScopedLRU("match_first", MATCH_MEMO_BYTES, arrays=lambda matches: matches)
 
 
 def _fingerprint(keys: np.ndarray) -> tuple:
@@ -219,25 +199,16 @@ def match_first(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``ChainedHashTable(build_keys, ..., load_factor).probe_first(probe_keys)``.
 
-    Outside a reuse scope every call builds and probes a fresh table, and
-    so does a call whose matches would not fit :data:`MATCH_MEMO_BYTES`.
+    Outside an experiment scope every call builds and probes a fresh
+    table, and so does a call whose matches would not fit
+    :data:`MATCH_MEMO_BYTES`.
     Otherwise a call whose keys equal an earlier call's in dtype, length
     and every byte returns that call's arrays, which are read-only.
     """
     size = len(probe_keys) * _MATCH_BYTES_PER_PROBE_ROW
-    if not reuse_active() or size > MATCH_MEMO_BYTES:
+    if not _MATCHES.keeps(size):
         return _match(build_keys, probe_keys, load_factor)
     key = (load_factor, _fingerprint(build_keys), _fingerprint(probe_keys))
-    with LOCK:
-        if not reuse_active():
-            return _match(build_keys, probe_keys, load_factor)
-        if key in _MATCHES:
-            _MATCHES.move_to_end(key)
-            return _MATCHES[key]
-        _MATCHES.make_room(size)
-        matches = _match(build_keys, probe_keys, load_factor)
-        for array in matches:
-            array.flags.writeable = False
-        _MATCHES[key] = matches
-        _MATCHES.nbytes += size
-        return matches
+    return _MATCHES.get_or_make(
+        key, lambda: _match(build_keys, probe_keys, load_factor), size
+    )

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.cache.keys import query_profile_key
-from repro.cache.profile import profile_memo
 from repro.core.scans.predicate import RangePredicate
 from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
 from repro.planner.candidates import PlanCandidate, build_join
+from repro.reuse import profiled
 from repro.tables import generate_join_relation_pair, generate_tpch
 from repro.tables.table import Column
 from repro.trace import NullTracer, use_tracer
@@ -105,8 +106,8 @@ def estimate_candidate(
     Deterministic, silent (no trace records leak into the caller's
     tracer), and side-effect free: every call uses a throwaway machine
     built from ``machine``'s spec and calibration.  Estimates are
-    memoized through the ambient :func:`~repro.cache.profile_memo`
-    (keyed on template, candidate, setting, stand-in caps, seed, and
+    memoized in the session profile memo (:func:`~repro.reuse.profiled`,
+    keyed on template, candidate, setting, stand-in caps, seed, and
     calibration digest), so a clustered run that builds one planner per
     shard enumerates the operator formulas once, not once per shard.
 
@@ -115,11 +116,8 @@ def estimate_candidate(
     traffic against the storage budget, which is where the in-EPC vs
     spill crossover comes from.
     """
-    sim = SimMachine(machine.spec, machine.params)
-    memo = profile_memo()
-    key = ""
-    if memo.enabled:
-        key = query_profile_key(
+    estimate = profiled(
+        lambda: query_profile_key(
             kind="plan-estimate",
             template=template,
             setting=setting,
@@ -130,16 +128,30 @@ def estimate_candidate(
             params=machine.params,
             spec=machine.spec,
             storage=storage if candidate.spill else None,
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return CandidateEstimate(
-                candidate=candidate,
-                cycles=float(hit["cycles"]),
-                seconds=float(hit["seconds"]),
-                working_set_bytes=int(hit["working_set_bytes"]),
-                sizing_cycles=float(hit["sizing_cycles"]),
-            )
+        ),
+        lambda: _run_estimate(
+            machine, setting, template, candidate, pricing_seed, storage
+        ),
+    )
+    return CandidateEstimate(
+        candidate=candidate,
+        cycles=float(estimate["cycles"]),
+        seconds=float(estimate["seconds"]),
+        working_set_bytes=int(estimate["working_set_bytes"]),
+        sizing_cycles=float(estimate["sizing_cycles"]),
+    )
+
+
+def _run_estimate(
+    machine: SimMachine,
+    setting: ExecutionSetting,
+    template,
+    candidate: PlanCandidate,
+    pricing_seed: int,
+    storage,
+) -> Dict[str, float]:
+    """Execute one silent pricing run of ``candidate`` on a throwaway machine."""
+    sim = SimMachine(machine.spec, machine.params)
     kind = template.kind.value
     store = None
     budget = None
@@ -212,20 +224,9 @@ def estimate_candidate(
     if setting.enclave_mode:
         sizing = sizing_cycles(sim.params, candidate, working_set)
     total = cycles + sizing
-    if memo.enabled:
-        memo.put(
-            key,
-            {
-                "cycles": float(total),
-                "seconds": float(total / sim.frequency_hz),
-                "working_set_bytes": int(working_set),
-                "sizing_cycles": float(sizing),
-            },
-        )
-    return CandidateEstimate(
-        candidate=candidate,
-        cycles=total,
-        seconds=total / sim.frequency_hz,
-        working_set_bytes=working_set,
-        sizing_cycles=sizing,
-    )
+    return {
+        "cycles": float(total),
+        "seconds": float(total / sim.frequency_hz),
+        "working_set_bytes": int(working_set),
+        "sizing_cycles": float(sizing),
+    }

@@ -33,7 +33,6 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.cache.keys import query_profile_key
-from repro.cache.profile import profile_memo
 from repro.core.queries.executor import QueryExecutor
 from repro.errors import ConfigurationError
 from repro.core.queries.plan import FilterStep, JoinStep, QueryPlan
@@ -51,6 +50,7 @@ from repro.planner.stats import (
     estimate_plan_cardinalities,
     tpch_base_rows,
 )
+from repro.reuse import profiled
 from repro.rewrite.candidates import (
     RewriteCandidate,
     base_tables,
@@ -200,11 +200,8 @@ def estimate_rewrite(
     tables, and honours the candidate's pipelining flag.
     """
     physical = static_physical(template, rewrite)
-    sim = SimMachine(machine.spec, machine.params)
-    memo = profile_memo()
-    key = ""
-    if memo.enabled:
-        key = query_profile_key(
+    estimate = profiled(
+        lambda: query_profile_key(
             kind="rewrite-estimate",
             template=template,
             setting=setting,
@@ -217,17 +214,31 @@ def estimate_rewrite(
             sf_cap=PRICING_SF_CAP,
             params=machine.params,
             spec=machine.spec,
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return RewriteEstimate(
-                candidate=rewrite,
-                physical=physical,
-                cycles=float(hit["cycles"]),
-                seconds=float(hit["seconds"]),
-                working_set_bytes=int(hit["working_set_bytes"]),
-                proxy_bytes=float(hit["proxy_bytes"]),
-            )
+        ),
+        lambda: _run_rewrite_estimate(
+            machine, setting, template, rewrite, physical, pricing_seed
+        ),
+    )
+    return RewriteEstimate(
+        candidate=rewrite,
+        physical=physical,
+        cycles=float(estimate["cycles"]),
+        seconds=float(estimate["seconds"]),
+        working_set_bytes=int(estimate["working_set_bytes"]),
+        proxy_bytes=float(estimate["proxy_bytes"]),
+    )
+
+
+def _run_rewrite_estimate(
+    machine: SimMachine,
+    setting,
+    template,
+    rewrite: RewriteCandidate,
+    physical: PlanCandidate,
+    pricing_seed: int,
+) -> Dict[str, float]:
+    """Execute ``rewrite``'s plan once, silently, on a throwaway machine."""
+    sim = SimMachine(machine.spec, machine.params)
     plan = rewrite.plan()
     data = generate_tpch(
         template.scale_factor, seed=pricing_seed, physical_sf_cap=PRICING_SF_CAP
@@ -256,25 +267,14 @@ def estimate_rewrite(
     if setting.enclave_mode:
         sizing = sizing_cycles(sim.params, physical, working_set)
     total = cycles + sizing
-    proxy = proxy_cost_bytes(plan, template.query, template.scale_factor)
-    if memo.enabled:
-        memo.put(
-            key,
-            {
-                "cycles": float(total),
-                "seconds": float(total / sim.frequency_hz),
-                "working_set_bytes": int(working_set),
-                "proxy_bytes": float(proxy),
-            },
-        )
-    return RewriteEstimate(
-        candidate=rewrite,
-        physical=physical,
-        cycles=total,
-        seconds=total / sim.frequency_hz,
-        working_set_bytes=working_set,
-        proxy_bytes=proxy,
-    )
+    return {
+        "cycles": float(total),
+        "seconds": float(total / sim.frequency_hz),
+        "working_set_bytes": int(working_set),
+        "proxy_bytes": float(
+            proxy_cost_bytes(plan, template.query, template.scale_factor)
+        ),
+    }
 
 
 def plan_rewrites(

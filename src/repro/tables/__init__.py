@@ -7,7 +7,6 @@ from repro.tables.generator import (
     generate_key_value_table,
     rows_for_bytes,
 )
-from repro.tables.reuse import reuse_generated_data
 from repro.tables.tpch import TpchData, generate_tpch
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "rows_for_bytes",
     "TpchData",
     "generate_tpch",
-    "reuse_generated_data",
 ]

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tables.reuse import reused_within_scope
+from repro.reuse import reused_within_scope
 from repro.tables.table import Column, Table
 
 #: 32-bit key + 32-bit payload, as in the paper (Sec. 4, "Join data").
@@ -24,8 +24,8 @@ JOIN_TUPLE_BYTES = 8
 #: ``sim_scale`` to keep wall-clock benchmark time reasonable.
 DEFAULT_PHYSICAL_ROW_CAP = 2_000_000
 
-#: Join pairs a reuse scope keeps: fig04 prices plain, then SGX, on the
-#: same seed back to back.
+#: Join pairs an experiment scope keeps: fig04 prices plain, then SGX, on
+#: the same seed back to back.
 REUSED_PAIRS = 1
 
 
@@ -78,7 +78,7 @@ def generate_join_relation_pair(
     key references some build key uniformly at random, so every probe row
     finds exactly one match.  Keys and payloads are int32 columns, so
     both relations report the paper's 8-byte logical tuples.  Inside a
-    :func:`~repro.tables.reuse.reuse_generated_data` scope a repeated
+    :func:`~repro.reuse.experiment_scope` a repeated
     call returns the same, read-only pair.
     """
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tables.reuse import reused_within_scope
+from repro.reuse import reused_within_scope
 from repro.tables.table import Column, Table
 
 #: TPC-H dates span 1992-01-01 .. 1998-12-31; encoded as days since epoch.
@@ -49,8 +49,8 @@ CONTAINER_COUNT = 40
 #: Default physical cap: lineitem stays below ~1.2 M rows.
 DEFAULT_PHYSICAL_SF_CAP = 0.2
 
-#: Datasets a reuse scope keeps: fig17 and ext05 loop query -> case -> seed
-#: over the three quick seeds.
+#: Datasets an experiment scope keeps: fig17 and ext05 loop query -> case
+#: -> seed over the three quick seeds.
 REUSED_DATASETS = 3
 
 
@@ -122,7 +122,7 @@ def generate_tpch(
     When ``scale_factor`` exceeds ``physical_sf_cap``, data is generated at
     the cap and the tables carry the ratio in ``sim_scale`` so the cost
     model prices the full logical size.  Inside a
-    :func:`~repro.tables.reuse.reuse_generated_data` scope a repeated
+    :func:`~repro.reuse.experiment_scope` a repeated
     call returns the same, read-only dataset.
     """
     if scale_factor <= 0:

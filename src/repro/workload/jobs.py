@@ -26,7 +26,6 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.cache.keys import query_profile_key
-from repro.cache.profile import profile_memo
 from repro.core.queries.executor import QueryExecutor
 from repro.core.queries.tpch_queries import TPCH_QUERIES
 from repro.core.scans.predicate import RangePredicate
@@ -41,6 +40,7 @@ from repro.planner.candidates import (
     build_join,
     static_candidate,
 )
+from repro.reuse import profiled
 from repro.runconfig import current_run_config
 from repro.tables import generate_join_relation_pair, generate_tpch
 from repro.tables.table import Column
@@ -303,8 +303,8 @@ class JobCatalog:
 
         Pricing is *silent* (it runs under a ``NullTracer``): a pricing
         run is catalog bookkeeping, not measured serving work, and it is
-        memoized through the ambient :func:`~repro.cache.profile_memo` —
-        trace bytes therefore cannot depend on whether the operators
+        memoized in the session profile memo (:func:`~repro.reuse.profiled`)
+        — trace bytes therefore cannot depend on whether the operators
         actually ran or the memo answered.
         """
         if candidate is None:
@@ -317,11 +317,9 @@ class JobCatalog:
                     f"spill candidate {candidate.label()!r} cannot be "
                     "priced without a storage budget (--storage)"
                 )
-        memo = profile_memo()
-        key = ""
-        if memo.enabled:
-            proto = self._machine
-            key = query_profile_key(
+        proto = self._machine
+        priced = profiled(
+            lambda: query_profile_key(
                 kind="catalog-price",
                 template=template,
                 setting=setting,
@@ -332,14 +330,23 @@ class JobCatalog:
                 params=proto.params if proto is not None else None,
                 spec=proto.spec if proto is not None else None,
                 storage=storage,
-            )
-            hit = memo.get(key)
-            if hit is not None:
-                footprint = hit["footprint"]
-                return (
-                    float(hit["seconds"]),
-                    int(footprint) if footprint is not None else None,
-                )
+            ),
+            lambda: self._run_pricing(template, setting, candidate, storage),
+        )
+        footprint = priced["footprint"]
+        return (
+            float(priced["seconds"]),
+            int(footprint) if footprint is not None else None,
+        )
+
+    def _run_pricing(
+        self,
+        template: JobTemplate,
+        setting: ExecutionSetting,
+        candidate: PlanCandidate,
+        storage,
+    ) -> Dict[str, Optional[float]]:
+        """Execute one pricing run; its seconds and EPC footprint."""
         sim = self._fresh_machine()
         store = None
         budget = None
@@ -405,9 +412,7 @@ class JobCatalog:
                 footprint = int(
                     ctx.enclave.config.heap_bytes - ctx.enclave.heap_free_bytes
                 )
-        if memo.enabled:
-            memo.put(key, {"seconds": seconds, "footprint": footprint})
-        return seconds, footprint
+        return {"seconds": seconds, "footprint": footprint}
 
 
 def serving_templates() -> Dict[str, JobTemplate]:

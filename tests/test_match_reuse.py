@@ -1,8 +1,8 @@
-"""Join matches are computed once per key pair within one experiment scope."""
+"""Join matches are computed once per key pair within one experiment scope.
 
-import sys
-import threading
-import types
+The behaviour every experiment memo shares is in ``tests/memo_contract.py``;
+this file applies it to the ``match_first`` memo and adds its own cases.
+"""
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import run_experiment
-from repro.bench.registry import EXPERIMENTS
-from repro.bench.runner import use_repetition_jobs
 from repro.core.structures import hashtable
 from repro.core.structures.hashtable import ChainedHashTable, match_first
-from repro.tables import reuse_generated_data
-from repro.tables.reuse import reused_entries
+from repro.reuse import experiment_scope
+from tests import memo_contract as contract
+from tests.memo_contract import MATCHES
 
 KEY_DTYPES = st.sampled_from([np.int32, np.int64, np.uint32, np.uint64])
 LOAD_FACTORS = st.sampled_from([0.5, 1, 2.0])
@@ -35,7 +34,7 @@ def _assert_same(actual, expected):
 
 
 def _held():
-    return reused_entries()["match_first"]
+    return len(MATCHES.memo)
 
 
 class TestEqualsTheHashTable:
@@ -46,7 +45,7 @@ class TestEqualsTheHashTable:
         probe_keys = np.array(probe, dtype=dtype)
         expected = _reference(build_keys, probe_keys, load)
         _assert_same(match_first(build_keys, probe_keys, load), expected)
-        with reuse_generated_data():
+        with experiment_scope():
             first = match_first(build_keys, probe_keys, load)
             again = match_first(build_keys.copy(), probe_keys.copy(), load)
             assert again is first
@@ -61,7 +60,7 @@ class TestEqualsTheHashTable:
             (np.array([], dtype=dtype), keys),
             (keys, np.array([100, 200, 300], dtype=dtype)),
         ]
-        with reuse_generated_data():
+        with experiment_scope():
             for build_keys, probe_keys in cases:
                 expected = _reference(build_keys, probe_keys)
                 _assert_same(match_first(build_keys, probe_keys), expected)
@@ -75,7 +74,7 @@ class TestKeyedByContent:
         narrow = np.array([1, 0, 2, 0], dtype=np.int32)
         wide = narrow.view(np.int64)  # [1, 2]: the same bytes
         probe = np.array([2], dtype=np.int64)
-        with reuse_generated_data():
+        with experiment_scope():
             _assert_same(match_first(narrow, probe), _reference(narrow, probe))
             _assert_same(match_first(wide, probe), _reference(wide, probe))
             assert _held() == 2
@@ -84,20 +83,20 @@ class TestKeyedByContent:
     def test_equal_bytes_of_different_sign_do_not_share(self, side):
         signed = np.array([-1, 7], dtype=np.int32)
         unsigned = signed.view(np.uint32)  # same length, same bytes
-        with reuse_generated_data():
+        with experiment_scope():
             for other in (signed, unsigned):
                 build, probe = (other, signed) if side == "build" else (signed, other)
                 _assert_same(match_first(build, probe), _reference(build, probe))
 
     def test_load_factor_is_part_of_the_key(self):
         keys = np.arange(64, dtype=np.int32)
-        with reuse_generated_data():
+        with experiment_scope():
             assert match_first(keys, keys, 0.5) is not match_first(keys, keys, 2.0)
 
     def test_distinct_arrays_with_equal_keys_share_an_entry(self):
         build = np.array([3, 1, 4, 1, 5], dtype=np.int32)
         probe = np.array([1, 5, 9], dtype=np.int32)
-        with reuse_generated_data():
+        with experiment_scope():
             first = match_first(build, probe)
             assert match_first(build.copy(), probe.copy()) is first
             assert _held() == 1
@@ -105,7 +104,7 @@ class TestKeyedByContent:
     def test_changed_contents_are_a_new_key(self):
         build = np.array([3, 1, 4], dtype=np.int32)
         probe = np.array([4], dtype=np.int32)
-        with reuse_generated_data():
+        with experiment_scope():
             assert match_first(build, probe)[0].tolist() == [2]
             build[2] = 0  # same array object, different keys
             assert match_first(build, probe)[0].tolist() == [-1]
@@ -113,77 +112,36 @@ class TestKeyedByContent:
 
 class TestSharing:
     def test_read_only_inside_a_scope(self):
-        keys = np.array([1, 2, 3], dtype=np.int32)
-        with reuse_generated_data():
-            build_index, hit_mask = match_first(keys, keys)
-            assert not build_index.flags.writeable
-            assert not hit_mask.flags.writeable
-            with pytest.raises(ValueError):
-                build_index[0] = 7
+        contract.check_read_only_inside_a_scope(MATCHES)
 
     def test_fresh_and_writable_outside_a_scope(self):
-        keys = np.array([1, 2, 3], dtype=np.int32)
-        with reuse_generated_data():
-            match_first(keys, keys)
-        first, second = match_first(keys, keys), match_first(keys, keys)
-        for a, b in zip(first, second):
-            assert a.flags.writeable and b.flags.writeable
-            assert not np.shares_memory(a, b)
-        first[0][0] = 7
-        assert match_first(keys, keys)[0][0] == 0
-        assert _held() == 0
+        contract.check_fresh_and_writable_outside_a_scope(MATCHES)
 
     def test_scopes_nest_and_only_the_outermost_empties(self):
-        keys = np.array([1, 2, 3], dtype=np.int32)
-        with reuse_generated_data():
-            first = match_first(keys, keys)
-            with reuse_generated_data():
-                assert match_first(keys, keys) is first
-            assert match_first(keys, keys) is first
-        assert _held() == 0
+        contract.check_scopes_nest_and_only_the_outermost_empties(MATCHES)
 
 
 class TestByteBound:
     ROWS = 100
-    ENTRY_BYTES = ROWS * (8 + 1)  # int64 build index + bool hit flag
-
-    @pytest.fixture(autouse=True)
-    def three_entries(self, monkeypatch):
-        monkeypatch.setattr(hashtable, "MATCH_MEMO_BYTES", 3 * self.ENTRY_BYTES)
 
     def _probe(self, seed):
         return np.full(self.ROWS, seed, dtype=np.int32)
 
-    def test_bytes_held_never_exceed_the_bound(self):
-        build = np.arange(10, dtype=np.int32)
-        with reuse_generated_data():
-            results = []
-            for seed in range(6):
-                results.append(match_first(build, self._probe(seed)))
-                held = hashtable._MATCHES.nbytes
-                assert held <= hashtable.MATCH_MEMO_BYTES
-                assert held == sum(
-                    a.nbytes for value in hashtable._MATCHES.values() for a in value
-                )
-            assert _held() == 3
-            # The newest entries are kept; the oldest was evicted.
-            assert match_first(build, self._probe(5)) is results[5]
-            assert match_first(build, self._probe(0)) is not results[0]
+    def test_bytes_held_never_exceed_the_bound(self, monkeypatch):
+        contract.check_bound_holds_and_keeps_the_newest(MATCHES, monkeypatch)
+        # The bound counts the bytes the kept arrays hold.
+        with experiment_scope():
+            build_index, hit_mask = MATCHES.call(0)
+            assert MATCHES.memo.held == build_index.nbytes + hit_mask.nbytes
 
-    def test_recently_used_entries_survive_eviction(self):
-        build = np.arange(10, dtype=np.int32)
-        with reuse_generated_data():
-            first = match_first(build, self._probe(0))
-            match_first(build, self._probe(1))
-            match_first(build, self._probe(2))
-            assert match_first(build, self._probe(0)) is first  # now newest
-            match_first(build, self._probe(3))  # evicts seed 1, not seed 0
-            assert match_first(build, self._probe(0)) is first
+    def test_recently_used_entries_survive_eviction(self, monkeypatch):
+        contract.check_recently_used_entries_survive_eviction(MATCHES, monkeypatch)
 
-    def test_matches_larger_than_the_bound_are_fresh_and_not_kept(self):
+    def test_matches_larger_than_the_bound_are_fresh_and_not_kept(self, monkeypatch):
+        contract.keep_a_few(MATCHES, monkeypatch)
         build = np.arange(10, dtype=np.int32)
         probe = np.arange(4 * self.ROWS, dtype=np.int32)
-        with reuse_generated_data():
+        with experiment_scope():
             match_first(build, self._probe(1))
             result = match_first(build, probe)
             _assert_same(result, _reference(build, probe))
@@ -193,54 +151,10 @@ class TestByteBound:
 
 
 class TestSharedAcrossThreads:
-    def test_threads_in_one_scope_share_one_result_per_key(self):
-        rng = np.random.default_rng(3)
-        pairs = [
-            (rng.integers(0, 500, 400).astype(np.int32),
-             rng.integers(0, 600, 800).astype(np.int32))
-            for _ in range(3)
-        ]
-        seen = [[] for _ in pairs]
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(4):
-                    for index, (build, probe) in enumerate(pairs):
-                        result = match_first(build.copy(), probe.copy())
-                        seen[index].append(result)
-                        assert _held() <= len(pairs)
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with reuse_generated_data():
-                threads = [threading.Thread(target=worker) for _ in range(6)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors
-        for (build, probe), results in zip(pairs, seen):
-            assert len(results) == 6 * 4
-            assert all(result is results[0] for result in results)
-            _assert_same(results[0], _reference(build, probe))
-        assert _held() == 0
-
-
-def _failing_experiment():
-    def run(machine=None, *, quick=True):
-        keys = np.arange(8, dtype=np.int32)
-        match_first(keys, keys)
-        assert _held() == 1
-        raise RuntimeError("boom")
-
-    return types.SimpleNamespace(run=run)
+    def test_threads_in_one_scope_share_one_result_per_key(self, monkeypatch):
+        contract.check_threads_in_one_scope_share_one_value_per_key(
+            MATCHES, monkeypatch
+        )
 
 
 class TestRunExperimentScope:
@@ -266,14 +180,9 @@ class TestRunExperimentScope:
         assert 0 < len(builds) <= len(lookups) // 4
 
     def test_memo_is_empty_after_run_experiment_raises(self, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "boom", _failing_experiment())
-        with pytest.raises(RuntimeError, match="boom"):
-            run_experiment("boom")
-        assert _held() == 0
+        contract.check_memo_is_empty_after_run_experiment_raises(
+            (MATCHES,), monkeypatch
+        )
 
     def test_repetition_threads_match_the_serial_run(self):
-        serial = run_experiment("fig04").to_csv()
-        with use_repetition_jobs(2):
-            threaded = run_experiment("fig04").to_csv()
-        assert threaded == serial
-        assert _held() == 0
+        contract.check_repetition_threads_match_the_serial_run("fig04")

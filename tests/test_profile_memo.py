@@ -14,17 +14,12 @@ import dataclasses
 import pytest
 
 from repro.bench.experiments.common import SETTING_PLAIN, SETTING_SGX_IN
-from repro.cache import (
-    DISABLED_MEMO,
-    ProfileMemo,
-    profile_memo,
-    query_profile_key,
-    use_profile_memo,
-)
+from repro.cache import MemoStore, profile_memo, query_profile_key
 from repro.hardware.calibration import paper_calibration
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
 from repro.planner.candidates import static_candidate
+from repro.reuse import profiled, use_memos
 from repro.trace import Tracer, to_jsonl, use_tracer
 from repro.workload import (
     JobCatalog,
@@ -82,30 +77,29 @@ class TestQueryProfileKey:
 
 class TestMemoScoping:
     def test_ambient_memo_is_enabled_by_default(self):
-        assert profile_memo().enabled
+        assert isinstance(profile_memo(), MemoStore)
 
     def test_none_installs_the_disabled_sentinel(self):
-        with use_profile_memo(None) as memo:
-            assert memo is DISABLED_MEMO
-            assert profile_memo() is DISABLED_MEMO
-            assert not memo.enabled
-            memo.put("k" * 8, {"x": 1})
-            assert memo.get("k" * 8) is None
-            assert memo.hits == memo.misses == 0
+        with use_memos(False) as memo:
+            assert memo is None
+            assert profile_memo() is None
+            assert profiled(lambda: "k" * 8, lambda: {"x": 1}) == {"x": 1}
 
-    def test_scopes_nest_and_restore(self):
-        outer = ProfileMemo()
-        with use_profile_memo(outer):
+    def test_scopes_nest_and_restore(self, tmp_path):
+        before = profile_memo()
+        with use_memos(directory=tmp_path) as outer:
+            assert profile_memo() is outer is not before
+            with use_memos(False):
+                assert profile_memo() is None
             assert profile_memo() is outer
-            with use_profile_memo(None):
-                assert profile_memo() is DISABLED_MEMO
-            assert profile_memo() is outer
-        assert profile_memo() is not outer
+            with use_memos():
+                assert profile_memo() is outer
+        assert profile_memo() is before
 
     def test_scope_restores_after_an_exception(self):
         before = profile_memo()
         with pytest.raises(RuntimeError):
-            with use_profile_memo(None):
+            with use_memos(False):
                 raise RuntimeError("boom")
         assert profile_memo() is before
 
@@ -114,10 +108,9 @@ class TestCatalogMemoization:
     def catalog(self, machine=None):
         return JobCatalog(machine, quick=True, variant=CodeVariant.NAIVE)
 
-    def test_fresh_catalog_hits_a_warm_memo(self):
-        memo = ProfileMemo()
+    def test_fresh_catalog_hits_a_warm_memo(self, tmp_path):
         template = TEMPLATES["scan-small"]
-        with use_profile_memo(memo):
+        with use_memos(directory=tmp_path) as memo:
             cold = self.catalog().cost(template, SETTING_SGX_IN)
             assert memo.misses > 0 and memo.hits == 0
             misses_after_cold = memo.misses
@@ -128,15 +121,14 @@ class TestCatalogMemoization:
             assert memo.misses == misses_after_cold
         assert warm == cold
 
-    def test_calibration_change_invalidates_at_query_level(self):
-        memo = ProfileMemo()
+    def test_calibration_change_invalidates_at_query_level(self, tmp_path):
         template = TEMPLATES["scan-small"]
         params = paper_calibration()
         nudged = dataclasses.replace(
             params,
             linear_write_penalty=params.linear_write_penalty * 1.5,
         )
-        with use_profile_memo(memo):
+        with use_memos(directory=tmp_path) as memo:
             self.catalog(SimMachine(params=params)).cost(
                 template, SETTING_SGX_IN
             )
@@ -155,11 +147,11 @@ class TestCatalogMemoization:
 
     def test_disk_tier_shares_profiles_across_memos(self, tmp_path):
         template = TEMPLATES["scan-small"]
-        with use_profile_memo(ProfileMemo(tmp_path / "profiles")) as first:
+        with use_memos(directory=tmp_path / "profiles") as first:
             cold = self.catalog().cost(template, SETTING_SGX_IN)
             assert first.misses > 0
         # A brand-new memo over the same directory: pure disk hits.
-        with use_profile_memo(ProfileMemo(tmp_path / "profiles")) as second:
+        with use_memos(directory=tmp_path / "profiles") as second:
             warm = self.catalog().cost(template, SETTING_SGX_IN)
             assert second.hits > 0
             assert second.misses == 0
@@ -190,11 +182,10 @@ class TestByteIdentity:
     """The memo is a wall-clock optimization ONLY: results and traces of
     memoized runs must equal the unmemoized runs byte for byte."""
 
-    def test_serving_run_identical_with_and_without_memo(self):
-        with use_profile_memo(None):
+    def test_serving_run_identical_with_and_without_memo(self, tmp_path):
+        with use_memos(False):
             bare_metrics, bare_trace = _serve()
-        memo = ProfileMemo()
-        with use_profile_memo(memo):
+        with use_memos(directory=tmp_path) as memo:
             _serve()  # priming run
             warm_metrics, warm_trace = _serve()
         assert memo.hits > 0
@@ -202,14 +193,13 @@ class TestByteIdentity:
         assert warm_metrics.records == bare_metrics.records
         assert vars(warm_metrics.counters) == vars(bare_metrics.counters)
 
-    def test_clustered_run_identical_with_and_without_memo(self):
+    def test_clustered_run_identical_with_and_without_memo(self, tmp_path):
         from repro.runconfig import RunConfig, use_run_config
 
         cluster = RunConfig(cluster="1x2")
-        with use_run_config(cluster), use_profile_memo(None):
+        with use_run_config(cluster), use_memos(False):
             bare_metrics, bare_trace = _serve()
-        memo = ProfileMemo()
-        with use_run_config(cluster), use_profile_memo(memo):
+        with use_run_config(cluster), use_memos(directory=tmp_path):
             warm_metrics, warm_trace = _serve()
         assert warm_trace == bare_trace
         assert warm_metrics.records == bare_metrics.records
@@ -218,21 +208,20 @@ class TestByteIdentity:
 class TestSessionCounters:
     """The session driver reports memo traffic in the session trace."""
 
-    def run(self, *, memo):
+    def run(self, directory, *, memo):
         from repro.bench.parallel import run_session
 
-        scope = ProfileMemo() if memo else None
-        with use_profile_memo(scope):
+        with use_memos(directory=directory):
             return run_session(["wl01"], quick=True, memo=memo)
 
-    def test_memoized_session_counts_traffic(self):
-        session = self.run(memo=True)
+    def test_memoized_session_counts_traffic(self, tmp_path):
+        session = self.run(tmp_path, memo=True)
         assert session.memo_misses > 0
         counters = session.tracer.counters
         assert counters.get("bench.memo.misses") == session.memo_misses
 
-    def test_no_memo_session_reports_zero_traffic(self):
-        session = self.run(memo=False)
+    def test_no_memo_session_reports_zero_traffic(self, tmp_path):
+        session = self.run(tmp_path, memo=False)
         assert session.memo_hits == 0
         assert session.memo_misses == 0
         assert "bench.memo.hits" not in session.tracer.counters
@@ -240,12 +229,11 @@ class TestSessionCounters:
 
     def test_memo_counters_never_enter_the_result_cache(self, tmp_path):
         from repro.bench.parallel import run_session
-        from repro.cache import MemoStore
 
         store = MemoStore(tmp_path / "cache")
-        with use_profile_memo(ProfileMemo()):
-            run_session(["wl01"], quick=True, cache=store, memo=True)
+        run_session(["wl01"], quick=True, cache=store, memo=True)
         for path in (tmp_path / "cache").glob("*.json"):
             text = path.read_text()
-            assert "memo_hits" not in text
-            assert "memo_misses" not in text
+            assert "memo_traffic" not in text
+            assert "memo.hits" not in text
+            assert "reuse.misses" not in text
