@@ -6,7 +6,8 @@ every scheduler counter, p50/p99 latency, goodput, every query and
 failure record, and the traced JSON-lines export, so any change to what
 the event loop decides, counts or emits — on the bypass lane, closed-loop
 resubmission, graceful degradation, sealed spills under storage faults,
-cluster crash/failover/elastic control, or the adaptive planner — fails
+timed-out attempts under an AEX storm, cluster crash/failover/elastic
+control, or the adaptive planner — fails
 here.  The digests were computed before the event loop's per-event
 overhead was cut; the test uses only public entry points so it runs
 unchanged against older checkouts.
@@ -28,7 +29,14 @@ from repro.cluster import (
     ShardFaultSpec,
 )
 from repro.cluster.scheduler import QUERY_ID_STRIDE
-from repro.faults import ResiliencePolicy, get_fault_plan, make_injector
+from repro.faults import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    ResiliencePolicy,
+    get_fault_plan,
+    make_injector,
+)
 from repro.hardware import paper_calibration, paper_testbed
 from repro.planner.adaptive import ArmCost, EpsilonGreedySelector
 from repro.planner.candidates import PlanCandidate
@@ -147,6 +155,22 @@ def _storage_chaos():
     ).run(open_streams=(_open(40.0),), duration_s=9.0)
 
 
+def _aex_timeout():
+    # A 6x AEX storm inflates ``big`` (0.1 s) and ``q3`` (0.05 s) past
+    # the 0.25 s timeout: attempts time out, retry, and some fail for good.
+    plan = FaultPlan(
+        name="aex-timeout",
+        seed=41,
+        specs=(FaultSpec(FaultKind.AEX_STORM, start_s=0.5, end_s=2.5,
+                         magnitude=6.0),),
+    )
+    resilience = ResiliencePolicy(max_retries=1, timeout_s=0.25,
+                                  breaker_threshold=1000, seed=5)
+    return _scheduler(
+        "fifo", injector=make_injector(plan), resilience=resilience
+    ).run(open_streams=(_open(40.0),), duration_s=3.0)
+
+
 def _cluster(failover):
     spec = paper_testbed()
     config = ClusterConfig(
@@ -225,6 +249,7 @@ RUNS = {
     "closed-loop": _solo(_closed_loop),
     "chaos-degrade": _solo(_chaos_degrade),
     "storage-chaos": _solo(_storage_chaos),
+    "aex-timeout": _solo(_aex_timeout),
     "cluster-2x4-failover": lambda: _cluster(True),
     "cluster-2x4-no-failover": lambda: _cluster(False),
     "adaptive": _solo(_adaptive),
@@ -242,6 +267,8 @@ PINNED = {
         "ff003d35d855135088ce658b09efbcdc61072d6709df472f92d7e54f29b2568b",
     "storage-chaos":
         "27c63de45d42357614b7184525b487bb6afc2f34195847a77d75d86442042ee2",
+    "aex-timeout":
+        "e7aeb6f24bc97e4bffe69aa457d953e28c0e83a0d2321bb9d60d65a1632f3858",
     "cluster-2x4-failover":
         "ede24b12bb7a57b8d46b85c74fc0507908a7b90e23b68903da3655a6e535945f",
     "cluster-2x4-no-failover":

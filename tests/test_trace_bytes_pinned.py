@@ -22,6 +22,12 @@ PINNED = {
         "trace_jsonl": "d944ca3ba7491cd99342abed2b26214072428d655e8bfabd0d06ae835ddbcbdb",
         "trace_csv": "da6d912c2e201089c70823aaac54c4a6fa1f827004d450cceb1ef3e4c37476ed",
     },
+    # Pinned before the dispatch penalty terms became stages: its
+    # spills, storage faults and shards run through every stage.
+    "wl07": {
+        "trace_jsonl": "f856be8af2cc3e5053755d56393997033d0c67bb2590ed155d46d8b6a4fe76b2",
+        "trace_csv": "e8b451e79224df68ba64b11a88bd1a8134adf735deba6374b2050ca923272a24",
+    },
 }
 
 
