@@ -19,7 +19,7 @@ records any traced run emits:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.trace.records import Event, Span
 from repro.trace.exporters import _records
@@ -31,6 +31,20 @@ ARRIVAL = "query.arrival"
 DISPATCH = "query.dispatch"
 EDMM_OVERFLOW = "query.edmm_overflow"
 FINISH = "query.finish"
+
+#: The dispatch-time service decomposition's additive terms, as
+#: ``query.dispatch`` attrs, in the order the scheduler applies them:
+#: interference on every dispatch, then the penalty stages (sealed spill,
+#: graceful degradation, EDMM overflow, AEX inflation).  A completed
+#: query's latency is its final dispatch's ``queue_wait_s`` and
+#: ``base_service_s`` plus these terms.
+DISPATCH_TERMS = (
+    "interference_s",
+    "spill_penalty_s",
+    "degraded_penalty_s",
+    "edmm_penalty_s",
+    "aex_penalty_s",
+)
 
 #: Fault/resilience event names (emitted only under an active fault plan
 #: or resilience policy — never in an un-faulted run's trace).
@@ -75,6 +89,21 @@ REWRITE_WINNER = "rewrite.winner"
 REWRITE_QERROR = "rewrite.qerror"
 
 
+def _events(source, **match: Optional[str]) -> Iterator[Event]:
+    """The events of ``source`` (a tracer or record iterable) whose attrs
+    equal every ``match`` value; a ``None`` value matches any event."""
+    wanted = [(key, value) for key, value in match.items() if value is not None]
+    for record in _records(source):
+        if not isinstance(record, Event):
+            continue
+        attrs = record.attrs
+        for key, value in wanted:
+            if attrs.get(key) != value:
+                break
+        else:
+            yield record
+
+
 @dataclass(frozen=True)
 class ServingBreakdown:
     """Where the served queries' time went, in summed seconds."""
@@ -112,16 +141,6 @@ class ServingBreakdown:
             "interference": self.interference_s / total,
         }
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "queueing_s": self.queueing_s,
-            "service_s": self.service_s,
-            "edmm_penalty_s": self.edmm_penalty_s,
-            "interference_s": self.interference_s,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-        }
-
     def describe(self) -> str:
         """One line for report notes: shares of the total attributed time."""
         shares = self.fractions()
@@ -151,13 +170,7 @@ def serving_breakdown(
     """
     queueing = service = edmm = interference = 0.0
     dispatched = completed = 0
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
-        if stream is not None and record.attrs.get("stream") != stream:
-            continue
-        if shard is not None and record.attrs.get("shard") != shard:
-            continue
+    for record in _events(source, stream=stream, shard=shard):
         if record.name == DISPATCH:
             attrs = record.attrs
             queueing += attrs.get("queue_wait_s", 0.0)
@@ -200,18 +213,6 @@ class FaultBreakdown:
     def lost_s(self) -> float:
         return self.retry_wait_s + self.wasted_service_s + self.downtime_s
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "retry_wait_s": self.retry_wait_s,
-            "wasted_service_s": self.wasted_service_s,
-            "downtime_s": self.downtime_s,
-            "retries": self.retries,
-            "failed": self.failed,
-            "shed": self.shed,
-            "breaker_openings": self.breaker_openings,
-            "degraded": self.degraded,
-        }
-
     def describe(self) -> str:
         """One line for report notes: the fault plan's induced overhead."""
         return (
@@ -234,11 +235,7 @@ def fault_breakdown(source, *, stream: Optional[str] = None) -> FaultBreakdown:
     """
     retry_wait = wasted = downtime = 0.0
     retries = failed = shed = openings = degraded = 0
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
-        if stream is not None and record.attrs.get("stream") != stream:
-            continue
+    for record in _events(source, stream=stream):
         if record.name == RETRY:
             retry_wait += record.attrs.get("delay_s", 0.0)
             retries += 1
@@ -340,12 +337,8 @@ def plan_breakdown(source, *, template: Optional[str] = None) -> PlanBreakdown:
     choices: Dict[str, Dict[str, int]] = {}
     observed: Dict[str, Dict[str, float]] = {}
     observations: Dict[str, Dict[str, int]] = {}
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
+    for record in _events(source, template=template):
         name = record.attrs.get("template")
-        if template is not None and name != template:
-            continue
         if record.name == PLANNER_CHOICE:
             mode = str(record.attrs.get("mode", mode))
             arm = str(record.attrs.get("arm", ""))
@@ -407,17 +400,6 @@ class ClusterBreakdown:
     shuffle_s: float  # summed cross-socket/-machine transfer seconds
     per_shard: Dict[str, int]  # shard label -> arrivals routed to it
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "routed": self.routed,
-            "diverted": self.diverted,
-            "failovers": self.failovers,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "shuffle_s": self.shuffle_s,
-            "per_shard": dict(self.per_shard),
-        }
-
     def describe(self) -> str:
         """One line for report notes: the routing layer's activity."""
         return (
@@ -438,9 +420,7 @@ def cluster_breakdown(source) -> ClusterBreakdown:
     routed = diverted = failovers = ups = downs = 0
     shuffle = 0.0
     per_shard: Dict[str, int] = {}
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
+    for record in _events(source):
         if record.name == ROUTE:
             routed += 1
             shuffle += record.attrs.get("shuffle_s", 0.0)
@@ -488,16 +468,6 @@ class StorageBreakdown:
         """Total priced spill seconds (seal + unseal + re-scan I/O)."""
         return self.seal_s + self.unseal_s
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "spills": self.spills,
-            "spilled_bytes": self.spilled_bytes,
-            "seal_s": self.seal_s,
-            "unseal_s": self.unseal_s,
-            "stalled": self.stalled,
-            "torn": self.torn,
-        }
-
     def describe(self) -> str:
         """One line for report notes: the spill path's priced activity."""
         return (
@@ -520,11 +490,7 @@ def storage_breakdown(
     """
     spills = stalled = torn = 0
     spilled_bytes = seal_s = unseal_s = 0.0
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
-        if shard is not None and record.attrs.get("shard") != shard:
-            continue
+    for record in _events(source, shard=shard):
         if record.name == SPILL:
             spills += 1
             spilled_bytes += record.attrs.get("spilled_bytes", 0.0)
@@ -568,17 +534,6 @@ class BackendBreakdown:
         """Total engine-in-enclave seconds across priced templates."""
         return self.init_s + self.execute_s + self.paging_s
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "gates_passed": self.gates_passed,
-            "gated_rows": self.gated_rows,
-            "priced": self.priced,
-            "plain_s": self.plain_s,
-            "init_s": self.init_s,
-            "execute_s": self.execute_s,
-            "paging_s": self.paging_s,
-        }
-
     def describe(self) -> str:
         """One line for report notes: the backend bridge's activity."""
         return (
@@ -601,11 +556,7 @@ def backend_breakdown(
     """
     gates = rows = priced = 0
     plain_s = init_s = execute_s = paging_s = 0.0
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
-        if backend is not None and record.attrs.get("backend") != backend:
-            continue
+    for record in _events(source, backend=backend):
         if record.name == BACKEND_EQUIVALENCE:
             gates += 1
             rows += int(record.attrs.get("rows", 0))
@@ -647,18 +598,6 @@ class RewriteBreakdown:
     q_error_raw: float  # worst analytic Q-error across observed steps
     q_error_corrected: float  # worst Q-error after observation feedback
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "proved": self.proved,
-            "rejected": self.rejected,
-            "proof_rows": self.proof_rows,
-            "raced": self.raced,
-            "winners": self.winners,
-            "best_speedup": self.best_speedup,
-            "q_error_raw": self.q_error_raw,
-            "q_error_corrected": self.q_error_corrected,
-        }
-
     def describe(self) -> str:
         """One line for report notes: the rewrite layer's activity."""
         return (
@@ -683,11 +622,7 @@ def rewrite_breakdown(
     proved = rejected = proof_rows = raced = winners = 0
     best_speedup = 1.0
     q_raw = q_corrected = 1.0
-    for record in _records(source):
-        if not isinstance(record, Event):
-            continue
-        if query is not None and record.attrs.get("query") != query:
-            continue
+    for record in _events(source, query=query):
         if record.name == REWRITE_PROVED:
             proved += 1
             proof_rows += int(record.attrs.get("rows", 0))

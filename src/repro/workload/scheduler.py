@@ -14,11 +14,13 @@ dispatched by an admission policy against two shared resources:
   penalty (Fig. 11 measures the collapse; we charge
   :data:`EDMM_OVERFLOW_SLOWDOWN` per overflowing byte fraction).
 
-Service times are the catalog's priced per-query times, adjusted by two
-deterministic factors frozen at dispatch: the EDMM overflow penalty and a
-mild memory-bandwidth interference term proportional to how many other
+Service times are the catalog's priced per-query times plus additive
+terms frozen at dispatch (:data:`~repro.trace.breakdown.DISPATCH_TERMS`):
+a mild memory-bandwidth interference term proportional to how many other
 cores are already busy (concurrent streams share the bandwidth domains the
-cost model otherwise prices per-phase).
+cost model otherwise prices per-phase) on every dispatch, then penalty
+stages applied in a fixed order — sealed spill, graceful degradation, EDMM
+overflow, AEX inflation — each only where this run can charge it.
 
 **Faults and resilience** (:mod:`repro.faults`): with an injector
 installed, dispatched services can be inflated by AEX storms, aborted by
@@ -67,6 +69,7 @@ from repro.trace.breakdown import (
     BREAKER_OPEN,
     DEGRADED,
     DISPATCH,
+    DISPATCH_TERMS,
     EDMM_OVERFLOW,
     FAILED,
     FAULT_AEX,
@@ -113,7 +116,7 @@ _WAKE = 1
 _ARRIVAL = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingQuery:
     """One submitted query waiting for (or holding) resources."""
 
@@ -279,6 +282,32 @@ class SchedulerLoop:
         self._selector = scheduler._selector
         self._spill = scheduler._storage
         self._shard = scheduler._shard
+        # The penalty stages, as (term, stage) in DISPATCH_TERMS order: an
+        # overflowing admission spills, or degrades (only while squeezed)
+        # or grows the enclave; a faulted run inflates every dispatch.
+        # Dispatch events carry each term this loop can charge, at zero
+        # when no stage charged it.
+        interference, spill, degraded, edmm, aex = DISPATCH_TERMS
+        resilience = self._resilience
+        inflation = ((aex, self._aex_stage),) if self._faulting else ()
+        if self._spill is not None:
+            overflow = ((spill, self._spill_stage),)
+        elif (
+            self._faulting
+            and resilience is not None
+            and resilience.degrade_on_squeeze
+        ):
+            overflow = ((degraded, self._degrade_stage), (edmm, self._edmm_stage))
+        else:
+            overflow = ((edmm, self._edmm_stage),)
+        self._stages = inflation
+        self._overflow_stages = overflow + inflation
+        self._interference_term = interference
+        zero = self._zero_terms = {edmm: 0.0}
+        if self._faulting:
+            zero[aex] = zero[degraded] = 0.0
+        if self._spill is not None:
+            zero[spill] = 0.0
         if self._tracer.enabled:
             self._emit(
                 RUN_START,
@@ -428,50 +457,24 @@ class SchedulerLoop:
 
     def reject(self, arrival: Arrival, now: float, outcome: str = "shard_down") -> None:
         """Terminally shed an arrival routed at a dead shard."""
-        self._s._cost_of(arrival.template)  # an unpriced template still raises
+        cost = self._s._cost_of(arrival.template)  # an unpriced template raises
         self._counters.arrivals += 1
         self._counters.shed += 1
-        query_id = self._next_id
-        self._next_id += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=query_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                client=arrival.client,
-                arrival_s=now,
-                failed_s=now,
-                attempts=1,
-                outcome=outcome,
-            )
+        pending = PendingQuery(
+            query_id=self._next_id,
+            stream=arrival.stream,
+            template=arrival.template,
+            client=arrival.client,
+            arrival_s=now,
+            threads=cost.threads,
+            service_s=cost.service_s,
+            working_set_bytes=cost.working_set_bytes,
         )
+        self._next_id += 1
         if self._tracer.enabled:
-            self._emit(
-                ARRIVAL,
-                time_s=now,
-                query_id=query_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                queue_depth=len(self._queue),
-            )
-            self._emit(
-                SHED,
-                time_s=now,
-                query_id=query_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                retry=False,
-            )
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=query_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                attempts=1,
-                outcome=outcome,
-                latency_s=0.0,
-            )
+            self._emit_query(ARRIVAL, now, pending, queue_depth=len(self._queue))
+            self._emit_query(SHED, now, pending, retry=False)
+        self._fail_terminally(pending, now, outcome)
 
     def fail_evicted(
         self, pending: PendingQuery, now: float, outcome: str = "shard_down"
@@ -483,29 +486,7 @@ class SchedulerLoop:
         otherwise availability would silently ignore the lost work.
         """
         self._counters.failed += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
-                failed_s=now,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-            )
-        )
-        if self._tracer.enabled:
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-                latency_s=now - pending.arrival_s,
-            )
+        self._fail_terminally(pending, now, outcome)
 
     # -- internals ---------------------------------------------------------
 
@@ -513,6 +494,21 @@ class SchedulerLoop:
         if self._shard:
             attrs["shard"] = self._shard
         self._tracer.event(name, **attrs)
+
+    def _emit_query(
+        self, name: str, now: float, pending: PendingQuery, **attrs: object
+    ) -> None:
+        """One query's event: the time, the query's identity, ``attrs``."""
+        if self._shard:
+            attrs["shard"] = self._shard
+        self._tracer.event(
+            name,
+            time_s=now,
+            query_id=pending.query_id,
+            stream=pending.stream,
+            template=pending.template,
+            **attrs,
+        )
 
     def _push(self, time_s: float, kind: int, payload: object) -> None:
         heapq.heappush(self._events, (time_s, kind, self._seq, payload))
@@ -532,6 +528,32 @@ class SchedulerLoop:
                 )
             )
 
+    def _fail_terminally(
+        self, pending: PendingQuery, now: float, outcome: str
+    ) -> None:
+        """Record a query's terminal failure (the caller counts it)."""
+        self._failures.append(
+            FailureRecord(
+                query_id=pending.query_id,
+                stream=pending.stream,
+                template=pending.template,
+                client=pending.client,
+                arrival_s=pending.arrival_s,
+                failed_s=now,
+                attempts=pending.attempt + 1,
+                outcome=outcome,
+            )
+        )
+        if self._tracer.enabled:
+            self._emit_query(
+                FAILED,
+                now,
+                pending,
+                attempts=pending.attempt + 1,
+                outcome=outcome,
+                latency_s=now - pending.arrival_s,
+            )
+
     def _fail_attempt(
         self,
         pending: PendingQuery,
@@ -546,12 +568,10 @@ class SchedulerLoop:
         resilience = self._resilience
         breaker = self._breaker
         if self._tracer.enabled:
-            self._emit(
+            self._emit_query(
                 ATTEMPT_FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
+                now,
+                pending,
                 attempt=pending.attempt,
                 outcome=outcome,
                 wasted_s=wasted_s,
@@ -579,12 +599,10 @@ class SchedulerLoop:
             )
             counters.retries += 1
             if self._tracer.enabled:
-                self._emit(
+                self._emit_query(
                     RETRY,
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
+                    now,
+                    pending,
                     attempt=pending.attempt,
                     delay_s=delay_s,
                     outcome=outcome,
@@ -595,29 +613,7 @@ class SchedulerLoop:
             counters.shed += 1
         else:
             counters.failed += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
-                failed_s=now,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-            )
-        )
-        if self._tracer.enabled:
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-                latency_s=now - pending.arrival_s,
-            )
+        self._fail_terminally(pending, now, outcome)
         self._resubmit_closed(pending, now)
 
     def _plan_query(self, pending: PendingQuery, now: float) -> None:
@@ -646,12 +642,10 @@ class SchedulerLoop:
         pending.service_s = arm.service_s
         pending.working_set_bytes = arm.working_set_bytes
         if self._tracer.enabled:
-            self._emit(
+            self._emit_query(
                 PLANNER_CHOICE,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
+                now,
+                pending,
                 attempt=pending.attempt,
                 mode=selector.mode,
                 arm=arm.label,
@@ -691,10 +685,11 @@ class SchedulerLoop:
             del queue[index]
             self._queued_threads -= pending.threads
             busy_before = scheduler._cores - self._free_cores
-            # The dispatch-time service decomposition: a frozen base
-            # service time, plus additive penalties the trace
-            # attributes separately (the breakdown reporter re-derives
-            # the paper-style split from exactly these terms).
+            # The dispatch-time service decomposition (DISPATCH_TERMS): a
+            # frozen base service time plus additive terms the trace
+            # attributes separately.  Interference applies to every
+            # dispatch; the penalty stages run in their fixed order, and
+            # only where this loop can charge them.
             interference_s = (
                 pending.service_s
                 * INTERFERENCE_FACTOR
@@ -702,169 +697,24 @@ class SchedulerLoop:
                 / scheduler._cores
             )
             service = pending.service_s + interference_s
-            edmm_penalty_s = 0.0
-            degraded_penalty_s = 0.0
-            spill_penalty_s = 0.0
             reserved_bytes = pending.working_set_bytes
-            if overflow_bytes > 0 and self._spill is not None:
-                # Sealed spill path: the overflowing share of the
-                # working set is sealed out to untrusted storage at
-                # dispatch and streamed back (unsealed + re-scanned)
-                # during service, so only the fitting share is reserved
-                # in EPC — no EDMM growth, no Fig. 11 paging collapse,
-                # just priced seal/unseal traffic.
-                if faulting and injector.torn_block(
-                    now, pending.query_id, pending.attempt
-                ):
-                    # A sealed block failed its AES-GCM tag check on
-                    # the way back in: the attempt aborts before the
-                    # query held any resources.
-                    counters.torn_blocks += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_TORN_BLOCK,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            attempt=pending.attempt,
-                            spilled_bytes=float(overflow_bytes),
-                        )
-                    self._fail_attempt(pending, now, "torn_block")
+            stages = self._overflow_stages if overflow_bytes > 0 else self._stages
+            charged = None
+            if stages:
+                charged = {}
+                abort = None
+                for term, stage in stages:
+                    penalty_s, reserved_bytes, abort = stage(
+                        pending, now, service, overflow_bytes, reserved_bytes
+                    )
+                    if abort is not None:
+                        break
+                    service += penalty_s
+                    charged[term] = penalty_s
+                if abort is not None:
+                    # The attempt died before it held any resources.
+                    self._fail_attempt(pending, now, abort)
                     continue
-                reserved_bytes = max(
-                    0,
-                    pending.working_set_bytes - overflow_bytes,
-                )
-                seal_s, unseal_s = self._spill.charge(
-                    overflow_bytes
-                )
-                stall = 1.0
-                if faulting:
-                    stall = injector.storage_stall_multiplier(now)
-                stalled = stall > 1.0
-                if stalled:
-                    seal_s *= stall
-                    unseal_s *= stall
-                    counters.storage_stalled += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_STORAGE_STALL,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            inflation=stall,
-                        )
-                spill_penalty_s = seal_s + unseal_s
-                service += spill_penalty_s
-                counters.spills += 1
-                counters.spilled_bytes += float(overflow_bytes)
-                if self._tracer.enabled:
-                    self._emit(
-                        SPILL,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
-                        spilled_bytes=float(overflow_bytes),
-                        seal_s=seal_s,
-                        unseal_s=unseal_s,
-                        stalled=stalled,
-                        penalty_s=spill_penalty_s,
-                    )
-            elif overflow_bytes > 0:
-                overflow_fraction = (
-                    overflow_bytes / pending.working_set_bytes
-                )
-                if (
-                    faulting
-                    and resilience is not None
-                    and resilience.degrade_on_squeeze
-                    and injector.squeezed(now)
-                ):
-                    # Graceful degradation: admit at a reduced EPC
-                    # reservation (only what fits the squeezed budget)
-                    # and stream the shortfall through a bounded
-                    # buffer — a mild slowdown instead of the Fig. 11
-                    # EDMM/paging collapse.
-                    reserved_bytes = max(
-                        0,
-                        pending.working_set_bytes
-                        - overflow_bytes,
-                    )
-                    degraded_penalty_s = (
-                        service
-                        * DEGRADED_SLOWDOWN
-                        * min(1.0, overflow_fraction)
-                    )
-                    service += degraded_penalty_s
-                    counters.degraded += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            DEGRADED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            reserved_bytes=reserved_bytes,
-                            shortfall_bytes=overflow_bytes,
-                            penalty_s=degraded_penalty_s,
-                        )
-                elif faulting and injector.edmm_denied(
-                    now, pending.query_id, pending.attempt
-                ):
-                    # Enclave.grow raised CapacityError: the growth
-                    # request died before the query held any resources.
-                    counters.edmm_denied += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_EDMM_DENIED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            attempt=pending.attempt,
-                            overflow_bytes=overflow_bytes,
-                        )
-                    self._fail_attempt(pending, now, "edmm_denied")
-                    continue
-                else:
-                    edmm_penalty_s = (
-                        service * EDMM_OVERFLOW_SLOWDOWN * overflow_fraction
-                    )
-                    service += edmm_penalty_s
-                    counters.edmm_admissions += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            EDMM_OVERFLOW,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            overflow_bytes=overflow_bytes,
-                            overflow_fraction=overflow_fraction,
-                            penalty_s=edmm_penalty_s,
-                        )
-            aex_penalty_s = 0.0
-            if faulting:
-                inflation = injector.service_multiplier(
-                    now, pending.query_id, pending.attempt
-                )
-                if inflation > 1.0:
-                    aex_penalty_s = service * (inflation - 1.0)
-                    service += aex_penalty_s
-                    counters.aex_inflations += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_AEX,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            inflation=inflation,
-                            penalty_s=aex_penalty_s,
-                        )
             # Freeze this attempt's fate at dispatch: poison and
             # crashes are drawn now, and the timeout caps whatever
             # service the faults produced.
@@ -901,29 +751,24 @@ class SchedulerLoop:
             self._epc_used += reserved_bytes
             self._epc_high_water = max(self._epc_high_water, self._epc_used)
             if self._tracer.enabled:
-                dispatch_attrs = dict(
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
+                attrs = dict(self._zero_terms)
+                attrs[self._interference_term] = interference_s
+                if charged:
+                    attrs.update(charged)
+                if faulting:
+                    attrs["attempt"] = pending.attempt
+                self._emit_query(
+                    DISPATCH,
+                    now,
+                    pending,
                     queue_wait_s=now - pending.arrival_s,
                     base_service_s=pending.service_s,
-                    interference_s=interference_s,
-                    edmm_penalty_s=edmm_penalty_s,
                     overflow_bytes=overflow_bytes,
                     bypassed=bypassed,
                     free_cores=self._free_cores,
                     epc_used_bytes=self._epc_used,
+                    **attrs,
                 )
-                if faulting:
-                    dispatch_attrs.update(
-                        attempt=pending.attempt,
-                        aex_penalty_s=aex_penalty_s,
-                        degraded_penalty_s=degraded_penalty_s,
-                    )
-                if self._spill is not None:
-                    dispatch_attrs.update(spill_penalty_s=spill_penalty_s)
-                self._emit(DISPATCH, **dispatch_attrs)
                 gauge = "scheduler.epc_high_water_bytes"
                 if self._shard:
                     gauge = f"{gauge}.{self._shard}"
@@ -944,6 +789,178 @@ class SchedulerLoop:
                 ),
             )
 
+    # -- penalty stages ----------------------------------------------------
+    #
+    # Each stage takes (pending, now, service_s so far, the admission's
+    # overflow bytes, the EPC reservation so far) and returns
+    # (penalty_s, reserved_bytes, abort_outcome): the seconds it adds to
+    # the service time, the reservation after it, and the outcome that
+    # aborts the attempt (None to go on).  A stage counts and traces what
+    # it does; it never touches cores, EPC or the queue.
+
+    def _spill_stage(
+        self,
+        pending: PendingQuery,
+        now: float,
+        service_s: float,
+        overflow_bytes: int,
+        reserved_bytes: int,
+    ) -> Tuple[float, int, Optional[str]]:
+        """Sealed spill: the overflowing share of the working set is
+        sealed out to untrusted storage at dispatch and streamed back
+        (unsealed + re-scanned) during service, so only the fitting share
+        is reserved in EPC — no EDMM growth, no Fig. 11 paging collapse,
+        just priced seal/unseal traffic."""
+        counters = self._counters
+        faulting = self._faulting
+        if faulting and self._injector.torn_block(
+            now, pending.query_id, pending.attempt
+        ):
+            # A sealed block failed its AES-GCM tag check on the way
+            # back in.
+            counters.torn_blocks += 1
+            if self._tracer.enabled:
+                self._emit_query(
+                    FAULT_TORN_BLOCK,
+                    now,
+                    pending,
+                    attempt=pending.attempt,
+                    spilled_bytes=float(overflow_bytes),
+                )
+            return 0.0, reserved_bytes, "torn_block"
+        seal_s, unseal_s = self._spill.charge(overflow_bytes)
+        stall = 1.0
+        if faulting:
+            stall = self._injector.storage_stall_multiplier(now)
+        stalled = stall > 1.0
+        if stalled:
+            seal_s *= stall
+            unseal_s *= stall
+            counters.storage_stalled += 1
+            if self._tracer.enabled:
+                self._emit_query(
+                    FAULT_STORAGE_STALL, now, pending, inflation=stall
+                )
+        penalty_s = seal_s + unseal_s
+        counters.spills += 1
+        counters.spilled_bytes += float(overflow_bytes)
+        if self._tracer.enabled:
+            self._emit_query(
+                SPILL,
+                now,
+                pending,
+                spilled_bytes=float(overflow_bytes),
+                seal_s=seal_s,
+                unseal_s=unseal_s,
+                stalled=stalled,
+                penalty_s=penalty_s,
+            )
+        return (
+            penalty_s,
+            max(0, pending.working_set_bytes - overflow_bytes),
+            None,
+        )
+
+    def _degrade_stage(
+        self,
+        pending: PendingQuery,
+        now: float,
+        service_s: float,
+        overflow_bytes: int,
+        reserved_bytes: int,
+    ) -> Tuple[float, int, Optional[str]]:
+        """Graceful degradation under an EPC squeeze: admit at a reduced
+        EPC reservation (only what fits the squeezed budget) and stream
+        the shortfall through a bounded buffer — a mild slowdown instead
+        of the Fig. 11 EDMM/paging collapse."""
+        if not self._injector.squeezed(now):
+            return 0.0, reserved_bytes, None
+        reserved_bytes = max(0, pending.working_set_bytes - overflow_bytes)
+        penalty_s = (
+            service_s
+            * DEGRADED_SLOWDOWN
+            * min(1.0, overflow_bytes / pending.working_set_bytes)
+        )
+        self._counters.degraded += 1
+        if self._tracer.enabled:
+            self._emit_query(
+                DEGRADED,
+                now,
+                pending,
+                reserved_bytes=reserved_bytes,
+                shortfall_bytes=overflow_bytes,
+                penalty_s=penalty_s,
+            )
+        return penalty_s, reserved_bytes, None
+
+    def _edmm_stage(
+        self,
+        pending: PendingQuery,
+        now: float,
+        service_s: float,
+        overflow_bytes: int,
+        reserved_bytes: int,
+    ) -> Tuple[float, int, Optional[str]]:
+        """EDMM overflow: the enclave grows for the overflowing share and
+        the query pays :data:`EDMM_OVERFLOW_SLOWDOWN` per overflowing
+        fraction — unless a fault denies the growth."""
+        if reserved_bytes < pending.working_set_bytes:
+            # Degradation already kept the overflow out of EPC.
+            return 0.0, reserved_bytes, None
+        if self._faulting and self._injector.edmm_denied(
+            now, pending.query_id, pending.attempt
+        ):
+            # Enclave.grow raised CapacityError.
+            self._counters.edmm_denied += 1
+            if self._tracer.enabled:
+                self._emit_query(
+                    FAULT_EDMM_DENIED,
+                    now,
+                    pending,
+                    attempt=pending.attempt,
+                    overflow_bytes=overflow_bytes,
+                )
+            return 0.0, reserved_bytes, "edmm_denied"
+        overflow_fraction = overflow_bytes / pending.working_set_bytes
+        penalty_s = service_s * EDMM_OVERFLOW_SLOWDOWN * overflow_fraction
+        self._counters.edmm_admissions += 1
+        if self._tracer.enabled:
+            self._emit_query(
+                EDMM_OVERFLOW,
+                now,
+                pending,
+                overflow_bytes=overflow_bytes,
+                overflow_fraction=overflow_fraction,
+                penalty_s=penalty_s,
+            )
+        return penalty_s, reserved_bytes, None
+
+    def _aex_stage(
+        self,
+        pending: PendingQuery,
+        now: float,
+        service_s: float,
+        overflow_bytes: int,
+        reserved_bytes: int,
+    ) -> Tuple[float, int, Optional[str]]:
+        """AEX inflation: an active storm multiplies the service so far."""
+        inflation = self._injector.service_multiplier(
+            now, pending.query_id, pending.attempt
+        )
+        if not inflation > 1.0:
+            return 0.0, reserved_bytes, None
+        penalty_s = service_s * (inflation - 1.0)
+        self._counters.aex_inflations += 1
+        if self._tracer.enabled:
+            self._emit_query(
+                FAULT_AEX,
+                now,
+                pending,
+                inflation=inflation,
+                penalty_s=penalty_s,
+            )
+        return penalty_s, reserved_bytes, None
+
     def step(self) -> None:
         """Process exactly one event (events must be pending)."""
         counters = self._counters
@@ -961,14 +978,7 @@ class SchedulerLoop:
                     pending.stream, now
                 ):
                     if self._tracer.enabled:
-                        self._emit(
-                            SHED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            retry=True,
-                        )
+                        self._emit_query(SHED, now, pending, retry=True)
                     self._fail_attempt(pending, now, "shed")
                     return
                 if selector is not None:
@@ -1004,26 +1014,12 @@ class SchedulerLoop:
             )
             self._next_id += 1
             if self._tracer.enabled:
-                self._emit(
-                    ARRIVAL,
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
-                    queue_depth=len(queue),
-                )
+                self._emit_query(ARRIVAL, now, pending, queue_depth=len(queue))
             if breaker is not None and breaker.is_open(pending.stream, now):
                 # The tenant's breaker is open: fail fast instead of
                 # burning cores on a service that is likely doomed.
                 if self._tracer.enabled:
-                    self._emit(
-                        SHED,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
-                        retry=False,
-                    )
+                    self._emit_query(SHED, now, pending, retry=False)
                 self._fail_attempt(pending, now, "shed")
                 return
             if selector is not None:
@@ -1058,12 +1054,10 @@ class SchedulerLoop:
                 if breaker is not None:
                     breaker.record_success(pending.stream)
                 if self._tracer.enabled:
-                    self._emit(
+                    self._emit_query(
                         FINISH,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
+                        now,
+                        pending,
                         latency_s=now - pending.arrival_s,
                         service_s=now - finish.start_s,
                     )
@@ -1079,12 +1073,10 @@ class SchedulerLoop:
                         now - finish.start_s,
                     )
                     if self._tracer.enabled:
-                        self._emit(
+                        self._emit_query(
                             PLANNER_OBSERVE,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
+                            now,
+                            pending,
                             arm=pending.arm,
                             service_s=now - finish.start_s,
                             latency_s=now - pending.arrival_s,
@@ -1111,12 +1103,10 @@ class SchedulerLoop:
                 if finish.crash is not None:
                     reinit_s = finish.crash.reinit_s
                     if self._tracer.enabled:
-                        self._emit(
+                        self._emit_query(
                             FAULT_CRASH,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
+                            now,
+                            pending,
                             attempt=pending.attempt,
                             at_fraction=finish.crash.fraction,
                             lost_s=wasted_s,
