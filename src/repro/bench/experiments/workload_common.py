@@ -74,9 +74,11 @@ def add_breakdown_rows(
 ) -> None:
     """Append a trace-derived time decomposition of one serving run.
 
-    The four shares (queueing / service / EDMM penalty / interference) sum
-    to 1 and come from the trace's dispatch events — the generic Fig. 6
-    style decomposition for the serving layer.
+    Four shares (queueing / service / EDMM penalty / interference) of the
+    total the trace's dispatch events attribute — the generic Fig. 6 style
+    decomposition for the serving layer.  They sum to 1 only when no spill,
+    degradation or AEX penalty was charged: those terms count in the total
+    but get no row.
     """
     shares = breakdown.fractions()
     report.add(f"{series_prefix} queueing share", x, shares["queueing"], "frac")

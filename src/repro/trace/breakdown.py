@@ -6,9 +6,10 @@ to page growth.  This module reproduces both styles generically from the
 records any traced run emits:
 
 * :func:`serving_breakdown` — aggregates the scheduler's ``query.dispatch``
-  events into **queueing vs. service vs. EDMM-penalty vs. interference**
-  seconds, the serving-layer analogue of Fig. 6 (every dispatched query's
-  time is fully attributed to exactly one of the four buckets).
+  events into **queueing vs. base service vs. each dispatch term**
+  (:data:`DISPATCH_TERMS`: interference, sealed spill, degradation, EDMM
+  and AEX penalties) seconds, the serving-layer analogue of Fig. 6: a
+  completed query's latency is exactly its final dispatch's buckets.
 * :func:`phase_breakdown` — sums operator-phase spans per phase name, the
   literal Fig. 6 decomposition for any traced operator run.
 * :func:`serving_runs` — splits a multi-run trace (e.g. one exported by
@@ -106,50 +107,58 @@ def _events(source, **match: Optional[str]) -> Iterator[Event]:
 
 @dataclass(frozen=True)
 class ServingBreakdown:
-    """Where the served queries' time went, in summed seconds."""
+    """Where the served queries' time went, in summed seconds.
+
+    Queueing, base service, and one field per :data:`DISPATCH_TERMS` term.
+    """
 
     queueing_s: float
     service_s: float
-    edmm_penalty_s: float
     interference_s: float
+    spill_penalty_s: float
+    degraded_penalty_s: float
+    edmm_penalty_s: float
+    aex_penalty_s: float
     dispatched: int
     completed: int
 
     @property
     def total_s(self) -> float:
+        # The four original buckets first, so a run without the newer
+        # terms keeps the exact floats (and report bytes) it had.
         return (
             self.queueing_s
             + self.service_s
             + self.edmm_penalty_s
             + self.interference_s
+            + self.spill_penalty_s
+            + self.degraded_penalty_s
+            + self.aex_penalty_s
         )
 
     def fractions(self) -> Dict[str, float]:
-        """Each bucket's share of the total (all zero for an empty trace)."""
+        """Each bucket's share of the total (all zero for an empty trace).
+
+        Buckets are named without the ``_s`` suffix: ``queueing``,
+        ``service``, ``interference``, ``edmm_penalty`` and so on.
+        """
         total = self.total_s
-        if total <= 0:
-            return {
-                "queueing": 0.0,
-                "service": 0.0,
-                "edmm_penalty": 0.0,
-                "interference": 0.0,
-            }
+        seconds = {"queueing": self.queueing_s, "service": self.service_s}
+        for term in DISPATCH_TERMS:
+            seconds[term[: -len("_s")]] = getattr(self, term)
         return {
-            "queueing": self.queueing_s / total,
-            "service": self.service_s / total,
-            "edmm_penalty": self.edmm_penalty_s / total,
-            "interference": self.interference_s / total,
+            bucket: value / total if total > 0 else 0.0
+            for bucket, value in seconds.items()
         }
 
     def describe(self) -> str:
         """One line for report notes: shares of the total attributed time."""
-        shares = self.fractions()
+        shares = ", ".join(
+            f"{bucket.replace('_', ' ')} {share:.0%}"
+            for bucket, share in self.fractions().items()
+        )
         return (
-            f"{self.completed} queries: "
-            f"queueing {shares['queueing']:.0%}, "
-            f"service {shares['service']:.0%}, "
-            f"EDMM penalty {shares['edmm_penalty']:.0%}, "
-            f"interference {shares['interference']:.0%} "
+            f"{self.completed} queries: {shares} "
             f"of {self.total_s:.2f} attributed seconds"
         )
 
@@ -168,25 +177,25 @@ def serving_breakdown(
     a multiplexed trace — single-enclave events carry no shard attr and
     are excluded by any shard filter).
     """
-    queueing = service = edmm = interference = 0.0
+    queueing = service = 0.0
+    terms = dict.fromkeys(DISPATCH_TERMS, 0.0)
     dispatched = completed = 0
     for record in _events(source, stream=stream, shard=shard):
         if record.name == DISPATCH:
             attrs = record.attrs
             queueing += attrs.get("queue_wait_s", 0.0)
             service += attrs.get("base_service_s", 0.0)
-            edmm += attrs.get("edmm_penalty_s", 0.0)
-            interference += attrs.get("interference_s", 0.0)
+            for term in DISPATCH_TERMS:
+                terms[term] += attrs.get(term, 0.0)
             dispatched += 1
         elif record.name == FINISH:
             completed += 1
     return ServingBreakdown(
         queueing_s=queueing,
         service_s=service,
-        edmm_penalty_s=edmm,
-        interference_s=interference,
         dispatched=dispatched,
         completed=completed,
+        **terms,
     )
 
 
