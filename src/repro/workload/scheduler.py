@@ -285,21 +285,27 @@ class SchedulerLoop:
         # The penalty stages, as (term, stage) in DISPATCH_TERMS order: an
         # overflowing admission spills, or degrades (only while squeezed)
         # or grows the enclave; a faulted run inflates every dispatch.
+        # Stages are held unbound: bound methods would make every loop a
+        # reference cycle that outlives its run until the cyclic GC.
         # Dispatch events carry each term this loop can charge, at zero
         # when no stage charged it.
         interference, spill, degraded, edmm, aex = DISPATCH_TERMS
         resilience = self._resilience
-        inflation = ((aex, self._aex_stage),) if self._faulting else ()
+        loop = SchedulerLoop
+        inflation = ((aex, loop._aex_stage),) if self._faulting else ()
         if self._spill is not None:
-            overflow = ((spill, self._spill_stage),)
+            overflow = ((spill, loop._spill_stage),)
         elif (
             self._faulting
             and resilience is not None
             and resilience.degrade_on_squeeze
         ):
-            overflow = ((degraded, self._degrade_stage), (edmm, self._edmm_stage))
+            overflow = (
+                (degraded, loop._degrade_stage),
+                (edmm, loop._edmm_stage),
+            )
         else:
-            overflow = ((edmm, self._edmm_stage),)
+            overflow = ((edmm, loop._edmm_stage),)
         self._stages = inflation
         self._overflow_stages = overflow + inflation
         self._interference_term = interference
@@ -457,7 +463,7 @@ class SchedulerLoop:
 
     def reject(self, arrival: Arrival, now: float, outcome: str = "shard_down") -> None:
         """Terminally shed an arrival routed at a dead shard."""
-        cost = self._s._cost_of(arrival.template)  # an unpriced template raises
+        cost = self._s._cost_of(arrival.template)  # raises if unpriced
         self._counters.arrivals += 1
         self._counters.shed += 1
         pending = PendingQuery(
@@ -705,7 +711,12 @@ class SchedulerLoop:
                 abort = None
                 for term, stage in stages:
                     penalty_s, reserved_bytes, abort = stage(
-                        pending, now, service, overflow_bytes, reserved_bytes
+                        self,
+                        pending,
+                        now,
+                        service,
+                        overflow_bytes,
+                        reserved_bytes,
                     )
                     if abort is not None:
                         break
@@ -1169,36 +1180,17 @@ class SchedulerLoop:
         return metrics
 
 
+@dataclass(slots=True)
 class _Finish:
     """An attempt's fate, fixed at dispatch and carried by its finish event."""
 
-    __slots__ = (
-        "query_id",
-        "start_s",
-        "overflow_bytes",
-        "bypassed",
-        "outcome",
-        "reserved_bytes",
-        "crash",
-    )
-
-    def __init__(
-        self,
-        query_id: int,
-        start_s: float,
-        overflow_bytes: int,
-        bypassed: bool,
-        outcome: str,
-        reserved_bytes: int,
-        crash: Optional[CrashDraw],
-    ) -> None:
-        self.query_id = query_id
-        self.start_s = start_s
-        self.overflow_bytes = overflow_bytes
-        self.bypassed = bypassed
-        self.outcome = outcome
-        self.reserved_bytes = reserved_bytes
-        self.crash = crash
+    query_id: int
+    start_s: float
+    overflow_bytes: int
+    bypassed: bool
+    outcome: str
+    reserved_bytes: int
+    crash: Optional[CrashDraw]
 
 
 @dataclass(frozen=True)

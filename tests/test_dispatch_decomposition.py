@@ -4,13 +4,17 @@ For each pinned serving config (one per dispatch branch), a completed
 query's ``query.finish`` latency must equal its final ``query.dispatch``'s
 queue wait plus base service plus every :data:`DISPATCH_TERMS` term, and
 :func:`serving_breakdown` must attribute exactly the dispatch events'
-summed seconds — no term dropped.
+summed seconds — no term dropped.  Holding the penalty stages must not
+keep a finished loop alive past its run.
 """
+
+import gc
 
 import pytest
 
 from repro.trace import Event, Tracer, serving_breakdown, use_tracer
 from repro.trace.breakdown import DISPATCH, DISPATCH_TERMS, FINISH
+from repro.workload.scheduler import SchedulerLoop
 from tests.test_serving_bytes_pinned import RUNS
 
 
@@ -57,3 +61,18 @@ def test_every_term_is_a_breakdown_field():
     assert set(breakdown.fractions()) == {"queueing", "service"} | {
         term[: -len("_s")] for term in DISPATCH_TERMS
     }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_served_loop_is_freed_without_the_cyclic_gc(name):
+    """A loop that references itself (say, through bound-method stages it
+    keeps) holds its records and event heap until the cyclic GC runs,
+    which raises a serving process's peak memory."""
+    gc.collect()
+    gc.disable()
+    try:
+        RUNS[name]()
+        leaked = [o for o in gc.get_objects() if isinstance(o, SchedulerLoop)]
+    finally:
+        gc.enable()
+    assert leaked == []
