@@ -124,8 +124,9 @@ class ServingBreakdown:
 
     @property
     def total_s(self) -> float:
-        # The four original buckets first, so a run without the newer
-        # terms keeps the exact floats (and report bytes) it had.
+        # This float order is load-bearing: a run that charges no spill,
+        # degradation or AEX penalty sums exactly as wl01's pinned
+        # report rows expect.
         return (
             self.queueing_s
             + self.service_s
