@@ -49,6 +49,47 @@ _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 #: ``json.dumps(value, sort_keys=True)``, without a new encoder per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
+
+def _reused_encoder():
+    """``_encode`` for ``attrs`` dicts, with one C encoder built up front.
+
+    ``JSONEncoder.encode`` builds a fresh C encoder (and a Python closure
+    chain) on every call, which is most of its cost for the small dicts of
+    trace events.  This builds the same encoder once, with ``encode``'s
+    settings.  Its circular-reference markers are cleared when an encode
+    fails, since the C encoder leaves them behind then.  Without the
+    ``_json`` accelerator, ``_encode`` itself is used.
+    """
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return _encode
+    settings = json.JSONEncoder(sort_keys=True)
+    markers: Dict[int, object] = {}
+    chunks = make_encoder(
+        markers,
+        settings.default,
+        json.encoder.encode_basestring_ascii,
+        settings.indent,
+        settings.key_separator,
+        settings.item_separator,
+        settings.sort_keys,
+        settings.skipkeys,
+        settings.allow_nan,
+    )
+
+    def encode(value) -> str:
+        try:
+            return "".join(chunks(value, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+#: ``_encode`` for one record's ``attrs`` dict.
+_encode_attrs = _reused_encoder()
+
 #: ``csv.writer`` (QUOTE_MINIMAL) writes a field free of these unquoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
 
@@ -87,11 +128,14 @@ def _csv_value(value) -> str:
 
 def _attrs(attrs) -> Optional[_Texts]:
     """``attrs``' (JSON text, CSV field) when keyed by plain strings."""
-    if type(attrs) is not dict or not all(type(key) is str for key in attrs):
+    if type(attrs) is not dict:
         return None
     if not attrs:
         return "{}", ""
-    encoded = _encode(attrs)
+    for key in attrs:
+        if type(key) is not str:
+            return None
+    encoded = _encode_attrs(attrs)
     return encoded, _csv_attrs(encoded)
 
 

@@ -20,13 +20,17 @@ the ``attrs`` mapping so exporters never need kind-specific columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, NamedTuple, Optional
 
 from repro.errors import BenchmarkError
 
 #: The trace format version written into exported headers.
 TRACE_FORMAT = 1
+
+#: The ``attrs`` of a record built without any: read-only, because the
+#: default is one object shared by every such record.
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 
 
 def _clean_attrs(attrs: Mapping[str, Any]) -> Dict[str, Any]:
@@ -34,8 +38,14 @@ def _clean_attrs(attrs: Mapping[str, Any]) -> Dict[str, Any]:
     return {str(key): value for key, value in attrs.items()}
 
 
-@dataclass(frozen=True)
-class Span:
+# The four kinds are named tuples, not frozen dataclasses: a traced
+# serving run builds hundreds of thousands of events, and a tuple is built
+# without per-field ``object.__setattr__`` calls and leaves the garbage
+# collector's tracked set once its fields are untracked.  Equality stays
+# per kind (see ``_same_kind`` below), as it was for the dataclasses.
+
+
+class Span(NamedTuple):
     """A named interval: one operator phase, one priced section."""
 
     name: str
@@ -43,7 +53,7 @@ class Span:
     start: float
     duration: float
     unit: str = "cycles"
-    attrs: Mapping[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = _NO_ATTRS
 
     kind = "span"
 
@@ -63,13 +73,12 @@ class Span:
         }
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A point occurrence, optionally stamped with simulated seconds."""
 
     name: str
     time_s: Optional[float] = None
-    attrs: Mapping[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = _NO_ATTRS
 
     kind = "event"
 
@@ -82,8 +91,7 @@ class Event:
         }
 
 
-@dataclass(frozen=True)
-class Counter:
+class Counter(NamedTuple):
     """A monotonically accumulated count, snapshotted at export time."""
 
     name: str
@@ -95,8 +103,7 @@ class Counter:
         return {"kind": self.kind, "name": self.name, "value": self.value}
 
 
-@dataclass(frozen=True)
-class Gauge:
+class Gauge(NamedTuple):
     """A last-written level value (e.g. an EPC high-water mark)."""
 
     name: str
@@ -106,6 +113,26 @@ class Gauge:
 
     def as_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "name": self.name, "value": self.value}
+
+
+def _same_kind(self, other):
+    """Tuple equality within one record kind: ``Counter("n", 1)`` is not
+    ``Gauge("n", 1)``, nor a plain tuple of the same fields."""
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _other_kind(self, other):
+    same = _same_kind(self, other)
+    return same if same is NotImplemented else not same
+
+
+# Assigned after the class bodies so each kind keeps tuple hashing.
+for _kind in (Span, Event, Counter, Gauge):
+    _kind.__eq__ = _same_kind
+    _kind.__ne__ = _other_kind
+del _kind
 
 
 def record_from_dict(payload: Mapping[str, Any]):

@@ -51,21 +51,14 @@ class Tracer:
         unit: str = "cycles",
         **attrs: Any,
     ) -> Span:
-        record = Span(
-            name=name,
-            category=category,
-            start=start,
-            duration=duration,
-            unit=unit,
-            attrs=attrs,
-        )
+        record = Span(name, category, start, duration, unit, attrs)
         self.records.append(record)
         return record
 
     def event(
         self, name: str, *, time_s: Optional[float] = None, **attrs: Any
     ) -> Event:
-        record = Event(name=name, time_s=time_s, attrs=attrs)
+        record = Event(name, time_s, attrs)
         self.records.append(record)
         return record
 
@@ -166,14 +159,7 @@ class TeeTracer:
         unit: str = "cycles",
         **attrs: Any,
     ) -> Span:
-        record = Span(
-            name=name,
-            category=category,
-            start=start,
-            duration=duration,
-            unit=unit,
-            attrs=attrs,
-        )
+        record = Span(name, category, start, duration, unit, attrs)
         for child in self.children:
             child.records.append(record)
         return record
@@ -181,7 +167,7 @@ class TeeTracer:
     def event(
         self, name: str, *, time_s: Optional[float] = None, **attrs: Any
     ) -> Event:
-        record = Event(name=name, time_s=time_s, attrs=attrs)
+        record = Event(name, time_s, attrs)
         for child in self.children:
             child.records.append(record)
         return record

@@ -76,6 +76,48 @@ class TestRecords:
             rebuilt = record_from_dict(json.loads(json.dumps(record.as_dict())))
             assert rebuilt == record
 
+    def test_dict_round_trip_each_kind(self):
+        records = [
+            Span("s", category="c", start=1.0, duration=2.0),
+            Span("s", category="c", start=1, duration=2, unit="s", attrs={"k": 1}),
+            Event("e"),
+            Event("e", time_s=0.5, attrs={"k": [1, 2]}),
+            Counter("n", 4),
+            Gauge("g", 0.25),
+        ]
+        for record in records:
+            assert record_from_dict(record.as_dict()) == record
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (Event("e", time_s=1.0), "time_s"),
+            (Event("e"), "name"),
+            (Span("s", category="c", start=0.0, duration=1.0), "duration"),
+            (Span("s", category="c", start=0.0, duration=1.0), "attrs"),
+        ],
+    )
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3.0)
+
+    def test_default_attrs_cannot_be_mutated(self):
+        with pytest.raises(TypeError):
+            Event("e").attrs["k"] = 1
+        assert Event("e").attrs == {}
+
+    def test_equality_is_per_kind(self):
+        assert Counter("n", 1) != Gauge("n", 1)
+        assert Event("e", 1.0, {}) != ("e", 1.0, {})
+        assert Event("e", 1.0, {}) == Event("e", time_s=1.0)
+        assert hash(Counter("n", 1)) == hash(Counter("n", 1))
+        assert [Counter.kind, Event.kind, Gauge.kind, Span.kind] == [
+            "counter",
+            "event",
+            "gauge",
+            "span",
+        ]
+
     def test_span_end(self):
         span = Span("x", category="c", start=10.0, duration=5.0)
         assert span.end == 15.0
@@ -196,6 +238,19 @@ class TestExporters:
     def test_malformed_jsonl_rejected(self):
         with pytest.raises(BenchmarkError):
             read_jsonl(["not json at all {"])
+
+    def test_failed_attrs_encode_leaves_the_encoder_clean(self):
+        # The attrs encoder is built once and reused; a failed encode must
+        # not leave circular-reference markers behind for the next one.
+        attrs = {"nested": {"bad": object()}}
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                to_jsonl([Event("e", time_s=1.0, attrs=attrs)])
+        attrs["nested"] = {"ok": 1}
+        assert to_jsonl([Event("e", time_s=1.0, attrs=attrs)]) == (
+            '{"attrs": {"nested": {"ok": 1}}, "kind": "event", '
+            '"name": "e", "time_s": 1.0}\n'
+        )
 
 
 class TestDeterminism:
