@@ -15,7 +15,10 @@ in request order.  Three properties hold by construction:
   order is the request order regardless of completion order.
 * **Warm-cache replay** — a cache hit re-emits the stored report *and*
   the stored trace texts verbatim, so a fully cached rerun performs zero
-  operator re-simulations yet writes the same artifacts.
+  operator re-simulations yet writes the same artifacts.  A worker's
+  texts reach the parent inside its pickled payload, and the store
+  writes them to raw sidecar files as they are (see
+  :mod:`repro.cache.store`): nothing re-encodes or parses them.
 * **Observability** — the session tracer counts ``bench.cache.hits`` /
   ``bench.cache.misses`` (one ``bench.cache.hit``/``.miss`` event per
   experiment), ``bench.memo.hits`` / ``bench.memo.misses`` (per-query

@@ -43,7 +43,9 @@ from repro.runconfig import RunConfig
 #:    for default sessions while rewriting runs never alias them).
 #: 9: the six subsystem components folded into one normalized
 #:    :class:`~repro.runconfig.RunConfig` component.
-CACHE_FORMAT = 9
+#: 10: trace texts moved out of the JSON entry into raw ``<key>.trace.jsonl``
+#:     / ``<key>.trace.csv`` sidecar files (see :mod:`repro.cache.store`).
+CACHE_FORMAT = 10
 
 
 def canonical(value: Any) -> Any:

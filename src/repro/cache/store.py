@@ -4,13 +4,19 @@ Values are JSON-safe dicts (costed reports, access-profile summaries,
 exported trace texts) addressed by the content hashes of
 :mod:`repro.cache.keys`.  The LRU bounds resident memory; the disk tier —
 one ``<key>.json`` file per entry under the cache directory — persists
-across processes and survives restarts.  Disk writes are atomic (write to
-a temp file, then rename), so a crashed run never leaves a half-written
-entry behind; an unreadable entry is treated as a miss, never an error.
-The disk tier is bounded too: at most ``disk_entries`` files are kept
-(default :data:`DEFAULT_DISK_ENTRIES`), evicting oldest-first by
-modification time so a long-lived shared cache directory cannot grow
-without limit across sessions.
+across processes and survives restarts.  Trace texts (the value fields
+named in :data:`SIDECARS`) are not JSON-escaped into that file: each is
+written raw, as UTF-8 bytes, to a ``<key>.trace.jsonl`` /
+``<key>.trace.csv`` sidecar, and the entry records each sidecar's name and
+byte length under ``"sidecars"``.  Disk writes are atomic (write to a temp
+file, then rename) and the sidecars are written before their entry, so a
+crashed run never leaves a half-written entry behind; an unreadable entry,
+or one whose sidecar is missing or has the wrong length, is treated as a
+miss, never an error.  The disk tier is bounded too: at most
+``disk_entries`` entries are kept (default :data:`DEFAULT_DISK_ENTRIES`),
+evicting oldest-first by modification time, each with its sidecars, so a
+long-lived shared cache directory cannot grow without limit across
+sessions.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ DEFAULT_MEMORY_ENTRIES = 64
 #: MB, far more than any one session touches, while still bounding a
 #: months-old shared cache directory.
 DEFAULT_DISK_ENTRIES = 4096
+
+#: Value fields stored as raw sidecar files, by file-name suffix.  A field
+#: is moved to its sidecar only when it holds a string.
+SIDECARS = {"trace_jsonl": "trace.jsonl", "trace_csv": "trace.csv"}
+
+#: The entry field recording each sidecar's file name and byte length.
+SIDECAR_FIELD = "sidecars"
 
 
 class MemoStore:
@@ -78,6 +91,9 @@ class MemoStore:
             raise CacheError(f"malformed cache key {key!r}")
         return self.directory / f"{key}.json"
 
+    def _sidecar_path(self, key: str, field: str) -> pathlib.Path:
+        return self.directory / f"{key}.{SIDECARS[field]}"
+
     # -- access ----------------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -89,8 +105,8 @@ class MemoStore:
         path = self.path_for(key)
         if path is not None and path.exists():
             try:
-                value = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                value = self._load(key, path)
+            except (OSError, ValueError, LookupError, CacheError) as exc:
                 # A torn or corrupt entry must never poison a run: degrade
                 # to a miss and recompute — but leave an audit trail, or
                 # silent corruption (a flaky disk, a truncating crash)
@@ -117,30 +133,70 @@ class MemoStore:
         """Store ``value`` under ``key`` in both tiers."""
         if not isinstance(value, dict):
             raise CacheError(f"cache values must be dicts, got {type(value).__name__}")
+        if SIDECAR_FIELD in value:
+            raise CacheError(f"{SIDECAR_FIELD!r} is reserved in cache values")
+        path = self.path_for(key)
+        texts = {f: value[f] for f in SIDECARS if isinstance(value.get(f), str)}
+        entry = {name: item for name, item in value.items() if name not in texts}
+        blobs = {}
+        if path is not None:
+            for field, text in texts.items():
+                blobs[field] = text.encode("utf-8", "surrogatepass")
+        if blobs:
+            entry[SIDECAR_FIELD] = {
+                field: {"name": f"{key}.{SIDECARS[field]}", "bytes": len(data)}
+                for field, data in blobs.items()
+            }
         try:
-            text = json.dumps(value, sort_keys=True)
+            text = json.dumps(entry, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise CacheError(f"cache value is not JSON-serializable: {exc}") from None
-        path = self.path_for(key)
         if path is not None:
-            # The temp name carries the writer's pid: concurrent workers
-            # storing the *same* key (e.g. two shards pricing one shared
-            # profile) must not rename each other's half-written temp
-            # file away.  Both renames are atomic; last writer wins with
-            # identical content.
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(text)
-            os.replace(tmp, path)
+            # Sidecars first: an entry file is only ever renamed into place
+            # once everything it names is complete on disk.
+            for field, data in blobs.items():
+                self._write(self._sidecar_path(key, field), data)
+            self._write(path, text.encode("utf-8"))
             self._evict_disk(keep=path)
         self._remember(key, value)
 
+    @staticmethod
+    def _write(path: pathlib.Path, data: bytes) -> None:
+        """Write ``data`` to ``path`` atomically (temp file, then rename).
+
+        The temp name carries the writer's pid: concurrent workers storing
+        the *same* key (e.g. two shards pricing one shared profile) must
+        not rename each other's half-written temp file away.  Both renames
+        are atomic; last writer wins with identical content.
+        """
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+
+    def _load(self, key: str, path: pathlib.Path) -> Dict[str, Any]:
+        """The entry at ``path`` with its sidecar texts read back in.
+
+        Raises when the entry or a sidecar is unreadable, or a sidecar's
+        name or byte length differs from what the entry recorded.
+        """
+        value = json.loads(path.read_text())
+        if type(value) is not dict:
+            raise CacheError(f"cache entry {path.name} is not a JSON object")
+        for field, recorded in value.pop(SIDECAR_FIELD, {}).items():
+            sidecar = self._sidecar_path(key, field)
+            data = sidecar.read_bytes()
+            if recorded["name"] != sidecar.name or recorded["bytes"] != len(data):
+                raise CacheError(f"sidecar {sidecar.name} does not match its entry")
+            value[field] = data.decode("utf-8", "surrogatepass")
+        return value
+
     def _evict_disk(self, *, keep: pathlib.Path) -> None:
-        """Hold the disk tier at ``disk_entries`` files, oldest out first.
+        """Hold the disk tier at ``disk_entries`` entries, oldest out first.
 
         Ordered by (mtime, name) so eviction is deterministic even when a
         burst of writes lands within one timestamp granule.  The entry just
-        written is never the victim, and a file another worker deleted
-        first is simply skipped.
+        written is never the victim; a victim's sidecars go with it, and a
+        file another worker deleted first is simply skipped.
         """
         if self.directory is None:
             return
@@ -158,11 +214,13 @@ class MemoStore:
             return
         entries.sort()
         for _, _, victim in entries[:excess]:
-            try:
-                victim.unlink()
-            except OSError:
-                pass
-            self._memory.pop(victim.name[: -len(".json")], None)
+            key = victim.name[: -len(".json")]
+            for doomed in (victim, *(self._sidecar_path(key, f) for f in SIDECARS)):
+                try:
+                    doomed.unlink()
+                except OSError:
+                    pass
+            self._memory.pop(key, None)
 
     def _remember(self, key: str, value: Dict[str, Any]) -> None:
         self._memory[key] = value

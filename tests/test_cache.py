@@ -305,3 +305,103 @@ class TestMemoStore:
         for i in range(8):
             store.put(f"key{i}", {"i": i})
         assert len(list(tmp_path.glob("*.json"))) == 8
+
+
+class TestTraceSidecars:
+    """Trace texts live in raw sidecar files next to their JSON entry."""
+
+    TEXTS = {"trace_jsonl": '{"a": 1}\r\nnaïve ✓\n', "trace_csv": "k,v\r\nß,漢\n"}
+
+    @pytest.fixture
+    def cached(self, tmp_path):
+        from repro.bench.parallel import run_session
+
+        session = run_session(["fig15"], cache=MemoStore(tmp_path), traced=True)
+        (entry,) = tmp_path.glob("*.json")
+        return tmp_path, entry, session.runs[0]
+
+    def test_traced_session_writes_entry_without_text_plus_two_sidecars(
+        self, cached
+    ):
+        directory, entry, run = cached
+        key = entry.stem
+        stored = json.loads(entry.read_text())
+        assert "trace_jsonl" not in stored and "trace_csv" not in stored
+        assert run.trace_jsonl.splitlines()[0] not in entry.read_text()
+        assert sorted(p.name for p in directory.glob("*.trace.*")) == [
+            f"{key}.trace.csv",
+            f"{key}.trace.jsonl",
+        ]
+        jsonl = (directory / f"{key}.trace.jsonl").read_bytes()
+        csv_bytes = (directory / f"{key}.trace.csv").read_bytes()
+        assert jsonl == run.trace_jsonl.encode("utf-8")
+        assert csv_bytes == run.trace_csv.encode("utf-8")
+        assert stored["sidecars"] == {
+            "trace_jsonl": {"name": f"{key}.trace.jsonl", "bytes": len(jsonl)},
+            "trace_csv": {"name": f"{key}.trace.csv", "bytes": len(csv_bytes)},
+        }
+
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_damaged_sidecar_is_a_corrupt_miss_and_recomputes(
+        self, cached, damage
+    ):
+        from repro.bench.parallel import run_session
+        from repro.trace import Tracer, use_tracer
+
+        directory, entry, cold = cached
+        sidecar = directory / f"{entry.stem}.trace.jsonl"
+        if damage == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-10])
+        else:
+            sidecar.unlink()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            warm = run_session(["fig15"], cache=MemoStore(directory), traced=True)
+        corrupt = [r for r in tracer.records if r.name == "cache.corrupt_entry"]
+        assert [r.attrs["key"] for r in corrupt] == [entry.stem]
+        assert warm.cache_misses == 1 and not warm.runs[0].from_cache
+        rerun = warm.runs[0]
+        assert rerun.report.as_dict() == cold.report.as_dict()
+        assert rerun.trace_jsonl == cold.trace_jsonl
+        assert rerun.trace_csv == cold.trace_csv
+        # The recomputed run rewrote a whole entry: the next read hits.
+        again = run_session(["fig15"], cache=MemoStore(directory), traced=True)
+        assert again.cache_hits == 1
+        assert again.runs[0].trace_jsonl == cold.trace_jsonl
+
+    def test_disk_eviction_removes_sidecars(self, tmp_path):
+        import os
+
+        store = MemoStore(tmp_path, disk_entries=1)
+        store.put("key0", dict(self.TEXTS))
+        os.utime(store.path_for("key0"), (0, 0))
+        store.put("key1", dict(self.TEXTS))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "key1.json",
+            "key1.trace.csv",
+            "key1.trace.jsonl",
+        ]
+        assert len(store) == 1
+
+    def test_texts_round_trip_byte_for_byte(self, tmp_path):
+        MemoStore(tmp_path).put("key1", {"other": 1, **self.TEXTS})
+        assert MemoStore(tmp_path).get("key1") == {"other": 1, **self.TEXTS}
+        for field, suffix in (("trace_jsonl", "jsonl"), ("trace_csv", "csv")):
+            raw = (tmp_path / f"key1.trace.{suffix}").read_bytes()
+            assert raw == self.TEXTS[field].encode("utf-8")
+
+    def test_untraced_values_and_memory_stores_keep_no_sidecars(self, tmp_path):
+        store = MemoStore(tmp_path)
+        store.put("key1", {"trace_jsonl": None, "trace_csv": None})
+        assert MemoStore(tmp_path).get("key1") == {
+            "trace_jsonl": None,
+            "trace_csv": None,
+        }
+        assert not list(tmp_path.glob("*.trace.*"))
+        memory = MemoStore()
+        memory.put("key1", dict(self.TEXTS))
+        assert memory.get("key1") == self.TEXTS
+
+    def test_sidecar_field_is_reserved(self, tmp_path):
+        with pytest.raises(CacheError):
+            MemoStore(tmp_path).put("key1", {"sidecars": {}})
