@@ -34,6 +34,7 @@ serves (see :mod:`repro.cluster.elastic`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -252,25 +253,46 @@ class ClusterScheduler:
         def load_of(shard_id: int) -> float:
             return runtimes[shard_id].loop.load_score
 
-        def routable_ids(now: float) -> Set[int]:
-            return {
-                rt.spec.shard_id for rt in runtimes if rt.routable(now)
-            }
+        # The shard pools a placement reads.  They change only when a
+        # shard changes state (crash, recovery, elastic growth or shrink,
+        # each of which calls ``stale_pools``) or when the clock reaches a
+        # grown shard's ``activates_at_s``, so they are rebuilt then rather
+        # than for every arrival.  The clock never runs backwards.
+        home_pool: Set[int] = set()
+        alive_pool: Set[int] = set()
+        pools_expire_s = -math.inf
 
-        def nominal_ids(now: float) -> Set[int]:
-            """The pool ignoring down-ness: defines each key's natural home."""
-            return {
-                rt.spec.shard_id
-                for rt in runtimes
-                if rt.active and rt.activates_at_s <= now
-            }
+        def stale_pools() -> None:
+            nonlocal pools_expire_s
+            pools_expire_s = -math.inf
+
+        def pools(now: float) -> Tuple[Set[int], Set[int]]:
+            """(home, alive): the pool that defines each key's natural home
+            (down-ness ignored; every active shard while none has finished
+            activating) and the shards that can serve at ``now``."""
+            nonlocal home_pool, alive_pool, pools_expire_s
+            if now >= pools_expire_s:
+                home_pool = {
+                    rt.spec.shard_id
+                    for rt in runtimes
+                    if rt.active and rt.activates_at_s <= now
+                } or {rt.spec.shard_id for rt in runtimes if rt.active}
+                alive_pool = {
+                    rt.spec.shard_id for rt in runtimes if rt.routable(now)
+                }
+                pools_expire_s = min(
+                    (
+                        rt.activates_at_s
+                        for rt in runtimes
+                        if rt.active and rt.activates_at_s > now
+                    ),
+                    default=math.inf,
+                )
+            return home_pool, alive_pool
 
         def place(arrival: Arrival, now: float) -> None:
             nonlocal route_seq
-            nominal = nominal_ids(now)
-            alive = routable_ids(now)
-            if not nominal:
-                nominal = {rt.spec.shard_id for rt in runtimes if rt.active}
+            nominal, alive = pools(now)
             home_id = self._home_router.route(
                 arrival.stream, nominal, load_of
             )
@@ -335,8 +357,9 @@ class ClusterScheduler:
         def crash(shard_id: int, now: float) -> None:
             rt = runtimes[shard_id]
             rt.down = True
+            stale_pools()
             victims = rt.loop.evict(now)
-            alive = routable_ids(now)
+            alive = pools(now)[1]
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
@@ -372,6 +395,7 @@ class ClusterScheduler:
         def recover(shard_id: int, now: float) -> None:
             rt = runtimes[shard_id]
             rt.down = False
+            stale_pools()
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
@@ -407,6 +431,7 @@ class ClusterScheduler:
                 )
                 grown.active = True
                 grown.activates_at_s = now + delay
+                stale_pools()
                 result.scale_ups += 1
                 result.peak_active = max(
                     result.peak_active,
@@ -428,6 +453,7 @@ class ClusterScheduler:
             ):
                 shrunk = max(pool, key=lambda rt: rt.spec.shard_id)
                 shrunk.active = False
+                stale_pools()
                 result.scale_downs += 1
                 if tracer.enabled:
                     tracer.event(
