@@ -46,8 +46,10 @@ CSV_COLUMNS = (
 
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 #: ``json.dumps(value, sort_keys=True)``, without a new encoder per call.
-_encode = json.JSONEncoder(sort_keys=True).encode
+_encode = _ENCODER.encode
 
 
 def _reused_encoder():
@@ -63,18 +65,17 @@ def _reused_encoder():
     make_encoder = json.encoder.c_make_encoder
     if make_encoder is None:
         return _encode
-    settings = json.JSONEncoder(sort_keys=True)
     markers: Dict[int, object] = {}
     chunks = make_encoder(
         markers,
-        settings.default,
+        _ENCODER.default,
         json.encoder.encode_basestring_ascii,
-        settings.indent,
-        settings.key_separator,
-        settings.item_separator,
-        settings.sort_keys,
-        settings.skipkeys,
-        settings.allow_nan,
+        _ENCODER.indent,
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
     )
 
     def encode(value) -> str:

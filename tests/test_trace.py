@@ -252,6 +252,16 @@ class TestExporters:
             '"name": "e", "time_s": 1.0}\n'
         )
 
+    def test_attrs_encoder_falls_back_without_the_c_accelerator(
+        self, monkeypatch
+    ):
+        import json
+
+        from repro.trace import exporters
+
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert exporters._reused_encoder() is exporters._encode
+
 
 class TestDeterminism:
     def test_two_traced_runs_same_seed_identical(self):
