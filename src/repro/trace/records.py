@@ -40,9 +40,9 @@ def _clean_attrs(attrs: Mapping[str, Any]) -> Dict[str, Any]:
 
 # The four kinds are named tuples, not frozen dataclasses: a traced
 # serving run builds hundreds of thousands of events, and a tuple is built
-# without per-field ``object.__setattr__`` calls and leaves the garbage
-# collector's tracked set once its fields are untracked.  Equality stays
-# per kind (see ``_same_kind`` below), as it was for the dataclasses.
+# in one step, without a frozen dataclass's per-field
+# ``object.__setattr__`` calls.  Equality stays per kind (see
+# ``_same_kind`` below), as it was for the dataclasses.
 
 
 class Span(NamedTuple):
