@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from repro.bench import ExperimentRun, SessionResult
 from repro.bench.registry import run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -52,7 +53,11 @@ def run_figure(benchmark, results_dir):
         )
         text = report.print_table()
         (results_dir / f"{experiment_id}.txt").write_text(text + "\n")
-        (results_dir / f"{experiment_id}.csv").write_text(report.to_csv() + "\n")
+        # Through the writer behind ``--csv``, so the two files match byte
+        # for byte.
+        SessionResult([ExperimentRun(experiment_id, report)]).write_artifacts(
+            results_dir
+        )
         print()
         print(text)
         return report

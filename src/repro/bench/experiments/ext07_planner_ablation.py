@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.bench import runner
 from repro.bench.experiments import common
 from repro.bench.report import ExperimentReport
-from repro.bench.runner import DEFAULT_BASE_SEED
 from repro.hardware.platforms import sgxv1_calibration, sgxv1_testbed
 from repro.machine import SimMachine
 from repro.planner import PlanCandidate, Planner, build_join, enumerate_candidates
@@ -85,7 +85,7 @@ def _measure(
     build, probe = generate_join_relation_pair(
         template.build_bytes,
         template.probe_bytes,
-        seed=DEFAULT_BASE_SEED,
+        seed=runner.DEFAULT_BASE_SEED,
         physical_row_cap=row_cap,
     )
     with sim.context(common.SETTING_SGX_IN, threads=candidate.threads) as ctx:

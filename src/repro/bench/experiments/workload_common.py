@@ -9,7 +9,7 @@ serving runs reproducible-but-variable exactly like the figure experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.bench import runner
 from repro.bench.report import ExperimentReport
@@ -101,12 +101,3 @@ def counters_note(label: str, metrics: WorkloadMetrics) -> str:
         f"blocked on cores/EPC {c.blocked_on_cores}/{c.blocked_on_epc}; "
         f"EPC high water {metrics.epc_high_water_bytes / 1e9:.2f} GB"
     )
-
-
-def per_template_p99(metrics: WorkloadMetrics) -> Dict[str, float]:
-    """p99 latency (ms) per template present in the run."""
-    templates = sorted({r.template for r in metrics.records})
-    return {
-        t: metrics.latency_percentile_s(99, template=t) * 1e3
-        for t in templates
-    }

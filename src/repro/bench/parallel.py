@@ -8,11 +8,11 @@ processes — optionally in front of a content-addressed
 in request order.  Three properties hold by construction:
 
 * **Determinism** — ``--jobs 8`` produces byte-identical reports, CSVs,
-  and per-experiment traces to ``--jobs 1``: each experiment runs under
-  its own seed (threaded explicitly into every worker, never via the
-  parent's :data:`~repro.bench.runner.DEFAULT_BASE_SEED` mutation, which
-  spawned processes do not inherit) and its own tracer, and the merge
-  order is the request order regardless of completion order.
+  and per-experiment traces to ``--jobs 1``: each experiment is one
+  picklable task carrying every session setting (seed, fidelity,
+  tracing, run config, memo switch — spawned processes inherit no
+  process globals), it runs under its own tracer, and the merge order is
+  the request order regardless of completion order.
 * **Warm-cache replay** — a cache hit re-emits the stored report *and*
   the stored trace texts verbatim, so a fully cached rerun performs zero
   operator re-simulations yet writes the same artifacts.  A worker's
@@ -45,24 +45,17 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from repro import reuse
+from repro.bench import runner
 from repro.bench.registry import get_experiment, run_experiment
 from repro.bench.report import ExperimentReport
-from repro.bench.runner import DEFAULT_BASE_SEED, use_repetition_jobs
+from repro.bench.runner import use_repetition_jobs
 from repro.cache import MemoStore, calibration_digest, experiment_key
 from repro.errors import BenchmarkError
-from repro.machine import SimMachine
 from repro.runconfig import RunConfig, current_run_config
 from repro.trace import Tracer
-
-#: Worker payload: (experiment_id, quick, base_seed, traced,
-#: repetition_jobs, run, memo_enabled, memo_dir).  The run config and the
-#: memo switch ride into spawned workers as pickled values — spawn
-#: inherits no ambient ``use_run_config``/``use_memos`` state, so the
-#: explicit slots are the only channel.
-_Task = Tuple[str, bool, int, bool, int, RunConfig, bool, Optional[str]]
 
 
 @dataclass
@@ -83,6 +76,9 @@ class SessionResult:
 
     runs: List[ExperimentRun] = field(default_factory=list)
     tracer: Tracer = field(default_factory=lambda: Tracer(label="_session"))
+    #: Whether the session had a cache or more than one job, i.e. whether
+    #: its tracer holds cache/worker telemetry worth exporting.
+    telemetry: bool = False
 
     @property
     def cache_hits(self) -> int:
@@ -102,105 +98,108 @@ class SessionResult:
         """Per-query profile-memo misses summed across every run/worker."""
         return self.tracer.counters.get("bench.memo.misses", 0)
 
-    def write_session_trace(
-        self, trace_dir: Union[str, pathlib.Path]
-    ) -> pathlib.Path:
-        """Export the session tracer (cache + worker telemetry) to files.
+    def write_artifacts(
+        self,
+        csv_dir: Optional[Union[str, pathlib.Path]] = None,
+        trace_dir: Optional[Union[str, pathlib.Path]] = None,
+    ) -> Dict[str, pathlib.Path]:
+        """Write every run's CSV and trace files; the one artifact writer.
 
-        Written as ``_session.trace.jsonl``/``.csv`` — the underscore keeps
-        it apart from experiment ids and flags it as the one artifact that
-        is *not* byte-deterministic (it carries wall-clock gauges).
+        Each run writes ``<id>.csv`` into ``csv_dir`` and, when traced,
+        ``<id>.trace.jsonl``/``.csv`` into ``trace_dir``; each directory is
+        created on first use and ``None`` skips it.  A :attr:`telemetry`
+        session also exports its own tracer as
+        ``_session.trace.jsonl``/``.csv`` — the underscore keeps it apart
+        from experiment ids and flags it as the one artifact that is *not*
+        byte-deterministic (it carries wall-clock gauges).  Returns the
+        trace JSONL path written per name (an experiment id or
+        ``"_session"``).
         """
-        from repro.trace import export_texts
-
+        if csv_dir is not None:
+            csv_dir = pathlib.Path(csv_dir)
+            csv_dir.mkdir(parents=True, exist_ok=True)
+            for run in self.runs:
+                (csv_dir / f"{run.experiment_id}.csv").write_text(
+                    run.report.to_csv()
+                )
+        written: Dict[str, pathlib.Path] = {}
+        if trace_dir is None:
+            return written
         trace_dir = pathlib.Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        jsonl, csv_text = export_texts(self.tracer)
-        (trace_dir / "_session.trace.csv").write_text(csv_text)
-        path = trace_dir / "_session.trace.jsonl"
-        path.write_text(jsonl)
-        return path
+        texts = [
+            (run.experiment_id, run.trace_jsonl, run.trace_csv)
+            for run in self.runs
+            if run.trace_jsonl is not None
+        ]
+        if self.telemetry:
+            from repro.trace import export_texts
+
+            texts.append(("_session", *export_texts(self.tracer)))
+        for name, jsonl, csv_text in texts:
+            (trace_dir / f"{name}.trace.csv").write_text(csv_text)
+            written[name] = trace_dir / f"{name}.trace.jsonl"
+            written[name].write_text(jsonl)
+        return written
 
 
-def _execute(
-    experiment_id: str,
-    *,
-    quick: bool,
-    base_seed: int,
-    traced: bool,
-    repetition_jobs: int,
-    run: RunConfig,
-    machine: Optional[SimMachine] = None,
-) -> Dict:
-    """Run one experiment and return its JSON-safe result payload."""
-    start = time.perf_counter()
-    tracer = Tracer(label=experiment_id) if traced else None
-    with use_repetition_jobs(repetition_jobs):
-        report = run_experiment(
-            experiment_id,
-            machine,
-            quick=quick,
-            tracer=tracer,
-            base_seed=base_seed,
-            run=run,
-        )
-    payload: Dict = {
-        "report": report.as_dict(),
-        "trace_jsonl": None,
-        "trace_csv": None,
-        "wall_s": time.perf_counter() - start,
-    }
-    if tracer is not None:
-        from repro.trace import export_texts
+class _Task(NamedTuple):
+    """Every setting one experiment run needs, as one picklable value.
 
-        # Export falls outside wall_s; it is reported on its own as export_s.
-        start = time.perf_counter()
-        payload["trace_jsonl"], payload["trace_csv"] = export_texts(tracer)
-        payload["export_s"] = time.perf_counter() - start
-    return payload
-
-
-def _executed_with_memo_stats(
-    experiment_id: str, memo_enabled: bool, memo_dir: Optional[str], **kwargs
-) -> Dict:
-    """Run one experiment under the session's memo switch; traffic rides
-    on the payload.
-
-    The traffic *delta* is recorded (pool workers are reused across tasks,
-    and the process memos outlive the session), so summing the payload
-    traffic across tasks never double-counts.
+    Spawned workers inherit no ambient state (the base seed,
+    ``use_run_config``, ``use_memos``), so each setting rides here.
     """
-    with reuse.use_memos(memo_enabled, memo_dir):
+
+    experiment_id: str
+    quick: bool
+    base_seed: int
+    traced: bool
+    repetition_jobs: int
+    run: RunConfig
+    memo: bool
+    memo_dir: Optional[str]
+
+
+def _compute(task: _Task) -> Dict:
+    """Run one experiment and return its JSON-safe result payload.
+
+    Serial sessions call it in-process; pool workers run it (it is
+    top-level so spawn can pickle it).  The payload's memo traffic is the
+    run's *delta* (pool workers are reused across tasks, and the process
+    memos outlive the session), so summing it across tasks never
+    double-counts.
+    """
+    with (
+        reuse.use_memos(task.memo, task.memo_dir),
+        use_repetition_jobs(task.repetition_jobs),
+    ):
         before = reuse.traffic()
-        payload = _execute(experiment_id, **kwargs)
+        start = time.perf_counter()
+        tracer = Tracer(label=task.experiment_id) if task.traced else None
+        report = run_experiment(
+            task.experiment_id,
+            quick=task.quick,
+            tracer=tracer,
+            base_seed=task.base_seed,
+            run=task.run,
+        )
+        payload: Dict = {
+            "report": report.as_dict(),
+            "trace_jsonl": None,
+            "trace_csv": None,
+            "wall_s": time.perf_counter() - start,
+        }
+        if tracer is not None:
+            from repro.trace import export_texts
+
+            # Export falls outside wall_s; it is reported on its own as export_s.
+            start = time.perf_counter()
+            payload["trace_jsonl"], payload["trace_csv"] = export_texts(tracer)
+            payload["export_s"] = time.perf_counter() - start
         payload["memo_traffic"] = {
             name: count - before[name] for name, count in reuse.traffic().items()
         }
     return payload
-
-
-def _worker(task: _Task) -> Dict:
-    """Process-pool entry point (top-level so spawn can pickle it)."""
-    (
-        experiment_id,
-        quick,
-        base_seed,
-        traced,
-        repetition_jobs,
-        run,
-        memo_enabled,
-        memo_dir,
-    ) = task
-    return _executed_with_memo_stats(
-        experiment_id,
-        memo_enabled,
-        memo_dir,
-        quick=quick,
-        base_seed=base_seed,
-        traced=traced,
-        repetition_jobs=repetition_jobs,
-        run=run,
-    )
 
 
 def _run_from_payload(
@@ -218,7 +217,6 @@ def _run_from_payload(
 
 def run_session(
     experiment_ids: Sequence[str],
-    machine: Optional[SimMachine] = None,
     *,
     quick: bool = True,
     jobs: int = 1,
@@ -234,18 +232,17 @@ def run_session(
     experiments as repetition threads (``jobs=8`` over one experiment runs
     its repetitions eight-wide).  ``cache`` is a :class:`MemoStore` or a
     directory for one; ``traced`` attaches a private tracer per experiment
-    and returns its exported texts on each :class:`ExperimentRun`.  A
-    non-default ``machine`` runs in-process (live machine objects stay out
-    of worker pickles) but still keys the cache by its calibration digest.
-    ``run`` (a :class:`~repro.runconfig.RunConfig`; ``None`` takes the
-    ambient one) applies the session's subsystem settings to every run.
-    It is validated once, installed in-process, pickled into each
-    worker's task, and hashed into every cache key, so serial, parallel,
-    and cached-replay runs of one config stay byte-identical while
-    differently-configured runs never collide.  ``memo=False`` turns
-    off every memo of :mod:`repro.reuse` for every run (the ``--no-memo``
-    channel); memoized and unmemoized runs are byte-identical, so the
-    flag is never keyed.
+    and returns its exported texts on each :class:`ExperimentRun`.
+    ``base_seed`` (``None``: :data:`~repro.bench.runner.DEFAULT_BASE_SEED`)
+    seeds every run.  ``run`` (a :class:`~repro.runconfig.RunConfig`;
+    ``None`` takes the ambient one) applies the session's subsystem
+    settings to every run.  Both are resolved once, carried into every
+    run by its task, and hashed into every cache key, so serial,
+    parallel, and cached-replay runs of one config stay byte-identical
+    while differently-configured runs never collide.  ``memo=False``
+    turns off every memo of :mod:`repro.reuse` for every run (the
+    ``--no-memo`` channel); memoized and unmemoized runs are
+    byte-identical, so the flag is never keyed.
     """
     ids = list(experiment_ids)
     for experiment_id in ids:
@@ -254,54 +251,46 @@ def run_session(
         raise BenchmarkError(f"jobs must be at least 1, got {jobs}")
     run = (current_run_config() if run is None else run).validate()
     if base_seed is None:
-        base_seed = DEFAULT_BASE_SEED
+        base_seed = runner.DEFAULT_BASE_SEED
     store: Optional[MemoStore]
     if cache is None or isinstance(cache, MemoStore):
         store = cache
     else:
         store = MemoStore(cache)
 
-    session = SessionResult()
+    session = SessionResult(telemetry=store is not None or jobs > 1)
     results: Dict[str, ExperimentRun] = {}
     keys: Dict[str, str] = {}
-    digest = None
-    unique_ids = list(dict.fromkeys(ids))
     pending: List[str] = []
-
-    if store is not None:
-        params = machine.params if machine is not None else None
-        spec = machine.spec if machine is not None else None
-        digest = calibration_digest(params, spec)
-        for experiment_id in unique_ids:
-            keys[experiment_id] = experiment_key(
-                experiment_id,
-                quick=quick,
-                base_seed=base_seed,
-                traced=traced,
-                params=params,
-                spec=spec,
-                run=run,
-            )
-            payload = store.get(keys[experiment_id])
-            hit: Optional[ExperimentRun] = None
-            if payload is not None:
-                try:
-                    hit = _run_from_payload(experiment_id, payload, from_cache=True)
-                    hit.wall_s = 0.0  # a hit costs no simulation time
-                except BenchmarkError:
-                    hit = None  # malformed entry: recompute below
-            if hit is not None and traced and hit.trace_jsonl is None:
-                hit = None  # entry predates tracing for this key shape
-            if hit is not None:
-                results[experiment_id] = hit
-                session.tracer.count("bench.cache.hits")
-                session.tracer.event("bench.cache.hit", experiment=experiment_id)
-            else:
-                session.tracer.count("bench.cache.misses")
-                session.tracer.event("bench.cache.miss", experiment=experiment_id)
-                pending.append(experiment_id)
-    else:
-        pending = unique_ids
+    for experiment_id in dict.fromkeys(ids):
+        if store is None:
+            pending.append(experiment_id)
+            continue
+        keys[experiment_id] = experiment_key(
+            experiment_id,
+            quick=quick,
+            base_seed=base_seed,
+            traced=traced,
+            run=run,
+        )
+        payload = store.get(keys[experiment_id])
+        hit: Optional[ExperimentRun] = None
+        if payload is not None:
+            try:
+                hit = _run_from_payload(experiment_id, payload, from_cache=True)
+                hit.wall_s = 0.0  # a hit costs no simulation time
+            except BenchmarkError:
+                hit = None  # malformed entry: recompute below
+        if hit is not None and traced and hit.trace_jsonl is None:
+            hit = None  # entry predates tracing for this key shape
+        if hit is not None:
+            results[experiment_id] = hit
+            session.tracer.count("bench.cache.hits")
+            session.tracer.event("bench.cache.hit", experiment=experiment_id)
+        else:
+            session.tracer.count("bench.cache.misses")
+            session.tracer.event("bench.cache.miss", experiment=experiment_id)
+            pending.append(experiment_id)
 
     # A --cache directory also hosts the profile memo's disk tier, so
     # workers (and later sessions) share priced profiles even when the
@@ -313,54 +302,39 @@ def run_session(
     # Split the job budget: one process per pending experiment first, the
     # remainder as repetition threads inside each worker.
     repetition_jobs = max(1, jobs // len(pending)) if pending else 1
+    tasks = [
+        _Task(
+            experiment_id,
+            quick,
+            base_seed,
+            traced,
+            repetition_jobs,
+            run,
+            memo,
+            memo_dir,
+        )
+        for experiment_id in pending
+    ]
+    if jobs <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            results[task.experiment_id] = _absorb(
+                session, store, keys, task.experiment_id, _compute(task)
+            )
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if pending:
-        if jobs <= 1 or len(pending) == 1 or machine is not None:
-            for experiment_id in pending:
-                payload = _executed_with_memo_stats(
-                    experiment_id,
-                    memo,
-                    memo_dir,
-                    quick=quick,
-                    base_seed=base_seed,
-                    traced=traced,
-                    repetition_jobs=repetition_jobs,
-                    run=run,
-                    machine=machine,
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), mp_context=spawn
+        ) as pool:
+            futures = [pool.submit(_compute, task) for task in tasks]
+            # Collect in request order: completion order never leaks
+            # into the merged output.
+            for task, future in zip(tasks, futures):
+                results[task.experiment_id] = _absorb(
+                    session, store, keys, task.experiment_id, future.result()
                 )
-                _absorb(session, results, store, keys, digest, experiment_id, payload)
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            spawn = multiprocessing.get_context("spawn")
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=spawn
-            ) as pool:
-                futures = {
-                    experiment_id: pool.submit(
-                        _worker,
-                        (
-                            experiment_id,
-                            quick,
-                            base_seed,
-                            traced,
-                            repetition_jobs,
-                            run,
-                            memo,
-                            memo_dir,
-                        ),
-                    )
-                    for experiment_id in pending
-                }
-                # Collect in request order: completion order never leaks
-                # into the merged output.
-                for experiment_id in pending:
-                    payload = futures[experiment_id].result()
-                    _absorb(
-                        session, results, store, keys, digest, experiment_id, payload
-                    )
 
     session.runs = [results[experiment_id] for experiment_id in ids]
     return session
@@ -368,16 +342,13 @@ def run_session(
 
 def _absorb(
     session: SessionResult,
-    results: Dict[str, ExperimentRun],
     store: Optional[MemoStore],
     keys: Dict[str, str],
-    digest: Optional[str],
     experiment_id: str,
     payload: Dict,
-) -> None:
-    """Record one computed result: session telemetry, cache, merge map."""
+) -> ExperimentRun:
+    """Record one computed result: session telemetry and cache entry."""
     run = _run_from_payload(experiment_id, payload, from_cache=False)
-    results[experiment_id] = run
     session.tracer.gauge(f"bench.worker.wall_s.{experiment_id}", run.wall_s)
     # Export time and memo traffic belong to the session trace only (wall
     # clock; what ran before), never to the cached payload the replay
@@ -396,6 +367,7 @@ def _absorb(
                 "trace_jsonl": payload.get("trace_jsonl"),
                 "trace_csv": payload.get("trace_csv"),
                 "wall_s": payload.get("wall_s", 0.0),
-                "calibration": digest,
+                "calibration": calibration_digest(),
             },
         )
+    return run

@@ -19,12 +19,11 @@ from repro.errors import BenchmarkError
 #: The paper's repetition count (Sec. 3).
 PAPER_REPETITIONS = 10
 
-#: Seed of the first repetition (repetition i uses base + i).  The CLI's
-#: ``--seed`` flag overrides it process-wide via :func:`set_default_base_seed`
-#: so runs are reproducible-but-variable.  Parallel workers must NOT rely on
-#: this global surviving into them (spawned processes re-import the module
-#: fresh); the session driver threads the seed explicitly and installs it in
-#: each worker with :func:`use_base_seed`.
+#: Seed of the first repetition (repetition i uses base + i).  A run's
+#: seed is installed for its scope with :func:`use_base_seed`
+#: (:func:`~repro.bench.registry.run_experiment` does so for its
+#: ``base_seed``); code that reads it must look it up at call time, as
+#: ``runner.DEFAULT_BASE_SEED``, never import the value.
 DEFAULT_BASE_SEED = 42
 
 #: Thread-pool width for the repetitions of one :func:`repeat_runs` call.
@@ -34,35 +33,18 @@ DEFAULT_BASE_SEED = 42
 DEFAULT_REPETITION_JOBS = 1
 
 
-def set_default_base_seed(seed: int) -> None:
-    """Set the process-wide base seed used when callers pass none."""
-    global DEFAULT_BASE_SEED
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise BenchmarkError(f"base seed must be an integer, got {seed!r}")
-    DEFAULT_BASE_SEED = seed
-
-
-def set_default_repetition_jobs(jobs: int) -> None:
-    """Set the process-wide repetition thread count used when callers pass none."""
-    global DEFAULT_REPETITION_JOBS
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise BenchmarkError(f"repetition jobs must be a positive integer, got {jobs!r}")
-    DEFAULT_REPETITION_JOBS = jobs
-
-
 @contextlib.contextmanager
 def use_base_seed(seed: Optional[int]) -> Iterator[int]:
     """Install ``seed`` as the process base seed for the ``with`` scope.
 
-    ``None`` leaves the current default untouched.  This is how the parallel
-    session driver threads ``--seed`` into worker processes explicitly: the
-    CLI's one-shot :func:`set_default_base_seed` mutation happens in the
-    parent and does not survive into spawned workers.
+    ``None`` leaves the current default untouched.
     """
     global DEFAULT_BASE_SEED
     previous = DEFAULT_BASE_SEED
     if seed is not None:
-        set_default_base_seed(seed)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise BenchmarkError(f"base seed must be an integer, got {seed!r}")
+        DEFAULT_BASE_SEED = seed
     try:
         yield DEFAULT_BASE_SEED
     finally:
@@ -71,11 +53,18 @@ def use_base_seed(seed: Optional[int]) -> Iterator[int]:
 
 @contextlib.contextmanager
 def use_repetition_jobs(jobs: Optional[int]) -> Iterator[int]:
-    """Install ``jobs`` as the repetition thread count for the ``with`` scope."""
+    """Install ``jobs`` as the repetition thread count for the ``with`` scope.
+
+    ``None`` leaves the current count untouched.
+    """
     global DEFAULT_REPETITION_JOBS
     previous = DEFAULT_REPETITION_JOBS
     if jobs is not None:
-        set_default_repetition_jobs(jobs)
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+            raise BenchmarkError(
+                f"repetition jobs must be a positive integer, got {jobs!r}"
+            )
+        DEFAULT_REPETITION_JOBS = jobs
     try:
         yield DEFAULT_REPETITION_JOBS
     finally:
@@ -130,7 +119,7 @@ def repeat_runs(
     """Call ``measure(seed)`` ``runs`` times and summarize the results.
 
     ``base_seed`` defaults to the process-wide :data:`DEFAULT_BASE_SEED`
-    (42, unless the CLI's ``--seed`` changed it) and ``jobs`` to
+    (42, unless the run's ``--seed`` installed another) and ``jobs`` to
     :data:`DEFAULT_REPETITION_JOBS`.  With ``jobs > 1`` the repetitions run
     on a thread pool; samples are collected in repetition order, so the
     summary is identical to a serial run.  A tracer forces serial execution:

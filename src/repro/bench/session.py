@@ -9,16 +9,15 @@ its table, chart, and notes — the artifact a reproduction hand-off wants.
 from __future__ import annotations
 
 import pathlib
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.bench.charts import render
-from repro.bench.parallel import run_session
+from repro.bench.parallel import SessionResult, run_session
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import ExperimentReport
 from repro.bench.validate import CalibrationValidator
 from repro.cache import MemoStore
 from repro.errors import BenchmarkError
-from repro.machine import SimMachine
 from repro.runconfig import RunConfig
 
 
@@ -50,48 +49,12 @@ def _experiment_section(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-def build_report(
-    experiment_ids: Optional[Iterable[str]] = None,
-    machine: Optional[SimMachine] = None,
-    *,
-    quick: bool = True,
-    csv_dir: Optional[Union[str, pathlib.Path]] = None,
-    trace_dir: Optional[Union[str, pathlib.Path]] = None,
-    jobs: int = 1,
-    cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
-    base_seed: Optional[int] = None,
-    run: Optional[RunConfig] = None,
-    memo: bool = True,
-) -> str:
-    """Render the full Markdown report for ``experiment_ids`` (default all).
+def render_report(session: SessionResult, *, quick: bool = True) -> str:
+    """Render ``session``'s runs as the Markdown report, sections by id.
 
-    ``csv_dir`` additionally writes one CSV per experiment (the same rows
-    the report's tables show) from the *same* runs — the report never runs
-    an experiment twice.  ``trace_dir`` runs each experiment under a fresh
-    tracer and exports its trace as JSON-lines and CSV.
-
-    ``jobs`` fans the experiments out across worker processes and ``cache``
-    memoizes their results (see :func:`repro.bench.parallel.run_session`);
-    the rendered report is byte-identical for any ``jobs``/``cache``
-    combination.  ``run`` applies a session
-    :class:`~repro.runconfig.RunConfig` to every run (the ``--faults``,
-    ``--planner``, ``--cluster``, ``--storage``, ``--backend`` and
-    ``--rewrite`` flags); ``memo=False`` turns off every memo of
-    :mod:`repro.reuse` (the ``--no-memo`` channel) — output bytes are
-    identical either way, only wall-clock changes.
+    ``quick`` names the fidelity the runs used in the report's header.
     """
-    ids: List[str] = sorted(experiment_ids or EXPERIMENTS)
-    for experiment_id in ids:
-        if experiment_id not in EXPERIMENTS:
-            raise BenchmarkError(f"unknown experiment {experiment_id!r}")
-    csv_dir = pathlib.Path(csv_dir) if csv_dir is not None else None
-    if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
-    trace_dir = pathlib.Path(trace_dir) if trace_dir is not None else None
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    validator = CalibrationValidator(machine)
-    checks = validator.run()
+    checks = CalibrationValidator().run()
     held = sum(1 for check in checks if check.passed)
     sections = [
         "# SGXv2 analytical query processing — reproduction report",
@@ -110,41 +73,13 @@ def build_report(
         "```",
         "",
     ]
-    session = run_session(
-        ids,
-        machine,
-        quick=quick,
-        jobs=jobs,
-        cache=cache,
-        base_seed=base_seed,
-        traced=trace_dir is not None,
-        run=run,
-        memo=memo,
-    )
-    for result in session.runs:
-        if csv_dir is not None:
-            (csv_dir / f"{result.experiment_id}.csv").write_text(
-                result.report.to_csv()
-            )
-        if trace_dir is not None and result.trace_jsonl is not None:
-            (trace_dir / f"{result.experiment_id}.trace.jsonl").write_text(
-                result.trace_jsonl
-            )
-            (trace_dir / f"{result.experiment_id}.trace.csv").write_text(
-                result.trace_csv
-            )
+    for result in sorted(session.runs, key=lambda run: run.experiment_id):
         sections.append(_experiment_section(result.report))
-    if trace_dir is not None and (cache is not None or jobs > 1):
-        # Cache/worker telemetry; wall-clock gauges make it the one trace
-        # file outside the byte-determinism guarantee.
-        session.write_session_trace(trace_dir)
     return "\n".join(sections)
 
 
-def write_report(
-    path: Union[str, pathlib.Path],
+def build_report(
     experiment_ids: Optional[Iterable[str]] = None,
-    machine: Optional[SimMachine] = None,
     *,
     quick: bool = True,
     csv_dir: Optional[Union[str, pathlib.Path]] = None,
@@ -154,22 +89,49 @@ def write_report(
     base_seed: Optional[int] = None,
     run: Optional[RunConfig] = None,
     memo: bool = True,
-) -> pathlib.Path:
-    """Build the report and write it to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        build_report(
-            experiment_ids,
-            machine,
-            quick=quick,
-            csv_dir=csv_dir,
-            trace_dir=trace_dir,
-            jobs=jobs,
-            cache=cache,
-            base_seed=base_seed,
-            run=run,
-            memo=memo,
-        )
+) -> str:
+    """Render the full Markdown report for ``experiment_ids`` (default all).
+
+    ``csv_dir`` additionally writes one CSV per experiment (the same rows
+    the report's tables show) from the *same* runs — the report never runs
+    an experiment twice.  ``trace_dir`` runs each experiment under a fresh
+    tracer and exports its trace as JSON-lines and CSV.  Both go through
+    :meth:`~repro.bench.parallel.SessionResult.write_artifacts`, the
+    writer behind ``sgxv2-bench --csv/--trace``.
+
+    ``jobs`` fans the experiments out across worker processes and ``cache``
+    memoizes their results (see :func:`repro.bench.parallel.run_session`);
+    the rendered report is byte-identical for any ``jobs``/``cache``
+    combination.  ``run`` applies a session
+    :class:`~repro.runconfig.RunConfig` to every run (the ``--faults``,
+    ``--planner``, ``--cluster``, ``--storage``, ``--backend`` and
+    ``--rewrite`` flags); ``memo=False`` turns off every memo of
+    :mod:`repro.reuse` (the ``--no-memo`` channel) — output bytes are
+    identical either way, only wall-clock changes.
+    """
+    session = run_session(
+        sorted(experiment_ids or EXPERIMENTS),
+        quick=quick,
+        jobs=jobs,
+        cache=cache,
+        base_seed=base_seed,
+        traced=trace_dir is not None,
+        run=run,
+        memo=memo,
     )
+    session.write_artifacts(csv_dir, trace_dir)
+    return render_report(session, quick=quick)
+
+
+def write_report(
+    path: Union[str, pathlib.Path],
+    experiment_ids: Optional[Iterable[str]] = None,
+    **kwargs,
+) -> pathlib.Path:
+    """Build the report (``kwargs`` as for :func:`build_report`) and write
+    it to ``path``; returns the path."""
+    path = pathlib.Path(path)
+    text = build_report(experiment_ids, **kwargs)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
     return path

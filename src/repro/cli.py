@@ -201,10 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.seed is not None:
-        from repro.bench import runner
-
-        runner.set_default_base_seed(args.seed)
     if args.validate:
         from repro.bench.validate import CalibrationValidator
 
@@ -237,48 +233,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.report and args.chart:
+        # The Markdown report embeds every experiment's chart already;
+        # a silent no-op here hid that from users for a whole release.
+        print(
+            "--chart cannot be combined with --report (the report "
+            "embeds each experiment's chart); drop one of the flags",
+            file=sys.stderr,
+        )
+        return 2
     store = None
     if args.cache:
         from repro.cache import MemoStore
 
         store = MemoStore(args.cache)
-    if args.report:
-        if args.chart:
-            # The Markdown report embeds every experiment's chart already;
-            # a silent no-op here hid that from users for a whole release.
-            print(
-                "--chart cannot be combined with --report (the report "
-                "embeds each experiment's chart); drop one of the flags",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.bench.session import write_report
-
-        try:
-            path = write_report(
-                args.report,
-                requested,
-                quick=not args.full,
-                csv_dir=args.csv,
-                trace_dir=args.trace,
-                jobs=args.jobs,
-                cache=store,
-                base_seed=args.seed,
-                run=run_config,
-                memo=not args.no_memo,
-            )
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(f"wrote {path}")
-        _print_cache_summary(store, args.cache)
-        return 0
-    csv_dir = pathlib.Path(args.csv) if args.csv else None
-    if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
-    trace_dir = pathlib.Path(args.trace) if args.trace else None
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
     from repro.bench.parallel import run_session
 
     try:
@@ -288,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache=store,
             base_seed=args.seed,
-            traced=trace_dir is not None,
+            traced=bool(args.trace),
             run=run_config,
             memo=not args.no_memo,
         )
@@ -298,6 +266,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         # profile: a one-line reason, not a traceback.
         print(str(exc), file=sys.stderr)
         return 2
+    written = session.write_artifacts(args.csv or None, args.trace or None)
+    if args.report:
+        from repro.bench.session import render_report
+
+        path = pathlib.Path(args.report)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(render_report(session, quick=not args.full))
+        print(f"wrote {path}")
+        _print_cache_summary(store, args.cache)
+        return 0
     for run in session.runs:
         print(run.report.print_table())
         if args.chart:
@@ -306,19 +284,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
             print(render(run.report))
         print()
-        if csv_dir is not None:
-            (csv_dir / f"{run.experiment_id}.csv").write_text(run.report.to_csv())
-        if trace_dir is not None and run.trace_jsonl is not None:
-            trace_path = trace_dir / f"{run.experiment_id}.trace.jsonl"
-            trace_path.write_text(run.trace_jsonl)
-            (trace_dir / f"{run.experiment_id}.trace.csv").write_text(
-                run.trace_csv
-            )
+        if run.experiment_id in written:
             records = len(run.trace_jsonl.splitlines())
-            print(f"wrote {trace_path} ({records} records)")
-    if trace_dir is not None and (store is not None or args.jobs > 1):
-        session_trace = session.write_session_trace(trace_dir)
-        print(f"wrote {session_trace} (session cache/worker telemetry)")
+            print(f"wrote {written[run.experiment_id]} ({records} records)")
+    if "_session" in written:
+        print(f"wrote {written['_session']} (session cache/worker telemetry)")
     _print_cache_summary(store, args.cache)
     _print_memo_summary(session)
     return 0

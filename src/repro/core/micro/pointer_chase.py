@@ -58,13 +58,6 @@ class MicroResult:
     cycles: float
     checksum: int = 0
 
-    def cycles_per_operation(self) -> float:
-        if self.operations <= 0:
-            raise ConfigurationError("no operations recorded")
-        return self.cycles / self.operations
-
-    def throughput_ops_per_s(self, frequency_hz: float) -> float:
-        return self.operations / (self.cycles / frequency_hz)
 
 
 class PointerChaseBenchmark:

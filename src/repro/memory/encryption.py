@@ -123,12 +123,3 @@ class MemoryEncryptionEngine:
             excess *= 0.45
         return 1.0 + excess
 
-    # -- exposed per-line latencies (used for dependent chains) ----------
-
-    @property
-    def decrypt_line_cycles(self) -> float:
-        return self._params.mee_cacheline_decrypt_cycles
-
-    @property
-    def encrypt_line_cycles(self) -> float:
-        return self._params.mee_cacheline_encrypt_cycles

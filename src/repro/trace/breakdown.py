@@ -279,50 +279,14 @@ class PlanBreakdown:
     """What the planner chose during one serving run, per template.
 
     The planner analogue of :class:`FaultBreakdown`: counts every
-    ``planner.choice`` by (template, arm), sums observed latencies per arm,
-    and — when told what the oracle would have picked — reports how often
-    the run's choices agreed with it.
+    ``planner.choice`` by (template, arm) and sums observed latencies per
+    arm.
     """
 
     mode: str  # the selector mode that produced the choices
     choices: Dict[str, Dict[str, int]]  # template -> arm -> picks
     observed_s: Dict[str, Dict[str, float]]  # template -> arm -> summed lat.
     observations: Dict[str, Dict[str, int]]  # template -> arm -> finishes
-
-    @property
-    def total_choices(self) -> int:
-        return sum(sum(arms.values()) for arms in self.choices.values())
-
-    def chosen_arm(self, template: str) -> str:
-        """The arm picked most often for ``template`` (ties: first seen)."""
-        arms = self.choices.get(template)
-        if not arms:
-            return ""
-        return max(arms, key=lambda label: (arms[label],))
-
-    def mean_latency_s(self, template: str, arm: str) -> float:
-        """Mean observed latency of ``template`` served by ``arm``."""
-        count = self.observations.get(template, {}).get(arm, 0)
-        if not count:
-            return 0.0
-        return self.observed_s[template][arm] / count
-
-    def agreement(self, oracle_arms: Dict[str, str]) -> float:
-        """Fraction of choices matching ``oracle_arms``'s per-template pick.
-
-        Templates absent from ``oracle_arms`` are ignored (the caller
-        scopes the comparison to the templates it has oracle answers for).
-        """
-        matched = total = 0
-        for template, arms in self.choices.items():
-            oracle = oracle_arms.get(template)
-            if oracle is None:
-                continue
-            for arm, picks in arms.items():
-                total += picks
-                if arm == oracle:
-                    matched += picks
-        return matched / total if total else 0.0
 
     def describe(self) -> str:
         """One line for report notes: choices per template."""

@@ -258,16 +258,6 @@ class WorkloadMetrics:
             mask = selected if mask is None else mask & selected
         return cols, mask
 
-    def _filtered(
-        self, stream: Optional[str] = None, template: Optional[str] = None
-    ) -> List[QueryRecord]:
-        records = self.records
-        if stream is not None:
-            records = [r for r in records if r.stream == stream]
-        if template is not None:
-            records = [r for r in records if r.template == template]
-        return records
-
     def latencies_s(
         self, stream: Optional[str] = None, template: Optional[str] = None
     ) -> List[float]:

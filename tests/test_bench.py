@@ -102,7 +102,9 @@ class TestRunner:
             assert runner.DEFAULT_REPETITION_JOBS == 3
         assert runner.DEFAULT_REPETITION_JOBS == 1
         with pytest.raises(BenchmarkError):
-            runner.set_default_repetition_jobs(0)
+            with use_repetition_jobs(0):
+                pass
+        assert runner.DEFAULT_REPETITION_JOBS == 1
 
     def test_format(self):
         stats = RunStats(mean=123.456, std=1.2, samples=(1,))

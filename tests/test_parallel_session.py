@@ -129,8 +129,11 @@ class TestSessionCache:
 
     def test_session_trace_export(self, tmp_path):
         session = run_session(["tab01"], cache=MemoStore(tmp_path / "c"))
-        path = session.write_session_trace(tmp_path / "t")
+        written = session.write_artifacts(trace_dir=tmp_path / "t")
+        assert list(written) == ["_session"]  # untraced: no experiment trace
+        path = written["_session"]
         assert path.name == "_session.trace.jsonl"
+        assert (tmp_path / "t" / "_session.trace.csv").exists()
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
         assert "bench.cache.misses" in names
 

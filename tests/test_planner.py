@@ -424,3 +424,23 @@ class TestCacheKeys:
             "wl01", run=RunConfig(planner="adaptive"), **self.BASE
         )
         assert len({base, cost, adaptive}) == 3
+
+
+class TestExt07Seed:
+    def test_run_seed_reaches_the_generated_relations(self, monkeypatch):
+        from repro.bench.experiments import ext07_planner_ablation as ext07
+        from repro.bench.registry import run_experiment
+
+        class Stop(Exception):
+            pass
+
+        seeds = []
+
+        def record(*args, seed, **kwargs):
+            seeds.append(seed)
+            raise Stop
+
+        monkeypatch.setattr(ext07, "generate_join_relation_pair", record)
+        with pytest.raises(Stop):
+            run_experiment("ext07", base_seed=7)
+        assert seeds == [7]

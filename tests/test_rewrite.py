@@ -357,6 +357,20 @@ class TestCli:
         assert "rewrites (race)" in out
         assert "rw:q3/" in out
 
+    def test_explain_prove_lists_proved_rewrites(self, capsys):
+        assert cli_main(["explain", "q3", "--rewrite", "prove"]) == 0
+        out = capsys.readouterr().out
+        assert "rewrites (prove)" in out
+        proved = [l for l in out.splitlines() if l.startswith("  proved   rw:q3/")]
+        assert proved and all("witness rows" in l for l in proved)
+        assert "reference:" not in out  # prove mode prices nothing
+
+    def test_explain_rewrite_on_non_tpch_template(self, capsys):
+        assert cli_main(["explain", "scan-small", "--rewrite", "race"]) == 0
+        out = capsys.readouterr().out
+        assert "rewrites (race)" in out
+        assert "(no rewrite candidates: not a TPC-H template)" in out
+
     def test_explain_without_rewrite_silent(self, capsys):
         assert cli_main(["explain", "q3"]) == 0
         assert "rewrites" not in capsys.readouterr().out

@@ -90,16 +90,22 @@ class TestCliRobustness:
         capsys.readouterr()
         assert not target.exists()
 
-    def test_seed_flag_threads_to_runner(self, capsys):
+    def test_seed_flag_threads_to_runner(self, tmp_path, capsys):
         from repro.bench import runner
+        from repro.bench.parallel import run_session
 
+        # fig14 is cheap and seed-sensitive, so a dropped seed would show.
+        ids = ["tab01", "fig14"]
         original = runner.DEFAULT_BASE_SEED
-        try:
-            assert main(["tab01", "--seed", "7"]) == 0
-            capsys.readouterr()
-            assert runner.DEFAULT_BASE_SEED == 7
-        finally:
-            runner.set_default_base_seed(original)
+        assert main([*ids, "--seed", "7", "--csv", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert runner.DEFAULT_BASE_SEED == original
+        seeded = run_session(ids, base_seed=7)
+        for run in seeded.runs:
+            written = (tmp_path / f"{run.experiment_id}.csv").read_text()
+            assert written == run.report.to_csv()
+        default = run_session(["fig14"])
+        assert default.runs[0].report.to_csv() != seeded.runs[1].report.to_csv()
 
     def test_seed_rejects_non_integers(self, capsys):
         with pytest.raises(SystemExit):
