@@ -2,23 +2,26 @@
 
 :func:`run_session` is the one engine behind ``sgxv2-bench``'s table,
 report, CSV, and trace outputs.  It executes the requested experiments —
-serially in-process, or across a ``--jobs N`` pool of **spawned** worker
-processes — optionally in front of a content-addressed
-:class:`~repro.cache.MemoStore`, and merges the results deterministically
-in request order.  Three properties hold by construction:
+serially in-process, or across up to ``--jobs N`` fresh worker processes
+(:mod:`repro.bench.worker`) that the session starts, feeds over their
+own pipes and reaps before it returns — optionally in front of a
+content-addressed :class:`~repro.cache.MemoStore`, and merges the results
+deterministically in request order.  Three properties hold by
+construction:
 
 * **Determinism** — ``--jobs 8`` produces byte-identical reports, CSVs,
   and per-experiment traces to ``--jobs 1``: each experiment is one
   picklable task carrying every session setting (seed, fidelity,
-  tracing, run config, memo switch — spawned processes inherit no
+  tracing, run config, memo switch — worker processes inherit no
   process globals), it runs under its own tracer, and the merge order is
   the request order regardless of completion order.
 * **Warm-cache replay** — a cache hit re-emits the stored report *and*
-  the stored trace texts verbatim, so a fully cached rerun performs zero
-  operator re-simulations yet writes the same artifacts.  A worker's
-  texts reach the parent inside its pickled payload, and the store
-  writes them to raw sidecar files as they are (see
-  :mod:`repro.cache.store`): nothing re-encodes or parses them.
+  the stored trace text verbatim, so a fully cached rerun performs zero
+  operator re-simulations yet writes the same artifacts.  A run's trace
+  is one JSON-lines text (its CSV is rendered only on request, by
+  ``sgxv2-bench trace-csv``); a worker's text reaches the parent inside
+  its pickled payload, and the store writes it to a raw sidecar file as
+  it is (see :mod:`repro.cache.store`): nothing re-encodes or parses it.
 * **Observability** — the session tracer counts ``bench.cache.hits`` /
   ``bench.cache.misses`` (one ``bench.cache.hit``/``.miss`` event per
   experiment), ``bench.memo.hits`` / ``bench.memo.misses`` (per-query
@@ -35,18 +38,23 @@ Below the experiment cache sit the memos of :mod:`repro.reuse`: the
 per-query profile memo and the experiment-scoped memos of generated data
 and join matches.  They are on by default, and ``memo=False`` turns every
 one of them off for a session; with a ``--cache`` directory the profile
-memo gains a disk tier under ``<cache-dir>/profiles`` that spawned
-workers and later sessions share, so even a cold experiment cache reuses
+memo gains a disk tier under ``<cache-dir>/profiles`` that worker
+processes and later sessions share, so even a cold experiment cache reuses
 every previously priced profile.
 """
 
 from __future__ import annotations
 
+import collections
+import os
 import pathlib
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import repro
 from repro import reuse
 from repro.bench import runner
 from repro.bench.registry import get_experiment, run_experiment
@@ -65,6 +73,8 @@ class ExperimentRun:
     experiment_id: str
     report: ExperimentReport
     trace_jsonl: Optional[str] = None
+    #: Always ``None``: a run's trace CSV is rendered only on request.  Kept
+    #: because the benchmark's layer observer (``perf/layers.py``) reads it.
     trace_csv: Optional[str] = None
     from_cache: bool = False
     wall_s: float = 0.0
@@ -106,14 +116,14 @@ class SessionResult:
         """Write every run's CSV and trace files; the one artifact writer.
 
         Each run writes ``<id>.csv`` into ``csv_dir`` and, when traced,
-        ``<id>.trace.jsonl``/``.csv`` into ``trace_dir``; each directory is
-        created on first use and ``None`` skips it.  A :attr:`telemetry`
-        session also exports its own tracer as
-        ``_session.trace.jsonl``/``.csv`` — the underscore keeps it apart
-        from experiment ids and flags it as the one artifact that is *not*
-        byte-deterministic (it carries wall-clock gauges).  Returns the
-        trace JSONL path written per name (an experiment id or
-        ``"_session"``).
+        ``<id>.trace.jsonl`` into ``trace_dir``; each directory is created
+        on first use and ``None`` skips it.  A :attr:`telemetry` session
+        also exports its own tracer as ``_session.trace.jsonl`` — the
+        underscore keeps it apart from experiment ids and flags it as the
+        one artifact that is *not* byte-deterministic (it carries
+        wall-clock gauges).  ``sgxv2-bench trace-csv`` renders each trace's
+        CSV from these files.  Returns the trace JSONL path written per
+        name (an experiment id or ``"_session"``).
         """
         if csv_dir is not None:
             csv_dir = pathlib.Path(csv_dir)
@@ -128,16 +138,15 @@ class SessionResult:
         trace_dir = pathlib.Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         texts = [
-            (run.experiment_id, run.trace_jsonl, run.trace_csv)
+            (run.experiment_id, run.trace_jsonl)
             for run in self.runs
             if run.trace_jsonl is not None
         ]
         if self.telemetry:
-            from repro.trace import export_texts
+            from repro.trace import to_jsonl
 
-            texts.append(("_session", *export_texts(self.tracer)))
-        for name, jsonl, csv_text in texts:
-            (trace_dir / f"{name}.trace.csv").write_text(csv_text)
+            texts.append(("_session", to_jsonl(self.tracer)))
+        for name, jsonl in texts:
             written[name] = trace_dir / f"{name}.trace.jsonl"
             written[name].write_text(jsonl)
         return written
@@ -146,7 +155,7 @@ class SessionResult:
 class _Task(NamedTuple):
     """Every setting one experiment run needs, as one picklable value.
 
-    Spawned workers inherit no ambient state (the base seed,
+    Worker processes inherit no ambient state (the base seed,
     ``use_run_config``, ``use_memos``), so each setting rides here.
     """
 
@@ -163,11 +172,10 @@ class _Task(NamedTuple):
 def _compute(task: _Task) -> Dict:
     """Run one experiment and return its JSON-safe result payload.
 
-    Serial sessions call it in-process; pool workers run it (it is
-    top-level so spawn can pickle it).  The payload's memo traffic is the
-    run's *delta* (pool workers are reused across tasks, and the process
-    memos outlive the session), so summing it across tasks never
-    double-counts.
+    Serial sessions call it in-process; worker processes run it for each
+    task they are handed.  The payload's memo traffic is the run's *delta*
+    (a worker runs several tasks, and the process memos outlive the
+    session), so summing it across tasks never double-counts.
     """
     with (
         reuse.use_memos(task.memo, task.memo_dir),
@@ -186,15 +194,14 @@ def _compute(task: _Task) -> Dict:
         payload: Dict = {
             "report": report.as_dict(),
             "trace_jsonl": None,
-            "trace_csv": None,
             "wall_s": time.perf_counter() - start,
         }
         if tracer is not None:
-            from repro.trace import export_texts
+            from repro.trace import to_jsonl
 
             # Export falls outside wall_s; it is reported on its own as export_s.
             start = time.perf_counter()
-            payload["trace_jsonl"], payload["trace_csv"] = export_texts(tracer)
+            payload["trace_jsonl"] = to_jsonl(tracer)
             payload["export_s"] = time.perf_counter() - start
         payload["memo_traffic"] = {
             name: count - before[name] for name, count in reuse.traffic().items()
@@ -209,7 +216,6 @@ def _run_from_payload(
         experiment_id=experiment_id,
         report=ExperimentReport.from_dict(payload["report"]),
         trace_jsonl=payload.get("trace_jsonl"),
-        trace_csv=payload.get("trace_csv"),
         from_cache=from_cache,
         wall_s=float(payload.get("wall_s", 0.0)),
     )
@@ -232,7 +238,7 @@ def run_session(
     experiments as repetition threads (``jobs=8`` over one experiment runs
     its repetitions eight-wide).  ``cache`` is a :class:`MemoStore` or a
     directory for one; ``traced`` attaches a private tracer per experiment
-    and returns its exported texts on each :class:`ExperimentRun`.
+    and returns its JSON-lines text on each :class:`ExperimentRun`.
     ``base_seed`` (``None``: :data:`~repro.bench.runner.DEFAULT_BASE_SEED`)
     seeds every run.  ``run`` (a :class:`~repro.runconfig.RunConfig`;
     ``None`` takes the ambient one) applies the session's subsystem
@@ -321,23 +327,140 @@ def run_session(
                 session, store, keys, task.experiment_id, _compute(task)
             )
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), mp_context=spawn
-        ) as pool:
-            futures = [pool.submit(_compute, task) for task in tasks]
-            # Collect in request order: completion order never leaks
-            # into the merged output.
-            for task, future in zip(tasks, futures):
-                results[task.experiment_id] = _absorb(
-                    session, store, keys, task.experiment_id, future.result()
-                )
+        answers = _run_in_workers(tasks, min(jobs, len(tasks)))
+        # Merge in request order: completion order never leaks into the
+        # merged output.
+        for task, answer in zip(tasks, answers):
+            results[task.experiment_id] = _absorb(
+                session, store, keys, task.experiment_id, _payload(task, answer)
+            )
 
     session.runs = [results[experiment_id] for experiment_id in ids]
     return session
+
+
+#: The directory ``repro`` was imported from; workers import it from there.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+class _Worker:
+    """One worker process (:mod:`repro.bench.worker`) and its two pipes."""
+
+    def __init__(self) -> None:
+        import subprocess
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+        )
+        read_fd, write_fd = os.pipe()
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, "-m", "repro.bench.worker", str(write_fd)],
+                stdin=subprocess.PIPE,
+                pass_fds=(write_fd,),
+                env=env,
+            )
+        except BaseException:
+            os.close(read_fd)
+            raise
+        finally:
+            os.close(write_fd)
+        self.answers = os.fdopen(read_fd, "rb")
+        #: The index of the task the worker is running, or ``None`` when idle.
+        self.index: Optional[int] = None
+
+    def send(self, index: int, task: _Task) -> None:
+        pickle.dump(task, self.process.stdin, pickle.HIGHEST_PROTOCOL)
+        self.process.stdin.flush()
+        self.index = index
+
+    def receive(self) -> Tuple[bool, Any]:
+        """The running task's answer; a worker that died answers a failure."""
+        try:
+            answer = pickle.load(self.answers)
+        except (EOFError, pickle.UnpicklingError):
+            code = self.process.wait()
+            answer = (False, (f"its worker exited with code {code}", None))
+        self.index = None
+        return answer
+
+    def close(self) -> None:
+        """Stop the worker and reap it: an idle one exits at the end of its
+        input, a busy one (the session is failing) is killed."""
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass  # the worker is already gone
+        if self.index is not None:
+            self.process.kill()
+        self.process.wait()
+        self.answers.close()
+
+
+def _run_in_workers(
+    tasks: List[_Task], count: int
+) -> List[Optional[Tuple[bool, Any]]]:
+    """Run ``tasks`` on ``count`` worker processes; answers in request order.
+
+    Each idle worker takes the next task in request order.  Once a task
+    fails, no further task is handed out, so every task never started
+    (its answer is ``None``) comes after a failed one.  Every worker is
+    stopped and reaped before this returns or raises, so no process
+    outlives the session.
+    """
+    # Imported here, like ``subprocess``: sessions without workers (and
+    # every process that only imports this module) never load either.
+    import selectors
+
+    answers: List[Optional[Tuple[bool, Any]]] = [None] * len(tasks)
+    queue = collections.deque(range(len(tasks)))
+    workers: List[_Worker] = []
+    selector = selectors.DefaultSelector()
+
+    def hand_out(worker: _Worker) -> None:
+        if queue:
+            index = queue.popleft()
+            worker.send(index, tasks[index])
+            selector.register(worker.answers, selectors.EVENT_READ, worker)
+
+    try:
+        for _ in range(count):
+            workers.append(_Worker())
+            hand_out(workers[-1])
+        while selector.get_map():
+            for key, _ in selector.select():
+                worker = key.data
+                selector.unregister(worker.answers)
+                index = worker.index
+                answers[index] = worker.receive()
+                if answers[index][0]:
+                    hand_out(worker)
+                else:
+                    queue.clear()
+    finally:
+        selector.close()
+        for worker in workers:
+            worker.close()
+    return answers
+
+
+def _payload(task: _Task, answer: Tuple[bool, Any]) -> Dict:
+    """The payload a worker answered for ``task``, or the error it raised.
+
+    A :class:`~repro.errors.ConfigurationError` is re-raised as it is, as
+    a serial run raises it; any other failure is a
+    :class:`~repro.errors.BenchmarkError` naming the experiment.
+    """
+    ok, value = answer
+    if ok:
+        return value
+    text, error = value
+    if error is not None:
+        raise error
+    raise BenchmarkError(
+        f"{task.experiment_id} failed in a worker process: {text}"
+    )
 
 
 def _absorb(
@@ -365,7 +488,6 @@ def _absorb(
             {
                 "report": payload["report"],
                 "trace_jsonl": payload.get("trace_jsonl"),
-                "trace_csv": payload.get("trace_csv"),
                 "wall_s": payload.get("wall_s", 0.0),
                 "calibration": calibration_digest(),
             },

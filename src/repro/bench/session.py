@@ -95,7 +95,7 @@ def build_report(
     ``csv_dir`` additionally writes one CSV per experiment (the same rows
     the report's tables show) from the *same* runs — the report never runs
     an experiment twice.  ``trace_dir`` runs each experiment under a fresh
-    tracer and exports its trace as JSON-lines and CSV.  Both go through
+    tracer and exports its trace as JSON lines.  Both go through
     :meth:`~repro.bench.parallel.SessionResult.write_artifacts`, the
     writer behind ``sgxv2-bench --csv/--trace``.
 

@@ -45,7 +45,9 @@ from repro.runconfig import RunConfig
 #:    :class:`~repro.runconfig.RunConfig` component.
 #: 10: trace texts moved out of the JSON entry into raw ``<key>.trace.jsonl``
 #:     / ``<key>.trace.csv`` sidecar files (see :mod:`repro.cache.store`).
-CACHE_FORMAT = 10
+#: 11: an entry keeps only its ``<key>.trace.jsonl`` sidecar; trace CSVs are
+#:     rendered on request and never cached.
+CACHE_FORMAT = 11
 
 
 def canonical(value: Any) -> Any:

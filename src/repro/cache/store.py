@@ -4,11 +4,10 @@ Values are JSON-safe dicts (costed reports, access-profile summaries,
 exported trace texts) addressed by the content hashes of
 :mod:`repro.cache.keys`.  The LRU bounds resident memory; the disk tier —
 one ``<key>.json`` file per entry under the cache directory — persists
-across processes and survives restarts.  Trace texts (the value fields
-named in :data:`SIDECARS`) are not JSON-escaped into that file: each is
-written raw, as UTF-8 bytes, to a ``<key>.trace.jsonl`` /
-``<key>.trace.csv`` sidecar, and the entry records each sidecar's name and
-byte length under ``"sidecars"``.  Disk writes are atomic (write to a temp
+across processes and survives restarts.  A trace text (the value field
+named in :data:`SIDECARS`) is not JSON-escaped into that file: it is
+written raw, as UTF-8 bytes, to a ``<key>.trace.jsonl`` sidecar, and the
+entry records each sidecar's name and byte length under ``"sidecars"``.  Disk writes are atomic (write to a temp
 file, then rename) and the sidecars are written before their entry, so a
 crashed run never leaves a half-written entry behind; an unreadable entry,
 or one whose sidecar is missing or has the wrong length, is treated as a
@@ -43,7 +42,7 @@ DEFAULT_DISK_ENTRIES = 4096
 
 #: Value fields stored as raw sidecar files, by file-name suffix.  A field
 #: is moved to its sidecar only when it holds a string.
-SIDECARS = {"trace_jsonl": "trace.jsonl", "trace_csv": "trace.csv"}
+SIDECARS = {"trace_jsonl": "trace.jsonl"}
 
 #: The entry field recording each sidecar's file name and byte length.
 SIDECAR_FIELD = "sidecars"

@@ -5,6 +5,7 @@ Examples::
     sgxv2-bench --list
     sgxv2-bench fig08
     sgxv2-bench all --full --csv results/
+    sgxv2-bench wl01 --trace out/ && sgxv2-bench trace-csv out/
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "experiment ids (e.g. fig08 fig17), or 'all'; or "
             "'explain JOB' to print the planner's ranked candidate plans "
-            "for a serving job template"
+            "for a serving job template; or 'trace-csv DIR' to render "
+            "each DIR/NAME.trace.jsonl as DIR/NAME.trace.csv"
         ),
     )
     parser.add_argument(
@@ -65,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "record a structured trace per experiment into DIR "
-            "(JSON-lines + CSV: operator phases, enclave charges, "
-            "scheduler decisions)"
+            "(JSON lines: operator phases, enclave charges, scheduler "
+            "decisions; 'trace-csv DIR' renders them as CSV)"
         ),
     )
     parser.add_argument(
@@ -217,6 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _explain(
             args.experiments[1:], quick=not args.full, run=run_config
         )
+    if args.experiments and args.experiments[0] == "trace-csv":
+        return _trace_csv(args.experiments[1:])
     requested = args.experiments or ["all"]
     if "all" in requested:
         requested = sorted(EXPERIMENTS)
@@ -368,6 +372,33 @@ def _explain(names: List[str], *, quick: bool, run: RunConfig) -> int:
         print(planner.explain(templates[name]))
         if run.rewrite != "off":
             print(_explain_rewrites(templates[name], run.rewrite, machine))
+    return 0
+
+
+def _trace_csv(directories: List[str]) -> int:
+    """``sgxv2-bench trace-csv DIR...``: render written traces as CSV.
+
+    Writes ``NAME.trace.csv`` next to every ``NAME.trace.jsonl`` in each
+    directory, rendered from the read-back records; the CSV equals the
+    one the in-memory trace would export.  A missing directory, or one
+    without traces, exits 2 before anything is written.
+    """
+    from repro.trace import read_jsonl, to_csv
+
+    if not directories:
+        print("trace-csv needs at least one trace directory", file=sys.stderr)
+        return 2
+    traces = {}
+    for directory in directories:
+        traces[directory] = sorted(pathlib.Path(directory).glob("*.trace.jsonl"))
+        if not traces[directory]:
+            print(f"no *.trace.jsonl files in {directory}", file=sys.stderr)
+            return 2
+    for paths in traces.values():
+        for path in paths:
+            target = path.with_name(path.name[: -len(".jsonl")] + ".csv")
+            target.write_text(to_csv(read_jsonl(path)))
+            print(f"wrote {target}")
     return 0
 
 

@@ -22,8 +22,8 @@ memo collapse that repeat work without changing one output byte:
   of priced query profiles under :func:`~repro.cache.keys.query_profile_key`
   (catalog pricing, planner and rewrite estimates; see :func:`profiled`).
   It lives for the process; with a ``--cache`` directory the session
-  driver gives it a disk tier under ``<cache>/profiles`` that spawned
-  workers and later sessions share.
+  driver gives it a disk tier under ``<cache>/profiles`` that worker
+  processes and later sessions share.
 
 :func:`use_memos` is the one switch: ``use_memos(False)`` (``--no-memo``,
 ``run_session(memo=False)``) removes the profile memo and keeps

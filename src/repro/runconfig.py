@@ -8,7 +8,7 @@ value that every layer carries:
 
 * the CLI builds and validates it once (exit 2 on any bad flag);
 * ``run_session`` hashes it into each cache key and pickles it into
-  each spawned worker;
+  each worker process's task;
 * ``run_experiment`` installs it through :func:`use_run_config`;
 * serving code reads it through :func:`current_run_config`, unless a
   ``WorkloadConfig`` pins its own value.

@@ -33,7 +33,6 @@ from repro.trace.breakdown import (
     serving_runs,
 )
 from repro.trace.exporters import (
-    export_texts,
     read_jsonl,
     to_csv,
     to_jsonl,
@@ -76,7 +75,6 @@ __all__ = [
     "backend_breakdown",
     "cluster_breakdown",
     "current_tracer",
-    "export_texts",
     "fault_breakdown",
     "phase_breakdown",
     "plan_breakdown",

@@ -279,14 +279,11 @@ class PlanBreakdown:
     """What the planner chose during one serving run, per template.
 
     The planner analogue of :class:`FaultBreakdown`: counts every
-    ``planner.choice`` by (template, arm) and sums observed latencies per
-    arm.
+    ``planner.choice`` by (template, arm).
     """
 
     mode: str  # the selector mode that produced the choices
     choices: Dict[str, Dict[str, int]]  # template -> arm -> picks
-    observed_s: Dict[str, Dict[str, float]]  # template -> arm -> summed lat.
-    observations: Dict[str, Dict[str, int]]  # template -> arm -> finishes
 
     def describe(self) -> str:
         """One line for report notes: choices per template."""
@@ -309,38 +306,14 @@ def plan_breakdown(source, *, template: Optional[str] = None) -> PlanBreakdown:
     """
     mode = "static"
     choices: Dict[str, Dict[str, int]] = {}
-    observed: Dict[str, Dict[str, float]] = {}
-    observations: Dict[str, Dict[str, int]] = {}
     for record in _events(source, template=template):
-        name = record.attrs.get("template")
         if record.name == PLANNER_CHOICE:
             mode = str(record.attrs.get("mode", mode))
             arm = str(record.attrs.get("arm", ""))
-            per_template = choices.setdefault(str(name), {})
+            name = str(record.attrs.get("template"))
+            per_template = choices.setdefault(name, {})
             per_template[arm] = per_template.get(arm, 0) + 1
-        elif record.name == PLANNER_OBSERVE:
-            arm = str(record.attrs.get("arm", ""))
-            # The bandit's observed quantity is the charged service time;
-            # older traces only carried end-to-end latency.
-            latency = float(
-                record.attrs.get(
-                    "service_s", record.attrs.get("latency_s", 0.0)
-                )
-            )
-            observed.setdefault(str(name), {})
-            observed[str(name)][arm] = (
-                observed[str(name)].get(arm, 0.0) + latency
-            )
-            observations.setdefault(str(name), {})
-            observations[str(name)][arm] = (
-                observations[str(name)].get(arm, 0) + 1
-            )
-    return PlanBreakdown(
-        mode=mode,
-        choices=choices,
-        observed_s=observed,
-        observations=observations,
-    )
+    return PlanBreakdown(mode=mode, choices=choices)
 
 
 def phase_breakdown(

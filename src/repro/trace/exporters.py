@@ -1,22 +1,21 @@
-"""Trace exporters: JSON-lines and CSV from one encoding pass, plus the reader.
+"""Trace exporters: JSON lines, their CSV view, and the reader.
 
-JSON-lines is the canonical interchange format: one record per line,
+JSON lines is the trace format a session writes: one record per line,
 keys sorted, so two identical runs produce byte-identical files (the
 determinism the golden-shape tests rely on).  CSV flattens the same
 records into a fixed column set for spreadsheet triage; nested ``attrs``
-are carried as one JSON-encoded column.
+are carried as one JSON-encoded column.  Records read back exactly as
+they were written, so ``to_csv(read_jsonl(path))`` renders a written
+trace's CSV on request (``sgxv2-bench trace-csv DIR``).
 
-:func:`export_texts` builds both texts in a single walk over the records.
-An event's ``attrs`` are JSON-encoded once, and that one string is
-spliced into the JSON line (``attrs`` sorts first among the keys) and,
-quoted, into the CSV row; event names are encoded once per export.
-Events with a finite ``float`` or ``None`` time, a ``str`` name and
-string-keyed ``attrs`` take that path.  Every other record (spans,
+Both exporters take one fast path for events with a finite ``float`` or
+``None`` time, a ``str`` name and string-keyed ``attrs``: the ``attrs``
+are encoded by one reused C encoder and spliced into the JSON line
+(``attrs`` sorts first among the keys) or, quoted, into the CSV row, and
+event names are encoded once per export.  Every other record (spans,
 counters, gauges, non-finite or float-subclass times, non-string names
 or keys) is formatted from its :meth:`as_dict` exactly as
 ``json.dumps(..., sort_keys=True)`` and ``csv.writer`` format it.
-:func:`to_jsonl`, :func:`to_csv` and the ``write_*`` helpers are views
-over that one encoder.
 """
 
 from __future__ import annotations
@@ -94,9 +93,6 @@ _encode_attrs = _reused_encoder()
 #: ``csv.writer`` (QUOTE_MINIMAL) writes a field free of these unquoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
 
-#: A (JSON, CSV) text pair: one value's encodings, or one record's line and row.
-_Texts = Tuple[str, str]
-
 
 def _records(source) -> List[TraceRecord]:
     """Normalize a tracer or a record iterable into a record list."""
@@ -116,7 +112,9 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_attrs(encoded: str) -> str:
-    """The CSV field of a non-empty encoded ``attrs`` (always quoted)."""
+    """The CSV field of an encoded ``attrs``: empty for ``{}``, else quoted."""
+    if encoded == "{}":
+        return ""
     return '"' + encoded.replace('"', '""') + '"'
 
 
@@ -127,81 +125,82 @@ def _csv_value(value) -> str:
     return _csv_field(value if isinstance(value, str) else str(value))
 
 
-def _attrs(attrs) -> Optional[_Texts]:
-    """``attrs``' (JSON text, CSV field) when keyed by plain strings."""
+def _attrs(attrs) -> Optional[str]:
+    """``attrs``' JSON text when it is a dict keyed by plain strings."""
     if type(attrs) is not dict:
         return None
     if not attrs:
-        return "{}", ""
+        return "{}"
     for key in attrs:
         if type(key) is not str:
             return None
-    encoded = _encode_attrs(attrs)
-    return encoded, _csv_attrs(encoded)
+    return _encode_attrs(attrs)
 
 
-def _event(record: Event, names: Dict[str, _Texts]) -> Optional[_Texts]:
-    """An event's (JSON line, CSV row), or ``None`` for unusual fields."""
+def _event_fields(record: Event) -> Optional[Tuple[str, str]]:
+    """An event's (``time_s`` text, JSON ``attrs``), or ``None`` for unusual
+    fields; the time text is ``""`` for ``time_s=None``."""
     time_s = record.time_s
     if time_s is None:
-        time_json, time_csv = "null", ""
+        time_text = ""
     elif type(time_s) is float and time_s - time_s == 0.0:
-        time_json = time_csv = repr(time_s)
+        time_text = repr(time_s)
     else:
         return None
-    name = record.name
-    attrs = _attrs(record.attrs)
-    if type(name) is not str or attrs is None:
+    if type(record.name) is not str:
         return None
-    encoded = names.get(name)
-    if encoded is None:
-        encoded = names[name] = (_encode(name), _csv_field(name))
-    return (
-        f'{{"attrs": {attrs[0]}, "kind": "event", "name": {encoded[0]}, '
-        f'"time_s": {time_json}}}\n',
-        f"event,{encoded[1]},,,,,{time_csv},,{attrs[1]}\n",
-    )
+    attrs = _attrs(record.attrs)
+    if attrs is None:
+        return None
+    return time_text, attrs
 
 
-def _generic(record) -> _Texts:
-    """Any record, formatted from its :meth:`as_dict` form."""
+def _generic_row(record) -> str:
+    """Any record's CSV row, formatted from its :meth:`as_dict` form."""
     payload = record.as_dict()
-    line = _encode(payload) + "\n"
     attrs = payload.pop("attrs", {})
     row = [_csv_value(payload.get(column, "")) for column in CSV_COLUMNS[:-1]]
-    row.append(_csv_attrs(_encode(attrs)) if attrs else "")
-    return line, ",".join(row) + "\n"
-
-
-def export_texts(source) -> Tuple[str, str]:
-    """The JSON-lines and CSV texts of ``source``, encoded in one pass.
-
-    ``source`` is a tracer (its :meth:`snapshot` is exported) or an
-    iterable of records.
-    """
-    lines: List[str] = []
-    rows: List[str] = [_CSV_HEADER]
-    names: Dict[str, _Texts] = {}
-    for record in _records(source):
-        texts = _event(record, names) if type(record) is Event else None
-        line, row = texts or _generic(record)
-        lines.append(line)
-        rows.append(row)
-    return "".join(lines), "".join(rows)
+    row.append(_csv_attrs(_encode(attrs)))
+    return ",".join(row) + "\n"
 
 
 def to_jsonl(source) -> str:
     """The JSON-lines text of ``source`` (a tracer or record iterable)."""
-    return export_texts(source)[0]
+    lines: List[str] = []
+    names: Dict[str, str] = {}
+    for record in _records(source):
+        fields = _event_fields(record) if type(record) is Event else None
+        if fields is None:
+            lines.append(_encode(record.as_dict()) + "\n")
+            continue
+        name = names.get(record.name)
+        if name is None:
+            name = names[record.name] = _encode(record.name)
+        lines.append(
+            f'{{"attrs": {fields[1]}, "kind": "event", "name": {name}, '
+            f'"time_s": {fields[0] or "null"}}}\n'
+        )
+    return "".join(lines)
 
 
 def to_csv(source) -> str:
     """The CSV text of ``source`` (a tracer or record iterable).
 
-    Rows end in ``"\\n"`` like the JSON-lines export, so both exports of
-    one trace are byte-deterministic across platforms.
+    Rows end in ``"\\n"`` like the JSON-lines export, so the CSV of one
+    trace is byte-deterministic across platforms.
     """
-    return export_texts(source)[1]
+    rows: List[str] = [_CSV_HEADER]
+    names: Dict[str, str] = {}
+    for record in _records(source):
+        fields = _event_fields(record) if type(record) is Event else None
+        if fields is None:
+            rows.append(_generic_row(record))
+            continue
+        name = names.get(record.name)
+        if name is None:
+            name = names[record.name] = _csv_field(record.name)
+        rows.append(f"event,{name},,,,,{fields[0]},,{_csv_attrs(fields[1])}\n")
+    return "".join(rows)
 
 
 def _write(text: str, path: Union[str, pathlib.Path]) -> pathlib.Path:

@@ -156,8 +156,10 @@ def record_from_dict(payload: Mapping[str, Any]):
             time_s=payload.get("time_s"),
             attrs=dict(payload.get("attrs", {})),
         )
+    # Counter and gauge values keep their JSON number type, so a record
+    # reads back as it was written (a float-valued counter stays a float).
     if kind == Counter.kind:
-        return Counter(name=payload["name"], value=int(payload["value"]))
+        return Counter(name=payload["name"], value=payload["value"])
     if kind == Gauge.kind:
-        return Gauge(name=payload["name"], value=float(payload["value"]))
+        return Gauge(name=payload["name"], value=payload["value"])
     raise BenchmarkError(f"unknown trace record kind {kind!r}")

@@ -307,10 +307,17 @@ class TestMemoStore:
         assert len(list(tmp_path.glob("*.json"))) == 8
 
 
-class TestTraceSidecars:
-    """Trace texts live in raw sidecar files next to their JSON entry."""
+def _rendered_csv(run) -> str:
+    """The CSV ``sgxv2-bench trace-csv`` renders from a run's JSON lines."""
+    from repro.trace import read_jsonl, to_csv
 
-    TEXTS = {"trace_jsonl": '{"a": 1}\r\nnaïve ✓\n', "trace_csv": "k,v\r\nß,漢\n"}
+    return to_csv(read_jsonl(run.trace_jsonl.splitlines()))
+
+
+class TestTraceSidecars:
+    """A trace text lives in a raw sidecar file next to its JSON entry."""
+
+    TEXTS = {"trace_jsonl": '{"a": 1}\r\nnaïve ✓\n'}
 
     @pytest.fixture
     def cached(self, tmp_path):
@@ -320,7 +327,7 @@ class TestTraceSidecars:
         (entry,) = tmp_path.glob("*.json")
         return tmp_path, entry, session.runs[0]
 
-    def test_traced_session_writes_entry_without_text_plus_two_sidecars(
+    def test_traced_session_writes_entry_without_text_plus_one_sidecar(
         self, cached
     ):
         directory, entry, run = cached
@@ -329,16 +336,12 @@ class TestTraceSidecars:
         assert "trace_jsonl" not in stored and "trace_csv" not in stored
         assert run.trace_jsonl.splitlines()[0] not in entry.read_text()
         assert sorted(p.name for p in directory.glob("*.trace.*")) == [
-            f"{key}.trace.csv",
             f"{key}.trace.jsonl",
         ]
         jsonl = (directory / f"{key}.trace.jsonl").read_bytes()
-        csv_bytes = (directory / f"{key}.trace.csv").read_bytes()
         assert jsonl == run.trace_jsonl.encode("utf-8")
-        assert csv_bytes == run.trace_csv.encode("utf-8")
         assert stored["sidecars"] == {
             "trace_jsonl": {"name": f"{key}.trace.jsonl", "bytes": len(jsonl)},
-            "trace_csv": {"name": f"{key}.trace.csv", "bytes": len(csv_bytes)},
         }
 
     @pytest.mark.parametrize("damage", ["truncated", "deleted"])
@@ -363,7 +366,7 @@ class TestTraceSidecars:
         rerun = warm.runs[0]
         assert rerun.report.as_dict() == cold.report.as_dict()
         assert rerun.trace_jsonl == cold.trace_jsonl
-        assert rerun.trace_csv == cold.trace_csv
+        assert _rendered_csv(rerun) == _rendered_csv(cold)
         # The recomputed run rewrote a whole entry: the next read hits.
         again = run_session(["fig15"], cache=MemoStore(directory), traced=True)
         assert again.cache_hits == 1
@@ -378,7 +381,6 @@ class TestTraceSidecars:
         store.put("key1", dict(self.TEXTS))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "key1.json",
-            "key1.trace.csv",
             "key1.trace.jsonl",
         ]
         assert len(store) == 1
@@ -386,17 +388,13 @@ class TestTraceSidecars:
     def test_texts_round_trip_byte_for_byte(self, tmp_path):
         MemoStore(tmp_path).put("key1", {"other": 1, **self.TEXTS})
         assert MemoStore(tmp_path).get("key1") == {"other": 1, **self.TEXTS}
-        for field, suffix in (("trace_jsonl", "jsonl"), ("trace_csv", "csv")):
-            raw = (tmp_path / f"key1.trace.{suffix}").read_bytes()
-            assert raw == self.TEXTS[field].encode("utf-8")
+        raw = (tmp_path / "key1.trace.jsonl").read_bytes()
+        assert raw == self.TEXTS["trace_jsonl"].encode("utf-8")
 
     def test_untraced_values_and_memory_stores_keep_no_sidecars(self, tmp_path):
         store = MemoStore(tmp_path)
-        store.put("key1", {"trace_jsonl": None, "trace_csv": None})
-        assert MemoStore(tmp_path).get("key1") == {
-            "trace_jsonl": None,
-            "trace_csv": None,
-        }
+        store.put("key1", {"trace_jsonl": None})
+        assert MemoStore(tmp_path).get("key1") == {"trace_jsonl": None}
         assert not list(tmp_path.glob("*.trace.*"))
         memory = MemoStore()
         memory.put("key1", dict(self.TEXTS))

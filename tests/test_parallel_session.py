@@ -1,11 +1,14 @@
 """Parallel session driver: fan-out, memoization, deterministic merges.
 
-Process-pool tests use the two cheapest experiments (tab01 is static,
-fig15 is the fastest sweep) so the spawn overhead dominates, not the
+Worker-process tests use the two cheapest experiments (tab01 is static,
+fig15 is the fastest sweep) so the worker start-up dominates, not the
 simulation.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,8 +17,13 @@ from repro.bench.session import build_report
 from repro.cache import MemoStore
 from repro.cli import main
 from repro.errors import BenchmarkError
+from repro.trace import read_jsonl, to_csv
 
 FAST_IDS = ["tab01", "fig15"]
+
+
+def _rendered_csv(run) -> str:
+    return to_csv(read_jsonl(run.trace_jsonl.splitlines()))
 
 
 def _report_dicts(session):
@@ -36,11 +44,11 @@ class TestRunSession:
         assert _report_dicts(parallel) == _report_dicts(serial)
         for a, b in zip(parallel.runs, serial.runs):
             assert a.trace_jsonl == b.trace_jsonl
-            assert a.trace_csv == b.trace_csv
+            assert _rendered_csv(a) == _rendered_csv(b)
 
     def test_explicit_seed_reaches_spawned_workers(self):
         # ext04 (skewed probes) is seed-sensitive; two experiments force
-        # the spawn pool, where the parent's DEFAULT_BASE_SEED mutation
+        # worker processes, where the parent's DEFAULT_BASE_SEED mutation
         # would be invisible — only the explicit threading can work.
         ids = ["tab01", "ext04"]
         seeded = run_session(ids, jobs=2, base_seed=7)
@@ -61,6 +69,39 @@ class TestRunSession:
         session = run_session(["tab01", "tab01"])
         assert len(session.runs) == 2
         assert session.runs[0].report.as_dict() == session.runs[1].report.as_dict()
+
+
+class TestWorkerProcesses:
+    def test_no_process_outlives_a_jobs_session(self, tmp_path):
+        # No ``__main__`` guard: a session must not re-run its caller's
+        # script in its workers, and must reap every process it started.
+        script = tmp_path / "session.py"
+        script.write_text(
+            "from repro.bench.parallel import run_session\n"
+            f"run_session({FAST_IDS!r}, jobs=2)\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, str(script)], start_new_session=True, env=_env()
+        )
+        assert child.wait(timeout=600) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+
+    def test_crashed_worker_names_its_experiment(self, tmp_path, monkeypatch):
+        crash = tmp_path / "crash"
+        crash.write_text("#!/bin/sh\nexit 3\n")
+        crash.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(crash))
+        with pytest.raises(BenchmarkError, match="tab01 .*exited with code 3"):
+            run_session(FAST_IDS, jobs=2)
+
+
+def _env():
+    """This environment, with the ``repro`` under test importable."""
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    return {**os.environ, "PYTHONPATH": root}
 
 
 class TestSessionCache:
@@ -133,7 +174,10 @@ class TestSessionCache:
         assert list(written) == ["_session"]  # untraced: no experiment trace
         path = written["_session"]
         assert path.name == "_session.trace.jsonl"
-        assert (tmp_path / "t" / "_session.trace.csv").exists()
+        assert not (tmp_path / "t" / "_session.trace.csv").exists()
+        assert main(["trace-csv", str(tmp_path / "t")]) == 0
+        csv_text = (tmp_path / "t" / "_session.trace.csv").read_text()
+        assert csv_text == to_csv(read_jsonl(path))
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
         assert "bench.cache.misses" in names
 

@@ -78,7 +78,7 @@ class TestStorageDeterminismGate:
 
     def test_serial_parallel_and_replay_agree(self, tmp_path):
         run = RunConfig(storage="200m")
-        ids = ["wl01", "tab01"]  # two pending: exercises the spawn pool
+        ids = ["wl01", "tab01"]  # two pending: exercises the worker processes
         serial = run_session(ids, base_seed=7, run=run)
         store = MemoStore(tmp_path / "cache")
         cold = run_session(ids, jobs=2, base_seed=7, run=run, cache=store)

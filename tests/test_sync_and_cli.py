@@ -231,8 +231,12 @@ class TestCliTrace:
         assert lines  # a traced figure run is never empty
         kinds = {json.loads(line)["kind"] for line in lines}
         assert "span" in kinds
+        assert not (tmp_path / "fig06.trace.csv").exists()
+        assert main(["trace-csv", str(tmp_path)]) == 0
+        assert f"wrote {tmp_path / 'fig06.trace.csv'}" in capsys.readouterr().out
         csv_text = (tmp_path / "fig06.trace.csv").read_text()
         assert csv_text.startswith("kind,name,category")
+        assert len(csv_text.splitlines()) == len(lines) + 1
 
     def test_trace_reproduces_phase_breakdown(self, tmp_path, capsys):
         from repro.bench.registry import run_experiment
@@ -247,6 +251,13 @@ class TestCliTrace:
         # per-phase rows must be recoverable from (subsets of) it.
         for phase in ("hist1", "copy1", "build", "join"):
             assert phases[phase] >= report.value("naive: sgx", phase)
+
+    def test_trace_csv_without_traces_exits_2(self, tmp_path, capsys):
+        assert main(["trace-csv"]) == 2
+        assert main(["trace-csv", str(tmp_path)]) == 2
+        assert main(["trace-csv", str(tmp_path / "missing")]) == 2
+        assert "no *.trace.jsonl files" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_typo_leaves_no_trace_dir_behind(self, tmp_path, capsys):
         target = tmp_path / "traces"

@@ -70,11 +70,16 @@ class TestRecords:
             Event("query.arrival", time_s=1.5, attrs={"query_id": 7}),
             Event("enclave.init", time_s=None, attrs={"heap_bytes": 42}),
             Counter("enclave.allocations", 3),
+            Counter("scheduler.spilled_bytes", 884762000000.0),
             Gauge("scheduler.epc_high_water_bytes", 1e9),
+            Gauge("scheduler.queue_depth", 4),
         ]
         for record in records:
-            rebuilt = record_from_dict(json.loads(json.dumps(record.as_dict())))
+            text = json.dumps(record.as_dict())
+            rebuilt = record_from_dict(json.loads(text))
             assert rebuilt == record
+            # Values keep their JSON number type: 884762000000.0 stays a float.
+            assert json.dumps(rebuilt.as_dict()) == text
 
     def test_dict_round_trip_each_kind(self):
         records = [

@@ -1,8 +1,9 @@
 """Pinned bytes of real traced exports, JSON-lines and CSV.
 
 The digests were computed before the trace exporters were rewritten, so
-any change to a traced run's exported bytes fails here.  The test uses
-only ``run_session`` and so runs unchanged against older checkouts.
+any change to a traced run's exported bytes fails here.  A session
+writes only the JSON lines; the CSV digests pin the CSV that
+``sgxv2-bench trace-csv`` renders from them.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ import hashlib
 import pytest
 
 from repro.bench.parallel import run_session
+from repro.trace import read_jsonl, to_csv
 
 #: sha256 of the traced quick-fidelity exports at the default seed, pinned
 #: before the one-pass encoder replaced the two exporters.
@@ -40,5 +42,8 @@ def traced_session():
 @pytest.mark.parametrize("field", ["trace_jsonl", "trace_csv"])
 def test_traced_export_bytes_pinned(traced_session, experiment_id, field):
     (run,) = [r for r in traced_session.runs if r.experiment_id == experiment_id]
-    digest = hashlib.sha256(getattr(run, field).encode()).hexdigest()
+    text = run.trace_jsonl
+    if field == "trace_csv":
+        text = to_csv(read_jsonl(text.splitlines()))
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PINNED[experiment_id][field]

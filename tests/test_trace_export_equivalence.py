@@ -1,13 +1,16 @@
-"""Byte-equivalence of the one-pass trace encoder with its predecessor.
+"""Byte-equivalence of the trace exporters with their predecessors.
 
-``export_texts`` JSON-encodes each record's ``attrs`` once and builds the
-JSON line and the CSV row from that one string.  The reference exporters
-below are the earlier code it replaced: ``json.dumps(record.as_dict(),
-sort_keys=True)`` per line and a ``csv.DictWriter`` over the flattened
-record.  The properties assert identical text for every record kind and
-for the formatting edge cases (``time_s=None``, non-finite floats, float
-subclasses, names that need CSV quoting, non-string attrs keys).
-``test_trace_bytes_pinned.py`` holds real traced exports byte for byte.
+``to_jsonl`` and ``to_csv`` JSON-encode each event's ``attrs`` with one
+reused encoder and splice that string into the line or row.  The
+reference exporters below are the earlier code they replaced:
+``json.dumps(record.as_dict(), sort_keys=True)`` per line and a
+``csv.DictWriter`` over the flattened record.  The properties assert
+identical text for every record kind and for the formatting edge cases
+(``time_s=None``, non-finite floats, float subclasses, names that need
+CSV quoting, non-string attrs keys).  Real traced runs must render the
+same CSV from their read-back JSON lines as from their in-memory
+records.  ``test_trace_bytes_pinned.py`` holds real traced exports byte
+for byte.
 """
 
 import csv
@@ -20,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.registry import run_experiment
 from repro.trace import (
     Counter,
     Event,
     Gauge,
     Span,
     Tracer,
-    export_texts,
+    read_jsonl,
     to_csv,
     to_jsonl,
 )
@@ -75,15 +79,10 @@ def _outcome(export, records):
 
 
 def assert_equivalent(records) -> None:
+    """Each exporter gives its reference's text, or raises its error."""
     records = list(records)
-    expected = (
-        _outcome(reference_jsonl, records),
-        _outcome(reference_csv, records),
-    )
-    if all(isinstance(text, str) for text in expected):
-        assert export_texts(records) == expected
-    else:  # the reference raised, so the encoder must raise the same error
-        assert _outcome(export_texts, records) in expected
+    assert _outcome(to_jsonl, records) == _outcome(reference_jsonl, records)
+    assert _outcome(to_csv, records) == _outcome(reference_csv, records)
 
 
 # -- explicit edge cases -----------------------------------------------------
@@ -156,7 +155,7 @@ def test_all_edge_records_in_one_export():
 
 def test_empty_export_matches_reference():
     assert_equivalent([])
-    assert export_texts(Tracer()) == ("", reference_csv([]))
+    assert (to_jsonl(Tracer()), to_csv(Tracer())) == ("", reference_csv([]))
 
 
 def test_views_are_halves_of_one_export():
@@ -164,10 +163,24 @@ def test_views_are_halves_of_one_export():
     tracer.event("query.arrival", time_s=0.5, query_id=1, cls="q3")
     tracer.span("build", category="operator-phase", start=0.0, duration=9.0)
     tracer.count("scheduler.arrivals")
+    tracer.count("scheduler.spilled_bytes", 2.5e8)
     tracer.gauge("scheduler.epc_high_water_bytes", 2.5e8)
-    jsonl, csv_text = export_texts(tracer)
-    assert to_jsonl(tracer) == jsonl == reference_jsonl(tracer.snapshot())
-    assert to_csv(tracer) == csv_text == reference_csv(tracer.snapshot())
+    jsonl = to_jsonl(tracer)
+    assert jsonl == reference_jsonl(tracer.snapshot())
+    assert to_csv(tracer) == reference_csv(tracer.snapshot())
+    assert to_csv(read_jsonl(jsonl.splitlines())) == to_csv(tracer)
+
+
+@pytest.mark.parametrize("experiment_id", [f"wl0{i}" for i in range(1, 9)])
+def test_csv_renders_from_the_jsonl_of_a_traced_run(experiment_id):
+    # ``sgxv2-bench trace-csv`` renders each CSV from the written JSON
+    # lines, so every traced run's read-back records must give the CSV of
+    # its in-memory records (wl07's float spill counter once read back as
+    # an int).
+    tracer = Tracer(label=experiment_id)
+    run_experiment(experiment_id, quick=True, tracer=tracer)
+    rendered = to_csv(read_jsonl(to_jsonl(tracer).splitlines()))
+    assert rendered == to_csv(tracer)
 
 
 # -- properties --------------------------------------------------------------
