@@ -159,15 +159,17 @@ def engine_profile(
         memo.add(gate_key)
         tracer.event(
             BACKEND_EQUIVALENCE,
-            backend=mode,
-            template=template.name,
-            digest=digest,
-            rows=artifact.rows,
+            {
+                "backend": mode,
+                "template": template.name,
+                "digest": digest,
+                "rows": artifact.rows,
+            },
         )
 
     envelope = SgxCostEnvelope(catalog.machine_prototype())
     cost = envelope.price(artifact, template)
-    tracer.event(BACKEND_ENVELOPE, **cost.as_event_attrs())
+    tracer.event(BACKEND_ENVELOPE, cost.as_event_attrs())
     plain, enclave = JobCatalog.SETTINGS
     return JobProfile(
         name=template.name,

@@ -94,10 +94,12 @@ def run(
             digests[template.name] = digest
             tracer.event(
                 BACKEND_EQUIVALENCE,
-                backend=mode,
-                template=template.name,
-                digest=digest,
-                rows=artifact[(mode, template.name)].rows,
+                {
+                    "backend": mode,
+                    "template": template.name,
+                    "digest": digest,
+                    "rows": artifact[(mode, template.name)].rows,
+                },
             )
 
     for label, make_machine in PLATFORMS:
@@ -121,7 +123,7 @@ def run(
                 cost = envelope.price(
                     get_profile(mode, template, artifact), template
                 )
-                tracer.event(BACKEND_ENVELOPE, **cost.as_event_attrs())
+                tracer.event(BACKEND_ENVELOPE, cost.as_event_attrs())
                 report.add(
                     f"{label} {mode} engine",
                     template.name,

@@ -154,7 +154,8 @@ def run(
     arms = ("static-native", "cost", "adaptive", "oracle")
     for label in arms:
         mode = "static" if label == "static-native" else label
-        run_tracer = Tracer(label=f"wl05-{label}")
+        # Only the planner arms' choices are read back.
+        run_tracer = Tracer(label=f"wl05-{label}") if mode != "static" else None
         with use_tracer(tee(current_tracer(), run_tracer)):
             metrics = engine.run(
                 scenario(

@@ -173,8 +173,9 @@ def run(
             cluster=cluster,
         )
 
-    def serve(label: str, config: WorkloadConfig):
-        run_tracer = Tracer(label=f"wl06-{label}")
+    def serve(label: str, config: WorkloadConfig, *, traced: bool = False):
+        # Only the skew arms' cluster breakdown is read back.
+        run_tracer = Tracer(label=f"wl06-{label}") if traced else None
         with use_tracer(tee(current_tracer(), run_tracer)):
             result = engine.run_cluster(config)
         report.notes.append(f"{label}: {result.describe()}")
@@ -231,6 +232,7 @@ def run(
         result, run_tracer = serve(
             f"skew-{routing}",
             scenario(skew_streams, skew_duration, cluster),
+            traced=True,
         )
         metrics = result.metrics
         skew_results[routing] = result

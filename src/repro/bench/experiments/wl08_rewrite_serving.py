@@ -145,9 +145,10 @@ def run(
         # Pin "off" (not None) on the rewrite-free arms so a session-level
         # --rewrite cannot contaminate the comparison.
         rewrite = "learned" if label == "adaptive+learned" else "off"
-        run_tracer = Tracer(label=f"wl08-{label}")
+        # Only the learned arm's rewrite breakdown is read back.
+        run_tracer = None
         if rewrite == "learned":
-            learned_tracer = run_tracer
+            run_tracer = learned_tracer = Tracer(label=f"wl08-{label}")
         with use_tracer(tee(current_tracer(), run_tracer)):
             metrics = engine.run(
                 scenario(

@@ -292,10 +292,14 @@ def run_session(
         if hit is not None:
             results[experiment_id] = hit
             session.tracer.count("bench.cache.hits")
-            session.tracer.event("bench.cache.hit", experiment=experiment_id)
+            session.tracer.event(
+                "bench.cache.hit", {"experiment": experiment_id}
+            )
         else:
             session.tracer.count("bench.cache.misses")
-            session.tracer.event("bench.cache.miss", experiment=experiment_id)
+            session.tracer.event(
+                "bench.cache.miss", {"experiment": experiment_id}
+            )
             pending.append(experiment_id)
 
     # A --cache directory also hosts the profile memo's disk tier, so

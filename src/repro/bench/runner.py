@@ -149,9 +149,11 @@ def repeat_runs(
             if tracer.enabled:
                 tracer.event(
                     "bench.repetition_failed",
-                    repetition=index,
-                    seed=seed,
-                    error=type(exc).__name__,
+                    {
+                        "repetition": index,
+                        "seed": seed,
+                        "error": type(exc).__name__,
+                    },
                 )
             raise BenchmarkError(
                 f"repetition {index} (seed {seed}) failed: {exc}"
@@ -169,9 +171,7 @@ def repeat_runs(
             if tracer.enabled:
                 tracer.event(
                     "bench.repetition",
-                    repetition=i,
-                    seed=seeds[i],
-                    sample=samples[-1],
+                    {"repetition": i, "seed": seeds[i], "sample": samples[-1]},
                 )
                 tracer.count("bench.repetitions")
     return summarize(samples)

@@ -116,9 +116,11 @@ class MemoStore:
                 if tracer.enabled:
                     tracer.event(
                         "cache.corrupt_entry",
-                        key=key,
-                        path=str(path),
-                        error=type(exc).__name__,
+                        {
+                            "key": key,
+                            "path": str(path),
+                            "error": type(exc).__name__,
+                        },
                     )
                 self.misses += 1
                 return None

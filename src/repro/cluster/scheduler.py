@@ -335,20 +335,19 @@ class ClusterScheduler:
             )
             result.shuffle_s += shuffle
             if tracer.enabled:
-                attrs = dict(
-                    time_s=now,
-                    stream=arrival.stream,
-                    template=arrival.template,
-                    shard=target.spec.label,
-                    natural=self._shards[home_id].label,
-                    routing=cluster.routing,
-                    shuffle_s=shuffle,
-                )
+                attrs = {
+                    "stream": arrival.stream,
+                    "template": arrival.template,
+                    "shard": target.spec.label,
+                    "natural": self._shards[home_id].label,
+                    "routing": cluster.routing,
+                    "shuffle_s": shuffle,
+                }
                 if failover:
                     attrs["failover"] = True
                 if diverted:
                     attrs["diverted"] = True
-                tracer.event(ROUTE, **attrs)
+                tracer.event(ROUTE, attrs, now)
             target.loop.submit(arrival, shuffle_s=shuffle)
             target.routed += 1
             result.routed += 1
@@ -363,11 +362,13 @@ class ClusterScheduler:
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
+                    {
+                        "shard": rt.spec.label,
+                        "phase": "down",
+                        "queries": len(victims),
+                        "rerouted": bool(cluster.failover and alive),
+                    },
                     time_s=now,
-                    shard=rt.spec.label,
-                    phase="down",
-                    queries=len(victims),
-                    rerouted=bool(cluster.failover and alive),
                 )
             for pending in victims:
                 if cluster.failover and alive:
@@ -399,11 +400,13 @@ class ClusterScheduler:
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
+                    {
+                        "shard": rt.spec.label,
+                        "phase": "up",
+                        "queries": 0,
+                        "rerouted": False,
+                    },
                     time_s=now,
-                    shard=rt.spec.label,
-                    phase="up",
-                    queries=0,
-                    rerouted=False,
                 )
 
         def elastic_tick(now: float) -> None:
@@ -440,12 +443,14 @@ class ClusterScheduler:
                 if tracer.enabled:
                     tracer.event(
                         SCALE,
+                        {
+                            "direction": "up",
+                            "shard": grown.spec.label,
+                            "pool": sum(1 for rt in runtimes if rt.active),
+                            "mean_load": mean_load,
+                            "activation_delay_s": delay,
+                        },
                         time_s=now,
-                        direction="up",
-                        shard=grown.spec.label,
-                        pool=sum(1 for rt in runtimes if rt.active),
-                        mean_load=mean_load,
-                        activation_delay_s=delay,
                     )
             elif (
                 mean_load < elastic.low_watermark
@@ -458,11 +463,13 @@ class ClusterScheduler:
                 if tracer.enabled:
                     tracer.event(
                         SCALE,
+                        {
+                            "direction": "down",
+                            "shard": shrunk.spec.label,
+                            "pool": sum(1 for rt in runtimes if rt.active),
+                            "mean_load": mean_load,
+                        },
                         time_s=now,
-                        direction="down",
-                        shard=shrunk.spec.label,
-                        pool=sum(1 for rt in runtimes if rt.active),
-                        mean_load=mean_load,
                     )
 
         # The multiplex: always advance the globally earliest event, keyed

@@ -14,6 +14,7 @@ cores from outside the enclave (Sec. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ConfigurationError
@@ -31,9 +32,10 @@ class ShardSpec:
     cores: int
     epc_budget_bytes: float
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Stable shard name carried in trace attrs and metrics labels."""
+        """Stable shard name carried in trace attrs and metrics labels
+        (every traced route names two shards, so it is built once)."""
         return f"m{self.machine}.s{self.socket}.e{self.enclave}"
 
     def home_core(self, spec: HardwareSpec) -> int:

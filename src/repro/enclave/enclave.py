@@ -81,10 +81,12 @@ class Enclave:
         if tracer.enabled:
             tracer.event(
                 "enclave.init",
-                heap_bytes=self.config.heap_bytes,
-                dynamic=self.config.dynamic,
-                max_bytes=self.config.max_bytes,
-                node=self.config.node,
+                {
+                    "heap_bytes": self.config.heap_bytes,
+                    "dynamic": self.config.dynamic,
+                    "max_bytes": self.config.max_bytes,
+                    "node": self.config.node,
+                },
             )
 
     def destroy(self) -> None:
@@ -171,11 +173,13 @@ class Enclave:
         if tracer.enabled:
             tracer.event(
                 "enclave.alloc",
-                region=name,
-                bytes=size_bytes,
-                pages_static=pages - dynamic_pages,
-                pages_dynamic=dynamic_pages,
-                heap_free_bytes=self.heap_free_bytes,
+                {
+                    "region": name,
+                    "bytes": size_bytes,
+                    "pages_static": pages - dynamic_pages,
+                    "pages_dynamic": dynamic_pages,
+                    "heap_free_bytes": self.heap_free_bytes,
+                },
             )
             tracer.count("enclave.allocations")
             if dynamic_pages:
@@ -210,10 +214,12 @@ class Enclave:
         if tracer.enabled:
             tracer.event(
                 "enclave.grow",
-                region=name,
-                bytes=size_bytes,
-                pages=pages,
-                total_bytes=self.total_bytes,
+                {
+                    "region": name,
+                    "bytes": size_bytes,
+                    "pages": pages,
+                    "total_bytes": self.total_bytes,
+                },
             )
             tracer.count("enclave.pages_added_dynamically", pages)
         return region

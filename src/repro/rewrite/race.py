@@ -320,21 +320,25 @@ def plan_rewrites(
             if proof.accepted:
                 tracer.event(
                     REWRITE_PROVED,
-                    template=template.name,
-                    query=query,
-                    rewrite=candidate.name,
-                    kind=candidate.kind,
-                    digest=proof.digest[:16],
-                    rows=proof.rows,
+                    {
+                        "template": template.name,
+                        "query": query,
+                        "rewrite": candidate.name,
+                        "kind": candidate.kind,
+                        "digest": proof.digest[:16],
+                        "rows": proof.rows,
+                    },
                 )
             else:
                 tracer.event(
                     REWRITE_REJECTED,
-                    template=template.name,
-                    query=query,
-                    rewrite=candidate.name,
-                    kind=candidate.kind,
-                    reason=proof.reason,
+                    {
+                        "template": template.name,
+                        "query": query,
+                        "rewrite": candidate.name,
+                        "kind": candidate.kind,
+                        "reason": proof.reason,
+                    },
                 )
     # Every proof run executed the reference plan for real: feed its
     # per-step cardinalities back into the estimate tracker and log the
@@ -346,11 +350,13 @@ def plan_rewrites(
     if tracer.enabled:
         tracer.event(
             REWRITE_QERROR,
-            template=template.name,
-            query=query,
-            max_q_error_raw=raw_worst,
-            max_q_error_corrected=corrected_worst,
-            steps=len(actuals),
+            {
+                "template": template.name,
+                "query": query,
+                "max_q_error_raw": raw_worst,
+                "max_q_error_corrected": corrected_worst,
+                "steps": len(actuals),
+            },
         )
     if mode == "prove":
         return RewriteDecision(
@@ -385,12 +391,14 @@ def plan_rewrites(
         if tracer.enabled:
             tracer.event(
                 REWRITE_RACE,
-                template=template.name,
-                query=query,
-                rewrite=candidate.name,
-                seconds=estimate.seconds,
-                working_set_bytes=estimate.working_set_bytes,
-                reference_seconds=reference.seconds,
+                {
+                    "template": template.name,
+                    "query": query,
+                    "rewrite": candidate.name,
+                    "seconds": estimate.seconds,
+                    "working_set_bytes": estimate.working_set_bytes,
+                    "reference_seconds": reference.seconds,
+                },
             )
     ranked = tuple(
         sorted(estimates, key=lambda e: (e.seconds, e.candidate.name))
@@ -401,13 +409,15 @@ def plan_rewrites(
         if tracer.enabled:
             tracer.event(
                 REWRITE_WINNER,
-                template=template.name,
-                query=query,
-                rewrite=winner.candidate.name,
-                kind=winner.candidate.kind,
-                seconds=winner.seconds,
-                reference_seconds=reference.seconds,
-                speedup=reference.seconds / winner.seconds,
+                {
+                    "template": template.name,
+                    "query": query,
+                    "rewrite": winner.candidate.name,
+                    "kind": winner.candidate.kind,
+                    "seconds": winner.seconds,
+                    "reference_seconds": reference.seconds,
+                    "speedup": reference.seconds / winner.seconds,
+                },
             )
     return RewriteDecision(
         template_name=template.name,

@@ -8,14 +8,21 @@ are carried as one JSON-encoded column.  Records read back exactly as
 they were written, so ``to_csv(read_jsonl(path))`` renders a written
 trace's CSV on request (``sgxv2-bench trace-csv DIR``).
 
-Both exporters take one fast path for events with a finite ``float`` or
-``None`` time, a ``str`` name and string-keyed ``attrs``: the ``attrs``
-are encoded by one reused C encoder and spliced into the JSON line
-(``attrs`` sorts first among the keys) or, quoted, into the CSV row, and
-event names are encoded once per export.  Every other record (spans,
-counters, gauges, non-finite or float-subclass times, non-string names
-or keys) is formatted from its :meth:`as_dict` exactly as
-``json.dumps(..., sort_keys=True)`` and ``csv.writer`` format it.
+Both exporters write events through one shape encoder.  A shape is an
+event name with its attrs keys in insertion order; each is compiled once
+per export into a ``%`` template holding the JSON texts of the sorted
+keys and the line's tail (a CSV row's template has its quotes doubled).
+Values are written by exact type, as ``json`` writes them: ``str``
+through ``encode_basestring_ascii``, finite ``float`` through
+``float.__repr__``, ``int`` through ``int.__repr__``, and ``True``,
+``False`` and ``None``.  String and float texts are memoized for the
+export, in memos emptied past :data:`MEMO_LIMIT` entries; zeros skip the
+float memo, since ``0.0`` and ``-0.0`` are one key.  Any other record is
+formatted whole from its :meth:`as_dict`, exactly as
+``json.dumps(..., sort_keys=True)`` and ``csv.writer`` format it: spans,
+counters, gauges, and events with a non-``str`` name, a non-``str`` key,
+a non-finite float, a container, or a subclass (an ``IntEnum`` too) in
+their time or attrs.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import csv
 import io
 import json
 import pathlib
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import BenchmarkError
 from repro.trace.records import Event, record_from_dict
@@ -50,48 +58,18 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 #: ``json.dumps(value, sort_keys=True)``, without a new encoder per call.
 _encode = _ENCODER.encode
 
-
-def _reused_encoder():
-    """``_encode`` for ``attrs`` dicts, with one C encoder built up front.
-
-    ``JSONEncoder.encode`` builds a fresh C encoder (and a Python closure
-    chain) on every call, which is most of its cost for the small dicts of
-    trace events.  This builds the same encoder once, with ``encode``'s
-    settings.  Its circular-reference markers are cleared when an encode
-    fails, since the C encoder leaves them behind then.  Without the
-    ``_json`` accelerator, ``_encode`` itself is used.
-    """
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:
-        return _encode
-    markers: Dict[int, object] = {}
-    chunks = make_encoder(
-        markers,
-        _ENCODER.default,
-        json.encoder.encode_basestring_ascii,
-        _ENCODER.indent,
-        _ENCODER.key_separator,
-        _ENCODER.item_separator,
-        _ENCODER.sort_keys,
-        _ENCODER.skipkeys,
-        _ENCODER.allow_nan,
-    )
-
-    def encode(value) -> str:
-        try:
-            return "".join(chunks(value, 0))
-        except BaseException:
-            markers.clear()
-            raise
-
-    return encode
-
-
-#: ``_encode`` for one record's ``attrs`` dict.
-_encode_attrs = _reused_encoder()
+#: Entries a memo of one export holds before it is emptied.  A trace's
+#: floats are mostly distinct, so an unbounded memo would hold one text
+#: per float of the whole trace.
+MEMO_LIMIT = 4096
 
 #: ``csv.writer`` (QUOTE_MINIMAL) writes a field free of these unquoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
+
+#: How ``json`` writes a string, a float and an int.
+_escape = json.encoder.encode_basestring_ascii
+_float_text = float.__repr__
+_int_text = int.__repr__
 
 
 def _records(source) -> List[TraceRecord]:
@@ -111,13 +89,6 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _csv_attrs(encoded: str) -> str:
-    """The CSV field of an encoded ``attrs``: empty for ``{}``, else quoted."""
-    if encoded == "{}":
-        return ""
-    return '"' + encoded.replace('"', '""') + '"'
-
-
 def _csv_value(value) -> str:
     """One column of a CSV row, formatted as ``csv.writer`` formats it."""
     if value is None:
@@ -125,34 +96,9 @@ def _csv_value(value) -> str:
     return _csv_field(value if isinstance(value, str) else str(value))
 
 
-def _attrs(attrs) -> Optional[str]:
-    """``attrs``' JSON text when it is a dict keyed by plain strings."""
-    if type(attrs) is not dict:
-        return None
-    if not attrs:
-        return "{}"
-    for key in attrs:
-        if type(key) is not str:
-            return None
-    return _encode_attrs(attrs)
-
-
-def _event_fields(record: Event) -> Optional[Tuple[str, str]]:
-    """An event's (``time_s`` text, JSON ``attrs``), or ``None`` for unusual
-    fields; the time text is ``""`` for ``time_s=None``."""
-    time_s = record.time_s
-    if time_s is None:
-        time_text = ""
-    elif type(time_s) is float and time_s - time_s == 0.0:
-        time_text = repr(time_s)
-    else:
-        return None
-    if type(record.name) is not str:
-        return None
-    attrs = _attrs(record.attrs)
-    if attrs is None:
-        return None
-    return time_text, attrs
+def _generic_line(record) -> str:
+    """Any record's JSON line, formatted from its :meth:`as_dict` form."""
+    return _encode(record.as_dict()) + "\n"
 
 
 def _generic_row(record) -> str:
@@ -160,26 +106,127 @@ def _generic_row(record) -> str:
     payload = record.as_dict()
     attrs = payload.pop("attrs", {})
     row = [_csv_value(payload.get(column, "")) for column in CSV_COLUMNS[:-1]]
-    row.append(_csv_attrs(_encode(attrs)))
+    encoded = _encode(attrs)
+    row.append("" if encoded == "{}" else '"' + encoded.replace('"', '""') + '"')
     return ",".join(row) + "\n"
+
+
+def _event_encoder(csv_rows: bool):
+    """One export's shape encoder: ``encode(record)`` is an event's JSON
+    line (or CSV row), or ``None`` when the record needs the generic path.
+
+    Shapes are looked up by key equality, so a ``str``-subclass key shares
+    the shape of the equal plain key and is written as that key, as
+    :meth:`as_dict`'s ``str(key)`` writes it.
+    """
+    null_time = "" if csv_rows else "null"
+    shapes: Dict[tuple, object] = {}
+    strings: Dict[str, str] = {}
+    floats: Dict[float, str] = {}
+
+    def compile_shape(name: str, attrs: dict):
+        if any(type(key) is not str for key in attrs):
+            return None
+        keys = sorted(attrs)
+        fields = ", ".join(
+            _escape(key).replace("%", "%%") + ": %s" for key in keys
+        )
+        if csv_rows:
+            fields = fields.replace('"', '""')
+            template = (
+                f"event,{_csv_field(name).replace('%', '%%')},,,,,%s,,"
+                + ('"{' + fields + '}"' if keys else "")
+                + "\n"
+            )
+        else:
+            template = (
+                '{"attrs": {' + fields + '}, "kind": "event", "name": '
+                + _escape(name).replace("%", "%%")
+                + ', "time_s": %s}\n'
+            )
+        if len(keys) > 1:
+            values = itemgetter(*keys)
+        elif keys:
+            values = lambda attrs, key=keys[0]: (attrs[key],)
+        else:
+            values = lambda attrs: ()
+        return template, values
+
+    def new_float(value: float) -> Optional[str]:
+        """A float missing from the memo: its text, memoized unless it is
+        a zero (``0.0`` and ``-0.0`` are one key); ``None`` if not finite."""
+        if value - value != 0.0:
+            return None
+        text = _float_text(value)
+        if value:
+            if len(floats) >= MEMO_LIMIT:
+                floats.clear()
+            floats[value] = text
+        return text
+
+    def encode(record) -> Optional[str]:
+        if type(record) is not Event:
+            return None
+        name, time_s, attrs = record
+        if type(name) is not str or type(attrs) is not dict:
+            return None
+        if time_s is None:
+            time_text = null_time
+        elif type(time_s) is float:
+            time_text = floats.get(time_s) or new_float(time_s)
+            if time_text is None:
+                return None
+        else:
+            return None
+        key = (name, *attrs)
+        shape = shapes.get(key, False)
+        if shape is False:
+            if len(shapes) >= MEMO_LIMIT:
+                shapes.clear()
+            shape = shapes[key] = compile_shape(name, attrs)
+        if shape is None:
+            return None
+        template, values = shape
+        texts = [time_text] if csv_rows else []
+        for value in values(attrs):
+            kind = type(value)
+            if kind is str:
+                text = strings.get(value)
+                if text is None:
+                    text = _escape(value)
+                    if csv_rows:
+                        text = text.replace('"', '""')
+                    if len(strings) >= MEMO_LIMIT:
+                        strings.clear()
+                    strings[value] = text
+            elif kind is float:
+                text = floats.get(value) or new_float(value)
+                if text is None:
+                    return None
+            elif kind is int:
+                text = _int_text(value)
+            elif value is None:
+                text = "null"
+            elif value is True:
+                text = "true"
+            elif value is False:
+                text = "false"
+            else:
+                return None
+            texts.append(text)
+        if not csv_rows:
+            texts.append(time_text)
+        return template % tuple(texts)
+
+    return encode
 
 
 def to_jsonl(source) -> str:
     """The JSON-lines text of ``source`` (a tracer or record iterable)."""
+    encode = _event_encoder(csv_rows=False)
     lines: List[str] = []
-    names: Dict[str, str] = {}
     for record in _records(source):
-        fields = _event_fields(record) if type(record) is Event else None
-        if fields is None:
-            lines.append(_encode(record.as_dict()) + "\n")
-            continue
-        name = names.get(record.name)
-        if name is None:
-            name = names[record.name] = _encode(record.name)
-        lines.append(
-            f'{{"attrs": {fields[1]}, "kind": "event", "name": {name}, '
-            f'"time_s": {fields[0] or "null"}}}\n'
-        )
+        lines.append(encode(record) or _generic_line(record))
     return "".join(lines)
 
 
@@ -189,17 +236,10 @@ def to_csv(source) -> str:
     Rows end in ``"\\n"`` like the JSON-lines export, so the CSV of one
     trace is byte-deterministic across platforms.
     """
+    encode = _event_encoder(csv_rows=True)
     rows: List[str] = [_CSV_HEADER]
-    names: Dict[str, str] = {}
     for record in _records(source):
-        fields = _event_fields(record) if type(record) is Event else None
-        if fields is None:
-            rows.append(_generic_row(record))
-            continue
-        name = names.get(record.name)
-        if name is None:
-            name = names[record.name] = _csv_field(record.name)
-        rows.append(f"event,{name},,,,,{fields[0]},,{_csv_attrs(fields[1])}\n")
+        rows.append(encode(record) or _generic_row(record))
     return "".join(rows)
 
 

@@ -27,6 +27,10 @@ from repro.trace.records import Counter, Event, Gauge, Span
 
 TraceRecord = Union[Span, Event, Counter, Gauge]
 
+#: Builds an :class:`Event` from its field tuple without the named
+#: tuple's Python-level ``__new__``: the hot path of a traced run.
+_tuple_new = tuple.__new__
+
 
 class Tracer:
     """Collects typed records plus a counters/gauges registry."""
@@ -56,9 +60,14 @@ class Tracer:
         return record
 
     def event(
-        self, name: str, *, time_s: Optional[float] = None, **attrs: Any
+        self,
+        name: str,
+        attrs: Optional[Dict[str, Any]] = None,
+        time_s: Optional[float] = None,
     ) -> Event:
-        record = Event(name, time_s, attrs)
+        """Record one event.  ``attrs`` becomes the record's own dict, so
+        the caller builds it for this event and never touches it again."""
+        record = _tuple_new(Event, (name, time_s, {} if attrs is None else attrs))
         self.records.append(record)
         return record
 
@@ -103,7 +112,7 @@ class NullTracer:
     def span(self, name: str, **kwargs: Any) -> None:
         return None
 
-    def event(self, name: str, **kwargs: Any) -> None:
+    def event(self, name: str, attrs=None, time_s=None) -> None:
         return None
 
     def count(self, name: str, delta: int = 1) -> None:
@@ -165,9 +174,12 @@ class TeeTracer:
         return record
 
     def event(
-        self, name: str, *, time_s: Optional[float] = None, **attrs: Any
+        self,
+        name: str,
+        attrs: Optional[Dict[str, Any]] = None,
+        time_s: Optional[float] = None,
     ) -> Event:
-        record = Event(name, time_s, attrs)
+        record = _tuple_new(Event, (name, time_s, {} if attrs is None else attrs))
         for child in self.children:
             child.records.append(record)
         return record

@@ -317,12 +317,14 @@ class SchedulerLoop:
         if self._tracer.enabled:
             self._emit(
                 RUN_START,
-                time_s=0.0,
-                setting=scheduler._setting_label,
-                policy=scheduler._policy.label,
-                cores=scheduler._cores,
-                epc_budget_bytes=scheduler._epc_budget,
-                duration_s=duration_s,
+                0.0,
+                {
+                    "setting": scheduler._setting_label,
+                    "policy": scheduler._policy.label,
+                    "cores": scheduler._cores,
+                    "epc_budget_bytes": scheduler._epc_budget,
+                    "duration_s": duration_s,
+                },
             )
         self._counters = SchedulerCounters()
         self._records: List[QueryRecord] = []
@@ -343,6 +345,7 @@ class SchedulerLoop:
         self._free_cores = scheduler._cores
         self._epc_used = 0.0
         self._epc_high_water = 0.0
+        self._dispatched = False  # set by a traced dispatch
         self._next_id = scheduler._query_id_base
         self._seq = 0
         self._queued_threads = 0  # incremental; backs the router's load score
@@ -496,25 +499,28 @@ class SchedulerLoop:
 
     # -- internals ---------------------------------------------------------
 
-    def _emit(self, name: str, **attrs: object) -> None:
+    def _emit(
+        self,
+        name: str,
+        time_s: float,
+        attrs: Dict[str, object],
+        pending: Optional[PendingQuery] = None,
+    ) -> None:
+        """One event of this loop, its ``attrs`` completed in place with
+        the query's identity (given ``pending``) and the loop's shard."""
+        if pending is not None:
+            attrs["query_id"] = pending.query_id
+            attrs["stream"] = pending.stream
+            attrs["template"] = pending.template
         if self._shard:
             attrs["shard"] = self._shard
-        self._tracer.event(name, **attrs)
+        self._tracer.event(name, attrs, time_s)
 
     def _emit_query(
         self, name: str, now: float, pending: PendingQuery, **attrs: object
     ) -> None:
         """One query's event: the time, the query's identity, ``attrs``."""
-        if self._shard:
-            attrs["shard"] = self._shard
-        self._tracer.event(
-            name,
-            time_s=now,
-            query_id=pending.query_id,
-            stream=pending.stream,
-            template=pending.template,
-            **attrs,
-        )
+        self._emit(name, now, attrs, pending)
 
     def _push(self, time_s: float, kind: int, payload: object) -> None:
         heapq.heappush(self._events, (time_s, kind, self._seq, payload))
@@ -587,10 +593,12 @@ class SchedulerLoop:
                 if self._tracer.enabled:
                     self._emit(
                         BREAKER_OPEN,
-                        time_s=now,
-                        stream=pending.stream,
-                        until_s=breaker.open_until(pending.stream),
-                        consecutive_failures=breaker.threshold,
+                        now,
+                        {
+                            "stream": pending.stream,
+                            "until_s": breaker.open_until(pending.stream),
+                            "consecutive_failures": breaker.threshold,
+                        },
                     )
         retryable = (
             resilience is not None
@@ -762,28 +770,22 @@ class SchedulerLoop:
             self._epc_used += reserved_bytes
             self._epc_high_water = max(self._epc_high_water, self._epc_used)
             if self._tracer.enabled:
-                attrs = dict(self._zero_terms)
-                attrs[self._interference_term] = interference_s
+                attrs = {
+                    **self._zero_terms,
+                    self._interference_term: interference_s,
+                    "queue_wait_s": now - pending.arrival_s,
+                    "base_service_s": pending.service_s,
+                    "overflow_bytes": overflow_bytes,
+                    "bypassed": bypassed,
+                    "free_cores": self._free_cores,
+                    "epc_used_bytes": self._epc_used,
+                }
                 if charged:
                     attrs.update(charged)
                 if faulting:
                     attrs["attempt"] = pending.attempt
-                self._emit_query(
-                    DISPATCH,
-                    now,
-                    pending,
-                    queue_wait_s=now - pending.arrival_s,
-                    base_service_s=pending.service_s,
-                    overflow_bytes=overflow_bytes,
-                    bypassed=bypassed,
-                    free_cores=self._free_cores,
-                    epc_used_bytes=self._epc_used,
-                    **attrs,
-                )
-                gauge = "scheduler.epc_high_water_bytes"
-                if self._shard:
-                    gauge = f"{gauge}.{self._shard}"
-                self._tracer.gauge(gauge, self._epc_high_water)
+                self._emit(DISPATCH, now, attrs, pending)
+                self._dispatched = True
             self._running[pending.query_id] = pending
             self._reserved[pending.query_id] = reserved_bytes
             self._push(
@@ -1156,13 +1158,12 @@ class SchedulerLoop:
         if self._tracer.enabled:
             for name, value in counters.as_dict().items():
                 self._tracer.count(f"scheduler.{name}", value)
-            end_attrs = dict(
-                time_s=metrics.makespan_s,
-                setting=scheduler._setting_label,
-                policy=scheduler._policy.label,
-                completed=counters.completed,
-                epc_high_water_bytes=int(self._epc_high_water),
-            )
+            end_attrs = {
+                "setting": scheduler._setting_label,
+                "policy": scheduler._policy.label,
+                "completed": counters.completed,
+                "epc_high_water_bytes": int(self._epc_high_water),
+            }
             if self._faulting:
                 for name, value in counters.fault_dict().items():
                     self._tracer.count(f"scheduler.{name}", value)
@@ -1176,7 +1177,14 @@ class SchedulerLoop:
                     availability=metrics.availability,
                     downtime_s=self._downtime_s,
                 )
-            self._emit(RUN_END, **end_attrs)
+            self._emit(RUN_END, metrics.makespan_s, end_attrs)
+            if self._dispatched:
+                # The high water only rises at a dispatch, so writing it
+                # once here leaves the gauge the last dispatch would.
+                gauge = "scheduler.epc_high_water_bytes"
+                if self._shard:
+                    gauge = f"{gauge}.{self._shard}"
+                self._tracer.gauge(gauge, self._epc_high_water)
         return metrics
 
 

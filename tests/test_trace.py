@@ -43,8 +43,11 @@ COSTS = {
 }
 
 
-def traced_run(policy="fifo", *, epc=300 * MB, qps=150.0, seed=5):
-    """One serving run under a fresh tracer; returns (tracer, metrics)."""
+def traced_run(
+    policy="fifo", *, epc=300 * MB, qps=150.0, seed=5, start_s=0.0, tracer=None
+):
+    """One serving run under ``tracer`` (default: a fresh one); returns
+    (tracer, metrics)."""
     scheduler = WorkloadScheduler(
         COSTS,
         make_policy(policy),
@@ -53,12 +56,11 @@ def traced_run(policy="fifo", *, epc=300 * MB, qps=150.0, seed=5):
         setting_label="test",
     )
     mix = QueryMix.of({"small": 0.7, "big": 0.3})
-    tracer = Tracer()
+    stream = OpenLoopStream("t", qps=qps, mix=mix, seed=seed, start_s=start_s)
+    if tracer is None:
+        tracer = Tracer()
     with use_tracer(tracer):
-        metrics = scheduler.run(
-            open_streams=(OpenLoopStream("t", qps=qps, mix=mix, seed=seed),),
-            duration_s=2.0,
-        )
+        metrics = scheduler.run(open_streams=(stream,), duration_s=2.0)
     return tracer, metrics
 
 
@@ -174,7 +176,7 @@ class TestTracer:
     def test_tee_appends_one_shared_record_to_every_child(self):
         a, b = Tracer(), Tracer()
         sink = tee(a, b)
-        event = sink.event("e", time_s=1.0, query_id=3)
+        event = sink.event("e", {"query_id": 3}, time_s=1.0)
         span = sink.span("s", category="c", start=0.0, duration=2.0)
         sink.count("c", 2)
         sink.gauge("g", 0.5)
@@ -245,8 +247,8 @@ class TestExporters:
             read_jsonl(["not json at all {"])
 
     def test_failed_attrs_encode_leaves_the_encoder_clean(self):
-        # The attrs encoder is built once and reused; a failed encode must
-        # not leave circular-reference markers behind for the next one.
+        # A failed encode must leave nothing behind (memos, shapes or
+        # circular-reference markers) that changes the next export.
         attrs = {"nested": {"bad": object()}}
         for _ in range(2):
             with pytest.raises(TypeError):
@@ -257,15 +259,61 @@ class TestExporters:
             '"name": "e", "time_s": 1.0}\n'
         )
 
-    def test_attrs_encoder_falls_back_without_the_c_accelerator(
-        self, monkeypatch
+
+class TestEmissionCost:
+    def test_event_keeps_the_attrs_dict_it_is_handed(self):
+        a, b = Tracer(), Tracer()
+        attrs = {"query_id": 3}
+        event = tee(a, b).event("e", attrs, time_s=1.0)
+        assert event.attrs is attrs
+        assert a.records[0] is b.records[0] is event
+        assert Tracer().event("e").attrs == {}
+
+    def test_epc_high_water_gauge_written_once_per_run(self):
+        written = []
+
+        class GaugeLog(Tracer):
+            def gauge(self, name, value):
+                written.append(name)
+                super().gauge(name, value)
+
+        tracer, metrics = traced_run(tracer=GaugeLog())
+        assert metrics.counters.completed > 0
+        assert written == ["scheduler.epc_high_water_bytes"]
+        high_water = tracer.gauges["scheduler.epc_high_water_bytes"]
+        assert high_water == metrics.epc_high_water_bytes > 0
+        # A later run that never dispatches leaves the gauge as it was.
+        _, idle = traced_run(tracer=tracer, start_s=5.0)
+        assert idle.counters.arrivals == 0
+        assert written == ["scheduler.epc_high_water_bytes"]
+        assert tracer.gauges["scheduler.epc_high_water_bytes"] == high_water
+
+    @pytest.mark.parametrize(
+        "experiment_id, labels",
+        [
+            ("wl05", ["wl05-adaptive", "wl05-cost", "wl05-oracle"]),
+            ("wl06", ["wl06-skew-hash", "wl06-skew-load-aware"]),
+            ("wl08", ["wl08-adaptive+learned"]),
+        ],
+    )
+    def test_private_run_tracers_only_for_the_arms_read_back(
+        self, monkeypatch, experiment_id, labels
     ):
-        import json
+        # Each experiment reads a breakdown from some arms' run tracers;
+        # the other arms get none, so an untraced run records nothing.
+        from repro.bench import registry
 
-        from repro.trace import exporters
+        module = registry.get_experiment(experiment_id)
+        created = []
 
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        assert exporters._reused_encoder() is exporters._encode
+        class CountedTracer(Tracer):
+            def __init__(self, label=""):
+                super().__init__(label)
+                created.append(label)
+
+        monkeypatch.setattr(module, "Tracer", CountedTracer)
+        registry.run_experiment(experiment_id, quick=True)
+        assert sorted(created) == labels
 
 
 class TestDeterminism:

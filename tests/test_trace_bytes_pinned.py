@@ -24,6 +24,12 @@ PINNED = {
         "trace_jsonl": "d944ca3ba7491cd99342abed2b26214072428d655e8bfabd0d06ae835ddbcbdb",
         "trace_csv": "da6d912c2e201089c70823aaac54c4a6fa1f827004d450cceb1ef3e4c37476ed",
     },
+    # Pinned before events were built as one dict each and encoded by
+    # shape: the largest trace, a cluster's routes and failovers.
+    "wl06": {
+        "trace_jsonl": "254ed697dd7507ebe2a51995e424cd05e4d6acaa83c20dcff43e10d7cdbd792a",
+        "trace_csv": "977ab4ff9779430182b798f83730efc1302ee07e21865e829ccc67417166abfe",
+    },
     # Pinned before the dispatch penalty terms became stages: its
     # spills, storage faults and shards run through every stage.
     "wl07": {

@@ -7,16 +7,20 @@ reference exporters below are the earlier code they replaced:
 ``csv.DictWriter`` over the flattened record.  The properties assert
 identical text for every record kind and for the formatting edge cases
 (``time_s=None``, non-finite floats, float subclasses, names that need
-CSV quoting, non-string attrs keys).  Real traced runs must render the
-same CSV from their read-back JSON lines as from their in-memory
-records.  ``test_trace_bytes_pinned.py`` holds real traced exports byte
+CSV quoting, non-string attrs keys), and for the hazards of the
+per-export memos and shapes (``0.0`` after ``-0.0``, ``1``/``1.0``/
+``True``, more distinct values than a memo keeps).  Real traced runs
+must render the same CSV from their read-back JSON lines as from their
+in-memory records.  ``test_trace_bytes_pinned.py`` holds real traced exports byte
 for byte.
 """
 
 import csv
+import enum
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.trace import (
     Gauge,
     Span,
     Tracer,
+    exporters,
     read_jsonl,
     to_csv,
     to_jsonl,
@@ -143,6 +148,82 @@ EDGE_RECORDS = [
 ]
 
 
+# -- hazards across the records of one export --------------------------------
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+LIMIT = exporters.MEMO_LIMIT
+
+
+def _events(values, key="v", name="e"):
+    return [Event(name, 1.0, {key: value}) for value in values]
+
+
+MEMO_HAZARDS = [
+    pytest.param(_events([0.0, -0.0, 0.0, -0.0]), id="zero-then-negative-zero"),
+    pytest.param(_events([-0.0, 0.0]), id="negative-zero-then-zero"),
+    pytest.param(
+        [Event("e", t, {"v": t}) for t in (0.0, -0.0, 2.5, -0.0)],
+        id="zero-times",
+    ),
+    pytest.param(_events([1, 1.0, True, 1.0, 1, True]), id="one-int-float-bool"),
+    pytest.param(_events([False, 0, 0.0, -0.0, None, 0]), id="zero-bool-first"),
+    pytest.param(
+        [Event("e", i / 3, {"v": i / 7, "s": f"s{i}"}) for i in range(LIMIT + 9)]
+        + [Event("e", i / 3, {"v": i / 7, "s": f"s{i}"}) for i in range(20)],
+        id="memos-past-their-limit",
+    ),
+    pytest.param(
+        [Event("e", 1.0, {f"k{i}": i}) for i in range(LIMIT + 9)]
+        + [Event("e", 1.0, {f"k{i}": -i}) for i in range(20)],
+        id="shapes-past-their-limit",
+    ),
+    pytest.param(
+        [
+            Event("e", 1.0, {"a": 1, "b": "x", "c": 0.5}),
+            Event("e", 2.0, {"c": 0.5, "b": "x", "a": 1}),
+            Event("e", 3.0, {"b": "y", "a": 2, "c": 1.5}),
+        ],
+        id="one-key-set-two-orders",
+    ),
+    pytest.param(
+        _events(["x", Label("x"), "x"])
+        + _events([3, Count(3), 3, Level.HIGH, 2, Level.LOW])
+        + _events([0.5, Ratio(0.5), 0.5, Ratio(math.inf)]),
+        id="subclasses-and-int-enum",
+    ),
+    pytest.param(
+        _events(["é", "日本", "\u2028", "\ud800", "é"], key="ü", name="ß"),
+        id="non-ascii",
+    ),
+    pytest.param(
+        [Event("100%", 1.0, {"%s": "%d", "a%%": 1.5}), Event("%(x)s", None)],
+        id="percent-signs",
+    ),
+]
+
+
+@pytest.mark.parametrize("batch", MEMO_HAZARDS)
+def test_memo_hazards_within_one_export(batch):
+    assert_equivalent(batch)
+
+
 @pytest.mark.parametrize("record", EDGE_RECORDS)
 def test_edge_record_matches_reference(record):
     assert_equivalent([record])
@@ -160,7 +241,7 @@ def test_empty_export_matches_reference():
 
 def test_views_are_halves_of_one_export():
     tracer = Tracer()
-    tracer.event("query.arrival", time_s=0.5, query_id=1, cls="q3")
+    tracer.event("query.arrival", {"query_id": 1, "cls": "q3"}, time_s=0.5)
     tracer.span("build", category="operator-phase", start=0.0, duration=9.0)
     tracer.count("scheduler.arrivals")
     tracer.count("scheduler.spilled_bytes", 2.5e8)
@@ -225,3 +306,44 @@ records = st.lists(events | spans | counters | gauges, max_size=20)
 @given(records)
 def test_export_matches_reference(batch):
     assert_equivalent(batch)
+
+
+# Values that collide as dict keys (0.0/-0.0, 1/1.0/True) or that only an
+# exact-type check tells apart, for events that share key shapes.
+shared_values = (
+    st.sampled_from(
+        [0.0, -0.0, 1, 1.0, True, 0, False, None, "1", Label("x"), Count(1),
+         Ratio(1.0), Level.LOW, math.inf, math.nan]
+    )
+    | floats
+    | st.integers(-3, 3)
+    | names
+)
+
+
+@st.composite
+def shared_shape_events(draw):
+    """Events drawn from a few names and key sets, the keys of one set
+    inserted in either order."""
+    event_names = draw(st.lists(names, min_size=1, max_size=3))
+    key_sets = draw(
+        st.lists(st.lists(names, max_size=4, unique=True), min_size=1, max_size=3)
+    )
+    batch = []
+    for _ in range(draw(st.integers(1, 25))):
+        keys = list(draw(st.sampled_from(key_sets)))
+        if draw(st.booleans()):
+            keys.reverse()
+        time_s = draw(st.none() | st.sampled_from([0.0, -0.0, 1.0]) | floats)
+        attrs = {key: draw(shared_values) for key in keys}
+        batch.append(Event(draw(st.sampled_from(event_names)), time_s, attrs))
+    return batch
+
+
+@pytest.mark.parametrize("limit", [LIMIT, 2], ids=["memo-limit", "tiny-memo"])
+@settings(max_examples=200, deadline=None)
+@given(shared_shape_events())
+def test_events_sharing_shapes_match_reference(limit, batch):
+    # A tiny limit empties the memos and shapes mid-export.
+    with mock.patch.object(exporters, "MEMO_LIMIT", limit):
+        assert_equivalent(batch)
