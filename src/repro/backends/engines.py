@@ -8,6 +8,15 @@ runs against.  DuckDB is optional: :meth:`DuckDBBackend.missing_reason`
 names the ``repro[backends]`` extra when the wheel is absent, and every
 caller is expected to skip (not crash) in that case.
 
+Tables load in streamed multi-row batches: one ``INSERT ... VALUES
+(?, ...), (?, ...), ...`` statement of :data:`MAX_BOUND_PARAMS` // width
+rows runs through ``executemany`` once per full batch, and one shorter
+statement inserts the leftover rows.  Each batch's values are converted
+to Python only when it is bound — column by column with the column's own
+``tolist()``, so no dtype is promoted to another — and a whole table is
+never held as Python ints at once.  Rows keep their insertion order, and
+the DDL declares every column ``INTEGER`` with no index.
+
 Engine timings are **wall-clock** (``MeasuredProfile.simulated=False``).
 They never enter reports or traces directly; the deterministic path
 consumes them only through the checked-in calibration artifact
@@ -17,7 +26,9 @@ consumes them only through the checked-in calibration artifact
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.backends.base import (
     Backend,
@@ -29,6 +40,52 @@ from repro.backends.base import (
 from repro.backends.config import missing_reason as _config_missing_reason
 from repro.backends.dataset import Dataset
 from repro.errors import ConfigurationError
+from repro.tables.table import Table
+
+#: Bound parameters per ``INSERT`` statement: SQLite's historical default
+#: limit (``SQLITE_MAX_VARIABLE_NUMBER``), which DuckDB accepts too.
+MAX_BOUND_PARAMS = 999
+
+
+def _flat_rows(columns: List[np.ndarray], start: int, stop: int) -> List:
+    """Rows ``start:stop`` of ``columns`` as one flat row-major list of
+    each column's own ``tolist()`` values."""
+    width = len(columns)
+    values = [None] * ((stop - start) * width)
+    for offset, column in enumerate(columns):
+        values[offset::width] = column[start:stop].tolist()
+    return values
+
+
+def _insert_sql(name: str, width: int, rows: int) -> str:
+    row = "(" + ", ".join(["?"] * width) + ")"
+    return f'INSERT INTO "{name}" VALUES ' + ", ".join([row] * rows)
+
+
+def _load_table(conn, name: str, table: Table) -> None:
+    """Create ``name`` and insert ``table``'s rows in streamed batches."""
+    columns = [table[column] for column in table.column_names]
+    width, rows = len(columns), table.num_rows
+    conn.execute(
+        f'CREATE TABLE "{name}" ('
+        + ", ".join(f'"{column}" INTEGER' for column in table.column_names)
+        + ")"
+    )
+    batch = max(1, MAX_BOUND_PARAMS // width)
+    full = rows - rows % batch
+    if full:
+        conn.executemany(
+            _insert_sql(name, width, batch),
+            (
+                _flat_rows(columns, start, start + batch)
+                for start in range(0, full, batch)
+            ),
+        )
+    if full < rows:
+        conn.execute(
+            _insert_sql(name, width, rows - full),
+            _flat_rows(columns, full, rows),
+        )
 
 
 class SqlEngineBackend(Backend):
@@ -43,18 +100,13 @@ class SqlEngineBackend(Backend):
             raise ConfigurationError(reason)
         start = time.perf_counter()
         conn = self._connect()
-        for name, table in dataset.tables.items():
-            columns = ", ".join(
-                f'"{column}" INTEGER' for column in table.column_names
-            )
-            conn.execute(f'CREATE TABLE "{name}" ({columns})')
-            placeholders = ", ".join("?" for _ in table.column_names)
-            arrays = [table[column].tolist() for column in table.column_names]
-            conn.executemany(
-                f'INSERT INTO "{name}" VALUES ({placeholders})',
-                zip(*arrays),
-            )
-        self._commit(conn)
+        try:
+            for name, table in dataset.tables.items():
+                _load_table(conn, name, table)
+            self._commit(conn)
+        except BaseException:
+            conn.close()
+            raise
         return BackendHandle(
             backend=self.name,
             dataset=dataset,
@@ -77,7 +129,7 @@ class SqlEngineBackend(Backend):
             )
         start = time.perf_counter()
         cursor = handle.state.execute(query.sql)
-        rows = [tuple(row) for row in cursor.fetchall()]
+        rows = cursor.fetchall()  # already a list of tuples
         elapsed = time.perf_counter() - start
         dataset = handle.dataset
         profile = MeasuredProfile(

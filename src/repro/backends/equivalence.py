@@ -38,6 +38,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -167,8 +168,13 @@ class _Bag(NamedTuple):
         ]
 
 
-def _bag(rows: List[Sequence[Any]], positions: Optional[List[int]]) -> _Bag:
-    if len({len(row) for row in rows}) > 1:
+def _bag(
+    rows: List[Sequence[Any]],
+    positions: Optional[List[int]],
+    widths: Set[int],
+) -> _Bag:
+    """``rows`` as a :class:`_Bag`; ``widths`` is ``set(map(len, rows))``."""
+    if len(widths) > 1:
         return _Bag(rows, positions, None)
     raw = list(zip(*rows))
     if positions is not None and raw:
@@ -186,7 +192,10 @@ def _aligned_bags(
         raise EquivalenceError("name the columns of every bag or of none")
     aligned = {}
     for name in names:
-        rows = list(bags[name])
+        rows = bags[name]
+        if not isinstance(rows, list):  # the backends' bags already are
+            rows = list(rows)
+        widths = set(map(len, rows))
         positions = None
         if columns is not None:
             order, own = tuple(columns[names[0]]), tuple(columns[name])
@@ -194,13 +203,13 @@ def _aligned_bags(
                 raise EquivalenceError(
                     f"column names differ: {names[0]} {order} vs {name} {own}"
                 )
-            if any(len(row) != len(own) for row in rows):
+            if widths - {len(own)}:
                 raise EquivalenceError(
                     f"{name} has rows whose width is not that of its "
                     f"{len(own)} column names {own}"
                 )
             positions = [own.index(column) for column in order]
-        aligned[name] = _bag(rows, positions)
+        aligned[name] = _bag(rows, positions, widths)
     return aligned
 
 
@@ -276,7 +285,8 @@ def bag_digest(rows: Iterable[Sequence[Any]]) -> str:
     Insensitive to column order (see :func:`canonical_row`).  Bags of
     integer rows of one width take a numpy path to the same bytes.
     """
-    return _digest(_bag(list(rows), None))
+    rows = list(rows)
+    return _digest(_bag(rows, None, set(map(len, rows))))
 
 
 def assert_equivalent(

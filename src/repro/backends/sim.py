@@ -104,10 +104,8 @@ class SimBackend(Backend):
                 matched = result.match_index >= 0
                 s_payload = probe["payload"][matched]
                 r_payload = build["payload"][result.match_index[matched]]
-                return [
-                    (int(s), int(r))
-                    for s, r in zip(s_payload.tolist(), r_payload.tolist())
-                ]
+                # tolist() yields Python ints already.
+                return list(zip(s_payload.tolist(), r_payload.tolist()))
             if template.kind is JobKind.SCAN:
                 table = dataset.tables["scan_values"]
                 column = table.column("v")
@@ -120,7 +118,7 @@ class SimBackend(Backend):
                 mask = np.unpackbits(result.bitvector)[: len(column)].astype(
                     bool
                 )
-                return [(int(v),) for v in column.data[mask].tolist()]
+                return list(zip(column.data[mask].tolist()))
             if template.kind is JobKind.TPCH:
                 plan = TPCH_QUERIES[template.query]()
                 result = QueryExecutor(

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import math
+import os
+import pathlib
 import re
+import sqlite3
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+import repro
 
 from repro.backends import (
     BACKENDS_EXTRA,
@@ -22,7 +31,10 @@ from repro.backends import (
     validate_mode,
 )
 from repro.backends import base, serving
+from repro.backends.dataset import Dataset
+from repro.backends.engines import MAX_BOUND_PARAMS
 from repro.backends.envelope import (
+    PROFILES_PATH,
     SgxCostEnvelope,
     get_profile,
     load_profiles,
@@ -36,6 +48,7 @@ from repro.errors import ConfigurationError, EquivalenceError
 from repro.hardware.platforms import sgxv1_calibration, sgxv1_testbed
 from repro.machine import SimMachine
 from repro.runconfig import RunConfig, use_run_config
+from repro.tables.table import Column, Table
 from repro.trace import Tracer, backend_breakdown, use_tracer
 from repro.workload.jobs import (
     JobCatalog,
@@ -228,6 +241,170 @@ class TestBackendsAgree:
         assert canonical_bag(sim_rows) == canonical_bag(engine_rows)
         assert profile.simulated is False
         assert profile.rows == len(engine_rows)
+
+
+class _RecordingConnection:
+    """A real in-memory SQLite connection that records each statement's
+    bound-parameter count and whether it was closed."""
+
+    def __init__(self):
+        self.conn = sqlite3.connect(":memory:")
+        self.params = []
+        self.closed = False
+
+    def execute(self, sql, *args):
+        self.params.append(sql.count("?"))
+        return self.conn.execute(sql, *args)
+
+    def executemany(self, sql, seq):
+        self.params.append(sql.count("?"))
+        return self.conn.executemany(sql, seq)
+
+    def commit(self):
+        self.conn.commit()
+
+    def close(self):
+        self.closed = True
+        self.conn.close()
+
+
+class _RecordingSQLite(SQLiteBackend):
+    def __init__(self):
+        self.connections = []
+
+    def _connect(self):
+        self.connections.append(_RecordingConnection())
+        return self.connections[-1]
+
+
+def _synthetic(tables):
+    """A dataset of ``tables`` (template and caps are placeholders)."""
+    return Dataset(
+        template=serving_templates()["scan-small"],
+        seed=0,
+        row_cap=0,
+        sf_cap=0.0,
+        tables={table.name: table for table in tables},
+    )
+
+
+def _assert_round_trip(conn, dataset):
+    """Each table reads back as its columns' own ``tolist()`` rows, in
+    insertion order and as Python ints."""
+    for name, table in dataset.tables.items():
+        rows = conn.execute(f'SELECT * FROM "{name}" ORDER BY rowid').fetchall()
+        expected = list(
+            zip(*(table[column].tolist() for column in table.column_names))
+        )
+        assert rows == expected, name
+        assert set(map(type, itertools.chain.from_iterable(rows))) == {int}
+
+
+class TestLoader:
+    """The engines' batched loader inserts exactly the bound values."""
+
+    @pytest.mark.parametrize("name", sorted(serving_templates()))
+    def test_serving_datasets_round_trip(self, name):
+        catalog = JobCatalog()
+        dataset = materialize(
+            serving_templates()[name],
+            seed=catalog.pricing_seed,
+            row_cap=catalog.row_cap,
+            sf_cap=catalog.sf_cap,
+        )
+        handle = SQLiteBackend().prepare(dataset)
+        try:
+            _assert_round_trip(handle.state, dataset)
+        finally:
+            handle.state.close()
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_batch_edges_round_trip(self, width):
+        batch = max(1, MAX_BOUND_PARAMS // width)
+        tables = [
+            Table(
+                f"t{rows}",
+                [
+                    Column(f"c{j}", np.arange(rows, dtype=np.int64) * 10 + j)
+                    for j in range(width)
+                ],
+            )
+            for rows in (1, batch - 1, batch, batch + 1)
+        ]
+        backend = _RecordingSQLite()
+        handle = backend.prepare(_synthetic(tables))
+        try:
+            _assert_round_trip(handle.state.conn, handle.dataset)
+        finally:
+            handle.state.close()
+        assert max(backend.connections[0].params) <= MAX_BOUND_PARAMS
+
+    def test_mixed_dtypes_bind_each_columns_own_values(self):
+        # Stacking these columns into one array would promote them to
+        # float64 and round the int64 values above 2**53.
+        rows = 2 * MAX_BOUND_PARAMS + 7
+        big = 2**53 + 1 + 2 * np.arange(rows, dtype=np.int64)
+        table = Table(
+            "mixed",
+            [
+                Column("small", np.arange(rows, dtype=np.int32) - 5),
+                Column("big", big),
+                Column("unsigned", big.astype(np.uint64)),
+                Column("negative", -big),
+            ],
+        )
+        handle = SQLiteBackend().prepare(_synthetic([table]))
+        try:
+            _assert_round_trip(handle.state, handle.dataset)
+        finally:
+            handle.state.close()
+
+    @pytest.mark.parametrize("rows", [1, MAX_BOUND_PARAMS + 1])
+    def test_failed_load_closes_the_connection(self, rows):
+        # SQLite cannot bind a uint64 above 2**63 - 1.
+        values = np.zeros(rows, dtype=np.uint64)
+        values[0] = np.iinfo(np.uint64).max
+        backend = _RecordingSQLite()
+        with pytest.raises(OverflowError):
+            backend.prepare(_synthetic([Table("t", [Column("v", values)])]))
+        assert [conn.closed for conn in backend.connections] == [True]
+
+
+class TestCalibrate:
+    def test_sqlite_capture_matches_the_artifact(self, tmp_path):
+        """Re-capturing the artifact reproduces every field but the
+        wall-clock timings: the engine loads and answers as it did."""
+        out = tmp_path / "profiles.json"
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.backends.calibrate",
+                "--backend", "sqlite", "--repeats", "1", "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+
+        def untimed(payload):
+            return {
+                (entry["backend"], entry["template"]): {
+                    key: value
+                    for key, value in entry.items()
+                    if key not in ("prepare_s", "execute_s")
+                }
+                for entry in payload["profiles"]
+                if entry["backend"] == "sqlite"
+            }
+
+        captured = json.loads(out.read_text())
+        stored = json.loads(PROFILES_PATH.read_text())
+        assert captured["format"] == stored["format"]
+        assert captured["captured"] == stored["captured"]
+        assert untimed(captured) == untimed(stored)
 
 
 class TestEnvelope:
