@@ -107,10 +107,7 @@ def act4_aggregation() -> None:
 def act5_pipelining() -> None:
     print("=== Act 5: pipelining — is materialization the problem? ===")
     data = generate_tpch(10, seed=5, physical_sf_cap=0.02)
-    tables = {
-        "customer": data.customer, "orders": data.orders,
-        "lineitem": data.lineitem, "part": data.part,
-    }
+    tables = data.named
     for pipelined in (False, True):
         machine = SimMachine()
         with machine.context(SGX, threads=16) as ctx:

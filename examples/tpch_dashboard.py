@@ -21,12 +21,7 @@ def main() -> None:
     scale_factor = float(sys.argv[1]) if len(sys.argv) > 1 else 10.0
     machine = SimMachine()
     data = generate_tpch(scale_factor, seed=42, physical_sf_cap=0.05)
-    tables = {
-        "customer": data.customer,
-        "orders": data.orders,
-        "lineitem": data.lineitem,
-        "part": data.part,
-    }
+    tables = data.named
     print(
         f"TPC-H SF {scale_factor:g}: lineitem {data.lineitem.logical_rows:,.0f} "
         f"rows, total {data.total_logical_bytes / 1e9:.2f} GB (integer-coded)\n"

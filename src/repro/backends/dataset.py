@@ -1,11 +1,11 @@
 """Materialize one job template's physical data for every backend.
 
 All backends — the operator simulator and the real engines — must query
-*the same physical rows*, or bag equivalence would be vacuous.  This
-module is the single source of that data: it reproduces exactly the
-stand-in tables :meth:`repro.workload.jobs.JobCatalog._price` generates
-(same generators, same pricing seed, same physical caps), bundled with
-the logical sizes the cost envelope scales measured profiles up to.
+*the same physical rows*, or bag equivalence would be vacuous.  A
+:class:`Dataset` bundles the stand-in tables of
+:func:`~repro.planner.standin.standin_tables`, the one builder the
+catalog's pricing runs use too, with the logical sizes the cost envelope
+scales measured profiles up to.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-import numpy as np
-
-from repro.tables import generate_join_relation_pair, generate_tpch
-from repro.tables.table import Column, Table
-from repro.workload.jobs import JobKind, JobTemplate
+from repro.planner.standin import standin_tables
+from repro.tables.table import Table
+from repro.workload.jobs import JobTemplate
 
 
 @dataclass(frozen=True)
@@ -53,47 +51,16 @@ def materialize(
 ) -> Dataset:
     """The physical stand-in data of ``template`` at the given caps.
 
-    Matches the catalog's pricing runs field for field: join pairs come
-    from :func:`generate_join_relation_pair` at ``seed``/``row_cap``,
-    scans over ``arange(physical)`` with the ``[0, physical // 10]``
-    range, TPC-H from :func:`generate_tpch` at ``seed``/``sf_cap``.
+    :func:`~repro.planner.standin.standin_tables` builds the tables, so
+    at the catalog's seed and caps they are the rows its pricing runs
+    execute.
     """
-    if template.kind is JobKind.JOIN:
-        build, probe = generate_join_relation_pair(
-            template.build_bytes,
-            template.probe_bytes,
-            seed=seed,
-            physical_row_cap=row_cap,
-        )
-        tables: Dict[str, Table] = {"r": build, "s": probe}
-        params: Dict[str, int] = {}
-    elif template.kind is JobKind.SCAN:
-        logical_rows = int(template.scan_bytes // 4)
-        physical = max(1, min(row_cap, logical_rows))
-        tables = {
-            "scan_values": Table(
-                "scan_values",
-                [Column("v", np.arange(physical, dtype=np.int32))],
-                sim_scale=logical_rows / physical,
-            )
-        }
-        params = {"scan_lower": 0, "scan_upper": physical // 10}
-    else:  # TPCH (JobTemplate.__post_init__ rejects anything else)
-        data = generate_tpch(
-            template.scale_factor, seed=seed, physical_sf_cap=sf_cap
-        )
-        tables = {
-            "customer": data.customer,
-            "orders": data.orders,
-            "lineitem": data.lineitem,
-            "part": data.part,
-        }
-        params = {}
+    tables, params = standin_tables(template, seed, row_cap, sf_cap)
     return Dataset(
         template=template,
         seed=seed,
         row_cap=row_cap,
         sf_cap=sf_cap,
-        tables=dict(tables),
+        tables=tables,
         params=params,
     )

@@ -1,11 +1,12 @@
 """SimBackend: the operator-level simulator behind the backend protocol.
 
-Executes the template's query through the *same* operator implementations
-the catalog's pricing runs use (static plan, catalog variant, pricing
-caps), but additionally surfaces the real result rows so the equivalence
-gate can compare the simulator against the engines.  The profile's
-seconds come from :meth:`~repro.workload.jobs.JobCatalog.cost` — fully
-simulated and byte-deterministic.
+Executes the template's query through the silent run the catalog's
+pricing uses (:func:`~repro.planner.standin.run_silently`: static plan,
+catalog variant, the dataset's stand-in tables) and surfaces the real
+result rows, so the equivalence gate can compare the simulator against
+the engines.  The profile's seconds come from
+:meth:`~repro.workload.jobs.JobCatalog.cost` — fully simulated and
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -23,16 +24,11 @@ from repro.backends.base import (
     Rows,
 )
 from repro.backends.dataset import Dataset
-from repro.core.queries.executor import QueryExecutor
-from repro.core.queries.tpch_queries import TPCH_QUERIES
-from repro.core.scans.predicate import RangePredicate
-from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
-from repro.memory.access import CodeVariant
-from repro.planner.candidates import build_join, static_candidate
+from repro.planner.candidates import static_candidate
+from repro.planner.standin import run_silently
 from repro.runconfig import current_run_config, use_run_config
-from repro.trace import NullTracer, use_tracer
 from repro.workload.jobs import JobCatalog, JobKind
 
 _PLAIN = ExecutionSetting.plain_cpu()
@@ -83,49 +79,33 @@ class SimBackend(Backend):
         """The result bag, computed by the real operator kernels.
 
         Columns follow the SQL rendering's projection
-        (:func:`~repro.backends.sqlgen.output_columns`).  Runs silently
-        (``NullTracer``) under a plain-CPU context: the row computation is
+        (:func:`~repro.backends.sqlgen.output_columns`).  One
+        :func:`~repro.planner.standin.run_silently` run of the catalog's
+        static plan under a plain-CPU context: the row computation is
         gate bookkeeping, not priced serving work — the priced seconds
         come from the catalog's memoized pricing runs.
         """
         template = dataset.template
-        candidate = static_candidate(template, self.catalog.variant)
-        sim = self.catalog.machine_prototype()
-        with use_tracer(NullTracer()), sim.context(
-            _PLAIN, threads=candidate.threads
-        ) as ctx:
-            if template.kind is JobKind.JOIN:
-                build, probe = dataset.tables["r"], dataset.tables["s"]
-                result = build_join(candidate).run(ctx, build, probe)
-                if result.match_index is None:  # pragma: no cover
-                    raise ConfigurationError(
-                        f"{result.algorithm} returned no match index"
-                    )
-                matched = result.match_index >= 0
-                s_payload = probe["payload"][matched]
-                r_payload = build["payload"][result.match_index[matched]]
-                # tolist() yields Python ints already.
-                return list(zip(s_payload.tolist(), r_payload.tolist()))
-            if template.kind is JobKind.SCAN:
-                table = dataset.tables["scan_values"]
-                column = table.column("v")
-                predicate = RangePredicate(
-                    dataset.params["scan_lower"], dataset.params["scan_upper"]
+        tables = dataset.tables
+        result = run_silently(
+            self.catalog.machine_prototype(),
+            _PLAIN,
+            template,
+            static_candidate(template, self.catalog.variant),
+            tables,
+        ).result
+        if template.kind is JobKind.JOIN:
+            if result.match_index is None:  # pragma: no cover
+                raise ConfigurationError(
+                    f"{result.algorithm} returned no match index"
                 )
-                result = BitvectorScan(CodeVariant.SIMD).run(
-                    ctx, column, predicate
-                )
-                mask = np.unpackbits(result.bitvector)[: len(column)].astype(
-                    bool
-                )
-                return list(zip(column.data[mask].tolist()))
-            if template.kind is JobKind.TPCH:
-                plan = TPCH_QUERIES[template.query]()
-                result = QueryExecutor(
-                    candidate.variant,
-                    join_factory=lambda: build_join(candidate),
-                ).run(ctx, plan, dict(dataset.tables))
-                return [(int(result.count),)]
-        raise ConfigurationError(  # pragma: no cover - enum is exhaustive
-            f"unknown job kind {template.kind!r}"
-        )
+            matched = result.match_index >= 0
+            s_payload = tables["s"]["payload"][matched]
+            r_payload = tables["r"]["payload"][result.match_index[matched]]
+            # tolist() yields Python ints already.
+            return list(zip(s_payload.tolist(), r_payload.tolist()))
+        if template.kind is JobKind.SCAN:
+            column = tables["scan_values"].column("v")
+            mask = np.unpackbits(result.bitvector)[: len(column)].astype(bool)
+            return list(zip(column.data[mask].tolist()))
+        return [(int(result.count),)]

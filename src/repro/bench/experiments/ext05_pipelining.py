@@ -53,12 +53,7 @@ def run(
                 data = generate_tpch(
                     10.0, seed=seed, physical_sf_cap=config.tpch_sf_cap
                 )
-                tables = {
-                    "customer": data.customer,
-                    "orders": data.orders,
-                    "lineitem": data.lineitem,
-                    "part": data.part,
-                }
+                tables = data.named
                 if _dyn:
                     # Base tables fit statically; every intermediate and
                     # all join scratch grows the enclave via EDMM.

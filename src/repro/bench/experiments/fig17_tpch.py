@@ -44,12 +44,7 @@ def run(
                 data = generate_tpch(
                     SCALE_FACTOR, seed=seed, physical_sf_cap=config.tpch_sf_cap
                 )
-                tables = {
-                    "customer": data.customer,
-                    "orders": data.orders,
-                    "lineitem": data.lineitem,
-                    "part": data.part,
-                }
+                tables = data.named
                 with sim.context(_set, threads=common.SOCKET_THREADS) as ctx:
                     result = QueryExecutor(_var).run(ctx, _plan(), tables)
                 return result.seconds(sim.frequency_hz) * 1e3

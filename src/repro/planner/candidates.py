@@ -200,6 +200,38 @@ def static_candidate(template, catalog_variant: CodeVariant) -> PlanCandidate:
     return PlanCandidate("RHO", catalog_variant, threads=template.threads)
 
 
+def static_physical(template, rewrite=None) -> PlanCandidate:
+    """The physical plan a logical rewrite is priced and proven under.
+
+    The template's historical static choice (RHO-unrolled at the
+    template's threads) with the rewrite's knob hints applied: a hinted
+    algorithm or fan-out must be raced and proven *at* that hint, and
+    any admissible physical plan computes the same bag.  ``rewrite``
+    is a :class:`~repro.rewrite.candidates.RewriteCandidate` or ``None``
+    (the reference arm).
+    """
+    algorithm = "RHO"
+    fanout = None
+    sizing = "static"
+    threads = template.threads
+    if rewrite is not None and rewrite.hints is not None:
+        if rewrite.hints.algorithm is not None:
+            algorithm = rewrite.hints.algorithm
+        if rewrite.hints.fanout is not None:
+            fanout = rewrite.hints.fanout
+        if rewrite.hints.sizing is not None:
+            sizing = rewrite.hints.sizing
+        if rewrite.hints.threads is not None:
+            threads = rewrite.hints.threads
+    return PlanCandidate(
+        algorithm,
+        CodeVariant.UNROLLED,
+        threads=threads,
+        sizing=sizing,
+        fanout=fanout,
+    )
+
+
 #: The default join arm set of the issue: the paper's five algorithms at
 #: their naive variants plus the unrolled RHO (the headline optimization).
 _DEFAULT_JOIN_ARMS: Tuple[Tuple[str, CodeVariant], ...] = (

@@ -32,20 +32,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.cache.keys import query_profile_key
-from repro.core.scans.predicate import RangePredicate
-from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
-from repro.errors import ConfigurationError
 from repro.machine import SimMachine
-from repro.memory.access import CodeVariant
-from repro.planner.candidates import PlanCandidate, build_join
+from repro.planner.candidates import PlanCandidate
+from repro.planner.standin import run_silently, standin_tables
 from repro.reuse import profiled
-from repro.tables import generate_join_relation_pair, generate_tpch
-from repro.tables.table import Column
-from repro.trace import NullTracer, use_tracer
 from repro.units import PAGE_BYTES
 
 #: Physical stand-in cap for pricing runs.  Large enough that integer
@@ -129,8 +121,15 @@ def estimate_candidate(
             spec=machine.spec,
             storage=storage if candidate.spill else None,
         ),
-        lambda: _run_estimate(
-            machine, setting, template, candidate, pricing_seed, storage
+        lambda: sized_run(
+            machine,
+            setting,
+            template,
+            candidate,
+            standin_tables(
+                template, pricing_seed, PRICING_ROW_CAP, PRICING_SF_CAP
+            )[0],
+            storage=storage,
         ),
     )
     return CandidateEstimate(
@@ -142,91 +141,25 @@ def estimate_candidate(
     )
 
 
-def _run_estimate(
+def sized_run(
     machine: SimMachine,
     setting: ExecutionSetting,
     template,
     candidate: PlanCandidate,
-    pricing_seed: int,
-    storage,
+    tables,
+    **run,
 ) -> Dict[str, float]:
-    """Execute one silent pricing run of ``candidate`` on a throwaway machine."""
-    sim = SimMachine(machine.spec, machine.params)
-    kind = template.kind.value
-    store = None
-    budget = None
-    if candidate.spill:
-        if storage is None:
-            raise ConfigurationError(
-                f"spill candidate {candidate.label()!r} cannot be priced "
-                "without a storage config"
-            )
-        from repro.storage.sealed import SealedStore
-
-        store = SealedStore(sim.params, block_bytes=storage.block_bytes)
-        budget = float(storage.budget_bytes)
-    with use_tracer(NullTracer()):
-        with sim.context(setting, threads=candidate.threads) as ctx:
-            if kind == "join":
-                build, probe = generate_join_relation_pair(
-                    template.build_bytes,
-                    template.probe_bytes,
-                    seed=pricing_seed,
-                    physical_row_cap=PRICING_ROW_CAP,
-                )
-                join = build_join(
-                    candidate, store=store, budget_bytes=budget
-                )
-                result = join.run(ctx, build, probe)
-                cycles = result.cycles
-            elif kind == "scan":
-                logical_rows = int(template.scan_bytes // 4)
-                physical = max(1, min(PRICING_ROW_CAP, logical_rows))
-                column = Column("values", np.arange(physical, dtype=np.int32))
-                result = BitvectorScan(CodeVariant.SIMD).run(
-                    ctx,
-                    column,
-                    RangePredicate(0, physical // 10),
-                    sim_scale=logical_rows / physical,
-                )
-                cycles = result.cycles
-            elif kind == "tpch":
-                from repro.core.queries.executor import QueryExecutor
-                from repro.core.queries.tpch_queries import TPCH_QUERIES
-
-                data = generate_tpch(
-                    template.scale_factor,
-                    seed=pricing_seed,
-                    physical_sf_cap=PRICING_SF_CAP,
-                )
-                tables = {
-                    "customer": data.customer,
-                    "orders": data.orders,
-                    "lineitem": data.lineitem,
-                    "part": data.part,
-                }
-                plan = TPCH_QUERIES[template.query]()
-                executor = QueryExecutor(
-                    candidate.variant,
-                    join_factory=lambda: build_join(
-                        candidate, store=store, budget_bytes=budget
-                    ),
-                )
-                cycles = executor.run(ctx, plan, tables).cycles
-            else:
-                raise ConfigurationError(f"unknown job kind {kind!r}")
-            working_set = 0
-            if ctx.enclave is not None:
-                working_set = int(
-                    ctx.enclave.config.heap_bytes - ctx.enclave.heap_free_bytes
-                )
+    """One :func:`~repro.planner.standin.run_silently` run plus the
+    enclave sizing cycles its working set costs (``run`` passes through)."""
+    measured = run_silently(machine, setting, template, candidate, tables, **run)
+    working_set = measured.working_set_bytes or 0
     sizing = 0.0
     if setting.enclave_mode:
-        sizing = sizing_cycles(sim.params, candidate, working_set)
-    total = cycles + sizing
+        sizing = sizing_cycles(machine.params, candidate, working_set)
+    total = measured.cycles + sizing
     return {
         "cycles": float(total),
-        "seconds": float(total / sim.frequency_hz),
+        "seconds": float(total / machine.frequency_hz),
         "working_set_bytes": int(working_set),
         "sizing_cycles": float(sizing),
     }

@@ -30,13 +30,12 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.backends.equivalence import assert_equivalent
-from repro.core.queries.executor import QueryExecutor
 from repro.core.queries.plan import QueryPlan
 from repro.core.queries.tpch_queries import reference_count
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import EquivalenceError, ReproError
-from repro.machine import SimMachine
-from repro.planner.candidates import PlanCandidate, build_join
+from repro.planner.candidates import static_physical
+from repro.planner.standin import run_silently
 from repro.rewrite.candidates import (
     RewriteCandidate,
     base_tables,
@@ -44,7 +43,6 @@ from repro.rewrite.candidates import (
 )
 from repro.tables import generate_tpch
 from repro.tables.table import Table
-from repro.trace import NullTracer, use_tracer
 
 #: The proof stand-in's seed and physical caps.  Same seed as every
 #: pricing stand-in (proofs are part of the plan, not of the measured
@@ -85,53 +83,29 @@ def _witness_rows(
 
 
 def _run_proof_plan(
+    template,
     plan: QueryPlan,
     tables: Dict[str, Table],
     candidate: RewriteCandidate,
-    threads: int,
 ) -> Tuple[Tuple[str, ...], List[tuple], int, Dict[str, Table]]:
     """Execute ``plan`` for real on the plain CPU; witness columns, bag,
     count and namespace.
 
-    Proofs are about results, not cycles: the plain-CPU setting and
-    the silent tracer keep them fast and invisible to any enclave or
-    trace accounting.
+    Proofs are about results, not cycles: the plain-CPU setting and the
+    silent run keep them fast and invisible to any enclave or trace
+    accounting.  The plan runs under :func:`static_physical` with the
+    candidate's pipelining flag, over only the base tables it reads.
     """
-    sim = SimMachine()
-    used = {name: tables[name] for name in base_tables(plan)}
-    namespace: Dict[str, Table] = {}
-    physical = static_candidate_for(candidate, threads)
-    executor = QueryExecutor(
-        physical.variant,
+    run = run_silently(
+        None,
+        ExecutionSetting.plain_cpu(),
+        template,
+        static_physical(template, candidate),
+        {name: tables[name] for name in base_tables(plan)},
+        plan=plan,
         pipelined=candidate.pipelined,
-        join_factory=lambda: build_join(physical),
     )
-    with use_tracer(NullTracer()):
-        with sim.context(ExecutionSetting.plain_cpu(), threads=threads) as ctx:
-            result = executor.run(ctx, plan, used, namespace_out=namespace)
-    return (*_witness_rows(namespace, plan), result.count, namespace)
-
-
-def static_candidate_for(candidate: RewriteCandidate, threads: int):
-    """The physical plan the proof executes under.
-
-    The proof honours the rewrite's own knob hints (a hinted fan-out or
-    join algorithm must be proven *at* that hint), and otherwise runs
-    the historical static physical plan — the proof is about the logical
-    shape, and any admissible physical plan computes the same bag.
-    """
-    from repro.memory.access import CodeVariant
-
-    algorithm = "RHO"
-    fanout = None
-    if candidate.hints is not None:
-        if candidate.hints.algorithm is not None:
-            algorithm = candidate.hints.algorithm
-        if candidate.hints.fanout is not None:
-            fanout = candidate.hints.fanout
-    return PlanCandidate(
-        algorithm, CodeVariant.UNROLLED, threads=threads, fanout=fanout
-    )
+    return (*_witness_rows(run.namespace, plan), run.result.count, run.namespace)
 
 
 def prove_candidate(
@@ -155,16 +129,10 @@ def prove_candidate(
     data = generate_tpch(
         template.scale_factor, seed=PROOF_SEED, physical_sf_cap=sf_cap
     )
-    tables = {
-        "customer": data.customer,
-        "orders": data.orders,
-        "lineitem": data.lineitem,
-        "part": data.part,
-    }
-    threads = template.threads
+    tables = data.named
     reference_plan = reference_proof_plan(template.query)
     ref_columns, ref_rows, ref_count, ref_namespace = _run_proof_plan(
-        reference_plan, tables, _reference_stub(template.query), threads
+        template, reference_plan, tables, _reference_stub(template.query)
     )
     truth = reference_count(data, template.query)
     if ref_count != truth:
@@ -180,7 +148,7 @@ def prove_candidate(
     )
     try:
         cand_columns, cand_rows, cand_count, _ = _run_proof_plan(
-            candidate.proof_plan(), tables, candidate, threads
+            template, candidate.proof_plan(), tables, candidate
         )
         digest = assert_equivalent(
             {"reference": ref_rows, candidate.name: cand_rows},

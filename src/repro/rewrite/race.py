@@ -33,18 +33,18 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.cache.keys import query_profile_key
-from repro.core.queries.executor import QueryExecutor
 from repro.errors import ConfigurationError
 from repro.core.queries.plan import FilterStep, JoinStep, QueryPlan
 from repro.machine import SimMachine
-from repro.planner.candidates import PlanCandidate, build_join
+from repro.planner.candidates import PlanCandidate, static_physical
 from repro.planner.costing import (
     PRICING_ROW_CAP,
     PRICING_SEED,
     PRICING_SF_CAP,
     estimate_candidate,
-    sizing_cycles,
+    sized_run,
 )
+from repro.planner.standin import standin_tables
 from repro.planner.stats import (
     QErrorTracker,
     estimate_plan_cardinalities,
@@ -58,8 +58,7 @@ from repro.rewrite.candidates import (
 )
 from repro.rewrite.config import ACTIVE_MODES, validate_mode
 from repro.rewrite.prove import ProofResult, prove_candidate
-from repro.tables import generate_tpch
-from repro.trace import NullTracer, current_tracer, use_tracer
+from repro.trace import current_tracer
 from repro.trace.breakdown import (
     REWRITE_PROVED,
     REWRITE_QERROR,
@@ -122,35 +121,6 @@ class RewriteDecision:
         return self.reference.seconds / self.winner.seconds
 
 
-def static_physical(
-    template, rewrite: Optional[RewriteCandidate] = None
-) -> PlanCandidate:
-    """The physical plan rewrites are priced under: the template's
-    historical static choice with the rewrite's knob hints applied."""
-    from repro.memory.access import CodeVariant
-
-    algorithm = "RHO"
-    fanout = None
-    sizing = "static"
-    threads = template.threads
-    if rewrite is not None and rewrite.hints is not None:
-        if rewrite.hints.algorithm is not None:
-            algorithm = rewrite.hints.algorithm
-        if rewrite.hints.fanout is not None:
-            fanout = rewrite.hints.fanout
-        if rewrite.hints.sizing is not None:
-            sizing = rewrite.hints.sizing
-        if rewrite.hints.threads is not None:
-            threads = rewrite.hints.threads
-    return PlanCandidate(
-        algorithm,
-        CodeVariant.UNROLLED,
-        threads=threads,
-        sizing=sizing,
-        fanout=fanout,
-    )
-
-
 def proxy_cost_bytes(
     plan: QueryPlan,
     query: str,
@@ -193,11 +163,12 @@ def estimate_rewrite(
 ) -> RewriteEstimate:
     """Price ``rewrite`` for ``template`` under ``setting``.
 
-    Mirrors :func:`repro.planner.costing.estimate_candidate`'s TPC-H
-    branch — same stand-in caps, same silent tracer, same throwaway
-    machine, memoized under its own ``rewrite-estimate`` memo kind — but
-    executes the *rewritten* plan, loads only its referenced base
-    tables, and honours the candidate's pipelining flag.
+    The same silent stand-in run and sizing charge as
+    :func:`repro.planner.costing.estimate_candidate` (one
+    :func:`~repro.planner.costing.sized_run`, same caps), memoized under
+    its own ``rewrite-estimate`` memo kind; it executes the *rewritten*
+    plan under :func:`static_physical`, loads only the base tables that
+    plan reads, and honours the candidate's pipelining flag.
     """
     physical = static_physical(template, rewrite)
     estimate = profiled(
@@ -237,40 +208,25 @@ def _run_rewrite_estimate(
     physical: PlanCandidate,
     pricing_seed: int,
 ) -> Dict[str, float]:
-    """Execute ``rewrite``'s plan once, silently, on a throwaway machine."""
-    sim = SimMachine(machine.spec, machine.params)
+    """Price ``rewrite``'s plan once on the pricing stand-in, loading only
+    the base tables it reads."""
     plan = rewrite.plan()
-    data = generate_tpch(
-        template.scale_factor, seed=pricing_seed, physical_sf_cap=PRICING_SF_CAP
+    tables, _ = standin_tables(
+        template, pricing_seed, PRICING_ROW_CAP, PRICING_SF_CAP
     )
-    all_tables = {
-        "customer": data.customer,
-        "orders": data.orders,
-        "lineitem": data.lineitem,
-        "part": data.part,
-    }
-    tables = {name: all_tables[name] for name in base_tables(plan)}
-    with use_tracer(NullTracer()):
-        with sim.context(setting, threads=physical.threads) as ctx:
-            executor = QueryExecutor(
-                physical.variant,
-                pipelined=rewrite.pipelined,
-                join_factory=lambda: build_join(physical),
-            )
-            cycles = executor.run(ctx, plan, tables).cycles
-            working_set = 0
-            if ctx.enclave is not None:
-                working_set = int(
-                    ctx.enclave.config.heap_bytes - ctx.enclave.heap_free_bytes
-                )
-    sizing = 0.0
-    if setting.enclave_mode:
-        sizing = sizing_cycles(sim.params, physical, working_set)
-    total = cycles + sizing
+    estimate = sized_run(
+        machine,
+        setting,
+        template,
+        physical,
+        {name: tables[name] for name in base_tables(plan)},
+        plan=plan,
+        pipelined=rewrite.pipelined,
+    )
     return {
-        "cycles": float(total),
-        "seconds": float(total / sim.frequency_hz),
-        "working_set_bytes": int(working_set),
+        "cycles": estimate["cycles"],
+        "seconds": estimate["seconds"],
+        "working_set_bytes": estimate["working_set_bytes"],
         "proxy_bytes": float(
             proxy_cost_bytes(plan, template.query, template.scale_factor)
         ),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -104,6 +104,11 @@ class TpchData:
     @property
     def tables(self):
         return (self.customer, self.orders, self.lineitem, self.part)
+
+    @property
+    def named(self) -> Dict[str, Table]:
+        """The four relations by table name, in :attr:`tables` order."""
+        return {table.name: table for table in self.tables}
 
     @property
     def total_logical_bytes(self) -> float:

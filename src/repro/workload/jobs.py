@@ -23,28 +23,16 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.cache.keys import query_profile_key
-from repro.core.queries.executor import QueryExecutor
 from repro.core.queries.tpch_queries import TPCH_QUERIES
-from repro.core.scans.predicate import RangePredicate
-from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
-from repro.planner.candidates import (
-    PlanCandidate,
-    PlanHints,
-    build_join,
-    static_candidate,
-)
+from repro.planner.candidates import PlanCandidate, PlanHints, static_candidate
+from repro.planner.standin import run_silently, standin_tables
 from repro.reuse import profiled
 from repro.runconfig import current_run_config
-from repro.tables import generate_join_relation_pair, generate_tpch
-from repro.tables.table import Column
-from repro.trace import NullTracer, use_tracer
 
 #: Physical data caps for pricing runs (smaller than the figure experiments'
 #: caps: a serving catalog prices several templates per experiment).
@@ -183,14 +171,11 @@ class JobCatalog:
     def sf_cap(self) -> float:
         return QUICK_SF_CAP if self.quick else FULL_SF_CAP
 
-    def _fresh_machine(self) -> SimMachine:
+    def machine_prototype(self) -> SimMachine:
+        """A machine carrying the catalog's spec (for EPC capacities)."""
         if self._machine is None:
             return SimMachine()
         return SimMachine(self._machine.spec, self._machine.params)
-
-    def machine_prototype(self) -> SimMachine:
-        """A machine carrying the catalog's spec (for EPC capacities)."""
-        return self._fresh_machine()
 
     def _register(self, template: JobTemplate) -> None:
         """Reject a second template reusing a cached template's name.
@@ -301,22 +286,16 @@ class JobCatalog:
         historical static choice (RHO at the catalog's variant for joins
         and TPC-H plans, the SIMD scan kernel for scans).
 
-        Pricing is *silent* (it runs under a ``NullTracer``): a pricing
-        run is catalog bookkeeping, not measured serving work, and it is
+        Pricing is *silent* (one :func:`~repro.planner.standin.run_silently`
+        run on the catalog's stand-in caps): a pricing run is catalog
+        bookkeeping, not measured serving work, and it is
         memoized in the session profile memo (:func:`~repro.reuse.profiled`)
         — trace bytes therefore cannot depend on whether the operators
         actually ran or the memo answered.
         """
         if candidate is None:
             candidate = static_candidate(template, self.variant)
-        storage = None
-        if candidate.spill:
-            storage = current_run_config().storage
-            if storage is None:
-                raise ConfigurationError(
-                    f"spill candidate {candidate.label()!r} cannot be "
-                    "priced without a storage budget (--storage)"
-                )
+        storage = current_run_config().storage if candidate.spill else None
         proto = self._machine
         priced = profiled(
             lambda: query_profile_key(
@@ -347,72 +326,13 @@ class JobCatalog:
         storage,
     ) -> Dict[str, Optional[float]]:
         """Execute one pricing run; its seconds and EPC footprint."""
-        sim = self._fresh_machine()
-        store = None
-        budget = None
-        if storage is not None:
-            from repro.storage.sealed import SealedStore
-
-            store = SealedStore(sim.params, block_bytes=storage.block_bytes)
-            budget = float(storage.budget_bytes)
-        with use_tracer(NullTracer()), sim.context(
-            setting, threads=candidate.threads
-        ) as ctx:
-            if template.kind is JobKind.JOIN:
-                build, probe = generate_join_relation_pair(
-                    template.build_bytes,
-                    template.probe_bytes,
-                    seed=self.pricing_seed,
-                    physical_row_cap=self.row_cap,
-                )
-                result = build_join(
-                    candidate, store=store, budget_bytes=budget
-                ).run(ctx, build, probe)
-                seconds = result.seconds(sim.frequency_hz)
-            elif template.kind is JobKind.SCAN:
-                logical_rows = int(template.scan_bytes // 4)
-                physical = max(1, min(self.row_cap, logical_rows))
-                column = Column(
-                    "values", np.arange(physical, dtype=np.int32)
-                )
-                predicate = RangePredicate(0, physical // 10)
-                result = BitvectorScan(CodeVariant.SIMD).run(
-                    ctx,
-                    column,
-                    predicate,
-                    sim_scale=logical_rows / physical,
-                )
-                seconds = result.seconds(sim.frequency_hz)
-            elif template.kind is JobKind.TPCH:
-                data = generate_tpch(
-                    template.scale_factor,
-                    seed=self.pricing_seed,
-                    physical_sf_cap=self.sf_cap,
-                )
-                tables = {
-                    "customer": data.customer,
-                    "orders": data.orders,
-                    "lineitem": data.lineitem,
-                    "part": data.part,
-                }
-                plan = TPCH_QUERIES[template.query]()
-                result = QueryExecutor(
-                    candidate.variant,
-                    join_factory=lambda: build_join(
-                        candidate, store=store, budget_bytes=budget
-                    ),
-                ).run(ctx, plan, tables)
-                seconds = result.seconds(sim.frequency_hz)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ConfigurationError(f"unknown job kind {template.kind!r}")
-            footprint = None
-            if ctx.enclave is not None:
-                # Everything the query allocated came out of the statically
-                # committed heap; the consumed share is its EPC working set.
-                footprint = int(
-                    ctx.enclave.config.heap_bytes - ctx.enclave.heap_free_bytes
-                )
-        return {"seconds": seconds, "footprint": footprint}
+        tables, _ = standin_tables(
+            template, self.pricing_seed, self.row_cap, self.sf_cap
+        )
+        run = run_silently(
+            self._machine, setting, template, candidate, tables, storage=storage
+        )
+        return {"seconds": run.seconds, "footprint": run.working_set_bytes}
 
 
 def serving_templates() -> Dict[str, JobTemplate]:

@@ -28,10 +28,7 @@ class TestEpcAccountingEndToEnd:
     def test_query_epc_footprint_tracked_and_released(self):
         machine = SimMachine()
         data = generate_tpch(1.0, seed=2, physical_sf_cap=0.01)
-        tables = {
-            "customer": data.customer, "orders": data.orders,
-            "lineitem": data.lineitem, "part": data.part,
-        }
+        tables = data.named
         assert machine.allocator.epc_used(0) == 0
         with machine.context(SGX, threads=8) as ctx:
             QueryExecutor().run(ctx, TPCH_QUERIES["Q12"](), tables)

@@ -46,10 +46,7 @@ def q3_via_builder():
 class TestBuilder:
     def test_q3_equivalent(self):
         data = generate_tpch(0.5, seed=23, physical_sf_cap=0.02)
-        tables = {
-            "customer": data.customer, "orders": data.orders,
-            "lineitem": data.lineitem, "part": data.part,
-        }
+        tables = data.named
         machine = SimMachine()
         with machine.context(PLAIN, threads=4) as ctx:
             result = QueryExecutor().run(ctx, q3_via_builder(), tables)

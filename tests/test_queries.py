@@ -29,12 +29,7 @@ def tpch():
 
 @pytest.fixture(scope="module")
 def tpch_tables(tpch):
-    return {
-        "customer": tpch.customer,
-        "orders": tpch.orders,
-        "lineitem": tpch.lineitem,
-        "part": tpch.part,
-    }
+    return tpch.named
 
 
 class TestPlanValidation:
