@@ -6,7 +6,8 @@ arms to one contract so they can be compared:
 
 * a :class:`~repro.backends.base.Backend` protocol — prepare a
   materialized dataset, execute a SQL rendering of a job template, return
-  the result bag plus a measured profile;
+  the result bag (columns, or rows for a non-integer result) plus a
+  measured profile;
 * three implementations — the operator-level simulator
   (:class:`~repro.backends.sim.SimBackend`), CPython's bundled SQLite
   (:class:`~repro.backends.engines.SQLiteBackend`, always available), and
@@ -30,7 +31,6 @@ from repro.backends.base import (
     BackendHandle,
     BackendQuery,
     MeasuredProfile,
-    Rows,
 )
 from repro.backends.config import (
     BACKEND_MODES,
@@ -55,12 +55,18 @@ from repro.backends.envelope import (
     load_profiles,
 )
 from repro.backends.equivalence import (
+    Bag,
+    ColumnBag,
     EquivalenceError,
     assert_equivalent,
     bag_digest,
     canonical_bag,
 )
-from repro.backends.serving import engine_profile, gate_template
+from repro.backends.serving import (
+    engine_profile,
+    gate_template,
+    gate_templates,
+)
 from repro.backends.sim import SimBackend
 from repro.backends.sqlgen import render_sql
 
@@ -70,6 +76,8 @@ __all__ = [
     "Backend",
     "BackendHandle",
     "BackendQuery",
+    "Bag",
+    "ColumnBag",
     "Dataset",
     "DuckDBBackend",
     "ENGINE_BACKENDS",
@@ -78,7 +86,6 @@ __all__ = [
     "EnvelopeCost",
     "EquivalenceError",
     "MeasuredProfile",
-    "Rows",
     "SQLiteBackend",
     "SgxCostEnvelope",
     "SimBackend",
@@ -87,6 +94,7 @@ __all__ = [
     "canonical_bag",
     "engine_profile",
     "gate_template",
+    "gate_templates",
     "get_profile",
     "load_profiles",
     "make_engine",

@@ -1,4 +1,4 @@
-"""The backend protocol: prepare a dataset, execute a query, return rows.
+"""The backend protocol: prepare a dataset, execute a query, return a bag.
 
 A :class:`Backend` is one way of running a job template's logical query:
 the operator-level simulator (:class:`~repro.backends.sim.SimBackend`) or
@@ -8,9 +8,11 @@ share one contract:
 * ``prepare(dataset) -> handle`` loads the template's materialized data
   (same physical rows for every backend — see
   :mod:`repro.backends.dataset`);
-* ``execute(handle, query) -> (rows, MeasuredProfile)`` runs one query
-  and returns the *result bag* (a list of tuples, the equivalence gate's
-  input) plus a measured profile.
+* ``execute(handle, query) -> (bag, MeasuredProfile)`` runs one query
+  and returns the *result bag* (the equivalence gate's input: a
+  :class:`~repro.backends.equivalence.ColumnBag`, or a list of row
+  tuples for a result that is not all integers) plus a measured profile;
+* ``close(handle)`` releases what ``prepare`` loaded.
 
 Profiles are explicit about their epistemic status: the simulator's
 seconds are **simulated** (byte-deterministic, reportable); an engine's
@@ -23,14 +25,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.backends.dataset import Dataset, materialize
+from repro.backends.equivalence import Bag
 from repro.backends.sqlgen import render_sql
 from repro.workload.jobs import JobTemplate
-
-#: One result bag: a list of row tuples (ints / floats / None).
-Rows = List[Tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,13 @@ class BackendQuery:
 
     template: JobTemplate
     sql: str
+
+
+def dataset_query(dataset: Dataset) -> BackendQuery:
+    """The query of ``dataset``'s template, rendered against it."""
+    return BackendQuery(
+        template=dataset.template, sql=render_sql(dataset.template, dataset)
+    )
 
 
 @dataclass(frozen=True)
@@ -95,29 +102,29 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def execute(
         self, handle: BackendHandle, query: BackendQuery
-    ) -> Tuple[Rows, MeasuredProfile]:
-        """Run ``query`` against the prepared data; rows + profile."""
+    ) -> Tuple[Bag, MeasuredProfile]:
+        """Run ``query`` against the prepared data; result bag + profile."""
+
+    def close(self, handle: BackendHandle) -> None:
+        """Release ``handle``'s prepared data (its connection, if any)."""
+        close = getattr(handle.state, "close", None)
+        if close is not None:
+            close()
 
     # -- convenience -----------------------------------------------------
 
     def run_template(
         self, template: JobTemplate, *, seed: int, row_cap: int, sf_cap: float
-    ) -> Tuple[Rows, MeasuredProfile]:
+    ) -> Tuple[Bag, MeasuredProfile]:
         """Materialize, prepare, and execute ``template`` in one call."""
         return self.run_dataset(
             materialize(template, seed=seed, row_cap=row_cap, sf_cap=sf_cap)
         )
 
-    def run_dataset(self, dataset: Dataset) -> Tuple[Rows, MeasuredProfile]:
+    def run_dataset(self, dataset: Dataset) -> Tuple[Bag, MeasuredProfile]:
         """Prepare ``dataset`` and execute its template's query."""
         handle = self.prepare(dataset)
-        query = BackendQuery(
-            template=dataset.template,
-            sql=render_sql(dataset.template, dataset),
-        )
         try:
-            return self.execute(handle, query)
+            return self.execute(handle, dataset_query(dataset))
         finally:
-            close = getattr(handle.state, "close", None)
-            if close is not None:
-                close()
+            self.close(handle)

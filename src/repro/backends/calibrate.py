@@ -57,25 +57,23 @@ def capture_profile(
     """One artifact entry: min-of-repeats timing + canonical bag digest."""
     best_execute: Optional[float] = None
     best_prepare: Optional[float] = None
-    rows = None
     dataset = materialize(template, seed=seed, row_cap=row_cap, sf_cap=sf_cap)
     for _ in range(max(1, repeats)):
-        run_rows, profile = backend.run_dataset(dataset)
+        bag, profile = backend.run_dataset(dataset)
         if best_execute is None or profile.execute_s < best_execute:
             best_execute = profile.execute_s
         if best_prepare is None or profile.prepare_s < best_prepare:
             best_prepare = profile.prepare_s
-        rows = run_rows
     return {
         "backend": backend.name,
         "template": template.name,
         "kind": template.kind.value,
         "prepare_s": round(best_prepare, 6),
         "execute_s": round(best_execute, 6),
-        "rows": len(rows),
+        "rows": len(bag),
         "physical_bytes": dataset.physical_bytes,
         "logical_bytes": dataset.logical_bytes,
-        "bag_digest": bag_digest(rows),
+        "bag_digest": bag_digest(bag),
         "row_cap": row_cap,
         "sf_cap": sf_cap,
         "pricing_seed": seed,

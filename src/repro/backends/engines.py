@@ -1,7 +1,7 @@
 """Real SQL engines behind the backend protocol: SQLite and DuckDB.
 
 Both engines implement the DB-API surface this module needs (``execute``
-/ ``executemany`` / ``fetchall``), so one implementation covers both;
+/ ``executemany`` / ``fetchmany``), so one implementation covers both;
 only the connection factory differs.  SQLite ships with CPython and is
 therefore always available — it is the engine the CI equivalence gate
 runs against.  DuckDB is optional: :meth:`DuckDBBackend.missing_reason`
@@ -16,6 +16,13 @@ to Python only when it is bound — column by column with the column's own
 ``tolist()``, so no dtype is promoted to another — and a whole table is
 never held as Python ints at once.  Rows keep their insertion order, and
 the DDL declares every column ``INTEGER`` with no index.
+
+Results come back in :data:`FETCH_ROWS`-row ``fetchmany`` batches, each
+turned into one int64 block as it arrives, so an all-integer result is
+returned as a :class:`~repro.backends.equivalence.ColumnBag` and never
+held as Python rows at once.  The first batch holding anything else (a
+float, a NULL, a text, an integer past int64) turns the whole result
+back into the list of row tuples the cursor would have fetched.
 
 Engine timings are **wall-clock** (``MeasuredProfile.simulated=False``).
 They never enter reports or traces directly; the deterministic path
@@ -34,17 +41,21 @@ from repro.backends.base import (
     Backend,
     BackendHandle,
     BackendQuery,
+    Bag,
     MeasuredProfile,
-    Rows,
 )
 from repro.backends.config import missing_reason as _config_missing_reason
 from repro.backends.dataset import Dataset
+from repro.backends.equivalence import ColumnBag
 from repro.errors import ConfigurationError
 from repro.tables.table import Table
 
 #: Bound parameters per ``INSERT`` statement: SQLite's historical default
 #: limit (``SQLITE_MAX_VARIABLE_NUMBER``), which DuckDB accepts too.
 MAX_BOUND_PARAMS = 999
+
+#: Rows per ``fetchmany`` batch of a result.
+FETCH_ROWS = 4096
 
 
 def _flat_rows(columns: List[np.ndarray], start: int, stop: int) -> List:
@@ -88,6 +99,38 @@ def _load_table(conn, name: str, table: Table) -> None:
         )
 
 
+def _int_block(batch: List[tuple]) -> Optional[np.ndarray]:
+    """``batch``'s rows as one int64 block when every value is an int or a
+    bool that fits; ``None`` otherwise."""
+    try:
+        block = np.array(batch)
+    except ValueError:  # rows of unequal widths
+        return None
+    if block.ndim != 2 or block.dtype.kind not in "bi":
+        return None
+    return block.astype(np.int64, copy=False)
+
+
+def _fetch(cursor) -> Bag:
+    """The cursor's result, fetched in :data:`FETCH_ROWS`-row batches: a
+    column bag when all of it is integers, a list of row tuples if not."""
+    blocks: List[np.ndarray] = []
+    while True:
+        batch = cursor.fetchmany(FETCH_ROWS)
+        if not batch:
+            break
+        block = _int_block(batch)
+        if block is None:
+            rows = [tuple(row) for b in blocks for row in b.tolist()]
+            return rows + batch + cursor.fetchall()
+        blocks.append(block)
+    if not blocks:
+        return ColumnBag(
+            [np.empty(0, dtype=np.int64)] * len(cursor.description)
+        )
+    return ColumnBag(list(np.concatenate(blocks).T))
+
+
 class SqlEngineBackend(Backend):
     """Shared DB-API implementation (subclasses provide the connection)."""
 
@@ -122,14 +165,13 @@ class SqlEngineBackend(Backend):
 
     def execute(
         self, handle: BackendHandle, query: BackendQuery
-    ) -> Tuple[Rows, MeasuredProfile]:
+    ) -> Tuple[Bag, MeasuredProfile]:
         if handle.state is None:
             raise ConfigurationError(
                 f"backend {self.name!r}: execute() needs a prepared handle"
             )
         start = time.perf_counter()
-        cursor = handle.state.execute(query.sql)
-        rows = cursor.fetchall()  # already a list of tuples
+        bag = _fetch(handle.state.execute(query.sql))
         elapsed = time.perf_counter() - start
         dataset = handle.dataset
         profile = MeasuredProfile(
@@ -137,13 +179,13 @@ class SqlEngineBackend(Backend):
             template=query.template.name,
             prepare_s=handle.prepare_s,
             execute_s=elapsed,
-            rows=len(rows),
+            rows=len(bag),
             physical_bytes=dataset.physical_bytes,
             logical_bytes=dataset.logical_bytes,
             working_set_bytes=0,  # engines do not expose EPC footprints
             simulated=False,
         )
-        return rows, profile
+        return bag, profile
 
 
 class SQLiteBackend(SqlEngineBackend):

@@ -18,11 +18,23 @@ SQL semantics does not fix:
 Column order is *not* forgiven: a row whose values sit in the wrong
 columns fails even though the same values appear.
 
+A bag comes in one of two forms.  A **column bag** (:class:`ColumnBag`)
+holds one equally long numpy array per output column: the simulator's
+results, an engine's all-integer results and the rewrite proofs' witness
+tables arrive this way.  A **row bag** is a list of row tuples: an
+engine's result with a non-integer value, or a caller's literal rows.
+Both are compared and digested column by column, so an all-integer
+column stays one int64 array from the producer to the digest.  Row
+tuples are built only for a mismatch's message and for bags with a
+column that is not all integers.
+
 The **digest** (:func:`bag_digest`) is the gate's currency in trace
 events and in the calibration artifact, so its bytes never change.  It
 is older than the check and weaker: :func:`canonical_row` sorts values
 *within* each row, so the digest alone cannot tell a misaligned bag from
 a matching one.  It is only ever reported for bags the check passed.
+For all-integer bags its text is built and sorted in numpy, as one byte
+string per row, and hashed in chunks of :data:`DIGEST_CHUNK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -40,6 +53,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -51,7 +65,56 @@ from repro.errors import EquivalenceError
 #: these integer-typed workloads; ties within half a quantum collapse.
 QUANT_DIGITS = 9
 
+#: Rows whose digest text is built and hashed in one step.
+DIGEST_CHUNK_ROWS = 8192
+
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+class ColumnBag:
+    """A result bag as columns: equally long 1-D arrays, one per output
+    column, and the row count (which a bag of width 0 needs).
+
+    Indexing and iterating yield row tuples of Python values, so a column
+    bag reads like a row bag wherever rows are wanted.
+    """
+
+    __slots__ = ("columns", "_count")
+
+    def __init__(
+        self, columns: Sequence[np.ndarray], count: Optional[int] = None
+    ) -> None:
+        columns = tuple(np.asarray(column) for column in columns)
+        lengths = {len(column) for column in columns}
+        if any(column.ndim != 1 for column in columns) or len(lengths) > 1:
+            raise ValueError("a column bag needs equally long 1-D columns")
+        if count is None:
+            count = lengths.pop() if lengths else 0
+        elif lengths and lengths != {count}:
+            raise ValueError(f"columns of {lengths.pop()} rows, not {count}")
+        self.columns = columns
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __repr__(self) -> str:
+        return f"ColumnBag({list(self.columns)!r}, {self._count})"
+
+    def __getitem__(self, index: int) -> Tuple[Any, ...]:
+        index = range(self._count)[index]
+        return tuple(
+            column[index : index + 1].tolist()[0] for column in self.columns
+        )
+
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        if not self.columns:
+            return iter([()] * self._count)
+        return zip(*(column.tolist() for column in self.columns))
+
+
+#: Either form of a result bag.
+Bag = Union[ColumnBag, List[Sequence[Any]]]
 
 
 def canonical_value(value: Any) -> Any:
@@ -132,6 +195,8 @@ def _canonical_column(values: Sequence[Any]) -> np.ndarray:
     """
     column = _int_column(values)
     if column is None:
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         canon = [canonical_value(value) for value in values]
         column = _int_column(canon)
         if column is None:
@@ -139,17 +204,35 @@ def _canonical_column(values: Sequence[Any]) -> np.ndarray:
     return column
 
 
+def _source(bag: Union[ColumnBag, Iterable[Sequence[Any]]]) -> Bag:
+    """``bag`` as a column bag or a list of rows."""
+    if isinstance(bag, (ColumnBag, list)):  # the backends' bags already are
+        return bag
+    return list(bag)
+
+
+def _widths(source: Bag) -> Set[int]:
+    """The widths of ``source``'s rows."""
+    if isinstance(source, ColumnBag):
+        return {len(source.columns)} if len(source) else set()
+    return set(map(len, source))
+
+
 class _Bag(NamedTuple):
     """One bag, its columns aligned to the reference's and canonicalized."""
 
-    rows: List[Sequence[Any]]
+    source: Bag
     #: The raw column behind each aligned column (``None``: by position).
     positions: Optional[List[int]]
     #: Canonical column arrays (``None``: the rows are not one width).
     columns: Optional[List[np.ndarray]]
 
+    @property
+    def count(self) -> int:
+        return len(self.source)
+
     def aligned_row(self, index: int) -> Tuple[Any, ...]:
-        row = self.rows[index]
+        row = self.source[index]
         if self.positions is not None:
             row = [row[position] for position in self.positions]
         return tuple(canonical_value(value) for value in row)
@@ -161,7 +244,7 @@ class _Bag(NamedTuple):
             np.array(
                 [
                     json.dumps([canonical_value(v) for v in row])
-                    for row in self.rows
+                    for row in self.source
                 ],
                 dtype=str,
             )
@@ -169,21 +252,22 @@ class _Bag(NamedTuple):
 
 
 def _bag(
-    rows: List[Sequence[Any]],
-    positions: Optional[List[int]],
-    widths: Set[int],
+    source: Bag, positions: Optional[List[int]], widths: Set[int]
 ) -> _Bag:
-    """``rows`` as a :class:`_Bag`; ``widths`` is ``set(map(len, rows))``."""
+    """``source`` as a :class:`_Bag`; ``widths`` is ``_widths(source)``."""
     if len(widths) > 1:
-        return _Bag(rows, positions, None)
-    raw = list(zip(*rows))
+        return _Bag(source, positions, None)
+    if isinstance(source, ColumnBag):
+        raw = list(source.columns)
+    else:
+        raw = list(zip(*source))
     if positions is not None and raw:
         raw = [raw[position] for position in positions]
-    return _Bag(rows, positions, [_canonical_column(c) for c in raw])
+    return _Bag(source, positions, [_canonical_column(c) for c in raw])
 
 
 def _aligned_bags(
-    bags: Mapping[str, Iterable[Sequence[Any]]],
+    bags: Mapping[str, Union[ColumnBag, Iterable[Sequence[Any]]]],
     columns: Optional[Mapping[str, Sequence[str]]],
 ) -> Dict[str, _Bag]:
     """Every bag, with named columns reordered to the reference's names."""
@@ -192,10 +276,8 @@ def _aligned_bags(
         raise EquivalenceError("name the columns of every bag or of none")
     aligned = {}
     for name in names:
-        rows = bags[name]
-        if not isinstance(rows, list):  # the backends' bags already are
-            rows = list(rows)
-        widths = set(map(len, rows))
+        source = _source(bags[name])
+        widths = _widths(source)
         positions = None
         if columns is not None:
             order, own = tuple(columns[names[0]]), tuple(columns[name])
@@ -209,7 +291,7 @@ def _aligned_bags(
                     f"{len(own)} column names {own}"
                 )
             positions = [own.index(column) for column in order]
-        aligned[name] = _bag(rows, positions, widths)
+        aligned[name] = _bag(source, positions, widths)
     return aligned
 
 
@@ -239,7 +321,7 @@ def _mismatch(
         left_columns, right_columns = left.row_texts(), right.row_texts()
     left_order, left_columns = _lexsorted(left_columns)
     right_order, right_columns = _lexsorted(right_columns)
-    differs = np.zeros(len(left.rows), dtype=bool)
+    differs = np.zeros(left.count, dtype=bool)
     for ours, theirs in zip(left_columns, right_columns):
         if ours.dtype.kind != theirs.dtype.kind:  # int vs text: unequal
             ours, theirs = ours.astype(str), theirs.astype(str)
@@ -254,56 +336,73 @@ def _mismatch(
     )
 
 
+def _int_texts(column: np.ndarray) -> np.ndarray:
+    """The decimal text of each value of a non-empty int64 ``column``, as
+    byte strings as wide as the longest (at its minimum or maximum)."""
+    width = max(len(str(column.min())), len(str(column.max())))
+    return column.astype(f"S{width}")
+
+
 def _int_digest(count: int, columns: List[np.ndarray]) -> str:
-    """:func:`bag_digest` of ``count`` rows of int64 ``columns``, without
-    a JSON encoder: each row's text is both its sort key and payload."""
-    if not columns:
-        texts = ["[]"] * count
-    else:
-        within = np.sort(np.column_stack(columns), axis=1)
-        row_format = "[" + ",".join(["%d"] * len(columns)) + "]"
-        texts = sorted(
-            map(
-                row_format.__mod__,
-                zip(*(column.tolist() for column in within.T)),
-            )
-        )
-    return _sha256("[" + ",".join(texts) + "]")
+    """:func:`bag_digest` of ``count`` rows of int64 ``columns``, built in
+    numpy: each canonical row's JSON text (and a comma) is one fixed-width
+    byte string, numpy sorts them as Python sorts the texts, and their
+    bytes are hashed in chunks, the NUL padding dropped."""
+    if not columns or not count:
+        return _sha256("[" + ",".join(["[]"] * count) + "]")
+    within = np.sort(np.column_stack(columns), axis=1)
+    texts = np.char.add(b"[", _int_texts(within[:, 0]))
+    for column in within.T[1:]:
+        texts = np.char.add(np.char.add(texts, b","), _int_texts(column))
+    # The comma cannot reorder rows: "]" ends every text and only it.
+    texts = np.char.add(texts, b"],")
+    texts.sort()
+    digest = hashlib.sha256(b"[")
+    for start in range(0, count, DIGEST_CHUNK_ROWS):
+        chunk = texts[start : start + DIGEST_CHUNK_ROWS].view(np.uint8)
+        text = chunk[chunk != 0]
+        digest.update(text if start + DIGEST_CHUNK_ROWS < count else text[:-1])
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def _digest(bag: _Bag) -> str:
     if bag.columns is not None and all(
         column.dtype.kind == "i" for column in bag.columns
     ):
-        return _int_digest(len(bag.rows), bag.columns)
-    return _sha256(json.dumps(canonical_bag(bag.rows), separators=(",", ":")))
+        return _int_digest(bag.count, bag.columns)
+    return _sha256(
+        json.dumps(canonical_bag(bag.source), separators=(",", ":"))
+    )
 
 
-def bag_digest(rows: Iterable[Sequence[Any]]) -> str:
+def bag_digest(rows: Union[ColumnBag, Iterable[Sequence[Any]]]) -> str:
     """SHA-256 hex digest of the canonical bag (the gate's currency).
 
     Insensitive to column order (see :func:`canonical_row`).  Bags of
-    integer rows of one width take a numpy path to the same bytes.
+    integer rows of one width, in either form, take a numpy path to the
+    same bytes.
     """
-    rows = list(rows)
-    return _digest(_bag(rows, None, set(map(len, rows))))
+    source = _source(rows)
+    return _digest(_bag(source, None, _widths(source)))
 
 
 def assert_equivalent(
-    bags: Mapping[str, Iterable[Sequence[Any]]],
+    bags: Mapping[str, Union[ColumnBag, Iterable[Sequence[Any]]]],
     *,
     columns: Optional[Mapping[str, Sequence[str]]] = None,
     context: str = "",
 ) -> str:
     """Require every named bag to hold the same rows; return their digest.
 
-    ``bags`` maps backend names to row iterables.  The first entry (in
-    insertion order) is the reference.  ``columns`` names each bag's
-    columns (every bag's, or none): the other bags' columns are aligned
-    to the reference's names, so they may project in any order.  Unnamed
-    bags align by position.  Any disagreement raises
-    :class:`~repro.errors.EquivalenceError` naming both backends, both
-    digests, and the first differing (or misaligned) row.
+    ``bags`` maps backend names to bags: a :class:`ColumnBag` or an
+    iterable of rows.  The first entry (in insertion order) is the reference.
+    ``columns`` names each bag's columns (every bag's, or none): the
+    other bags' columns are aligned to the reference's names, so they may
+    project in any order.  Unnamed bags align by position.  Any
+    disagreement raises :class:`~repro.errors.EquivalenceError` naming
+    both backends, both digests, and the first differing (or misaligned)
+    row.
 
     Bags that pass hold the same canonical rows, so they share one
     :func:`bag_digest`; it is computed once, from the reference.
@@ -315,17 +414,14 @@ def assert_equivalent(
     reference = aligned[names[0]]
     for name in names[1:]:
         other = aligned[name]
-        same_count = len(other.rows) == len(reference.rows)
+        same_count = other.count == reference.count
         if same_count:
             mismatch = _mismatch(reference, other)
             if mismatch is None:
                 continue
         ours_digest, theirs_digest = _digest(reference), _digest(other)
         if not same_count:
-            detail = (
-                f"row counts differ: {len(reference.rows)} vs "
-                f"{len(other.rows)}"
-            )
+            detail = f"row counts differ: {reference.count} vs {other.count}"
         elif ours_digest == theirs_digest:
             detail = (
                 "first misaligned row #{}: {} vs {} (the bags agree only "
@@ -336,8 +432,8 @@ def assert_equivalent(
         where = f" for {context}" if context else ""
         raise EquivalenceError(
             f"result bags differ{where}: {names[0]} "
-            f"({ours_digest[:16]}..., {len(reference.rows)} rows) vs "
-            f"{name} ({theirs_digest[:16]}..., {len(other.rows)} rows); "
+            f"({ours_digest[:16]}..., {reference.count} rows) vs "
+            f"{name} ({theirs_digest[:16]}..., {other.count} rows); "
             + detail
         )
     return _digest(reference)

@@ -5,17 +5,18 @@ the operator simulator and each requested engine, canonicalizes the
 result bags, and fails (exit 1) on any disagreement.  CI runs it as a
 merge gate: no timing of an engine arm is trustworthy unless the engine
 and the simulator answer every query identically, and bag comparison is
-deterministic even where engine timings are not.
+deterministic even where engine timings are not.  Templates that share
+their stand-in data (the TPC-H queries) share one engine load.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.backends.config import ENGINE_MODES, missing_reason
-from repro.backends.serving import gate_template
+from repro.backends.serving import gate_templates
 from repro.errors import EquivalenceError
 from repro.workload.jobs import JobCatalog, serving_templates
 
@@ -54,19 +55,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
 
     catalog = JobCatalog(quick=not args.full)
-    failures = 0
-    for name in sorted(serving_templates()):
-        template = serving_templates()[name]
+    templates = serving_templates()
+    names = sorted(templates)
+    failures: Dict[str, Dict[str, EquivalenceError]] = {}
+    digests = {
+        mode: gate_templates(
+            catalog,
+            [templates[name] for name in names],
+            mode,
+            failures=failures.setdefault(mode, {}),
+        )
+        for mode in modes
+    }
+    for name in names:
         for mode in modes:
-            try:
-                digest = gate_template(catalog, template, mode)
-            except EquivalenceError as exc:
-                failures += 1
-                print(f"FAIL sim vs {mode} on {name}: {exc}")
+            error = failures[mode].get(name)
+            if error is not None:
+                print(f"FAIL sim vs {mode} on {name}: {error}")
             else:
+                digest = digests[mode][name]
                 print(f"ok   sim vs {mode} on {name}: {digest[:12]}")
-    if failures:
-        print(f"{failures} equivalence failure(s)", file=sys.stderr)
+    failed = sum(map(len, failures.values()))
+    if failed:
+        print(f"{failed} equivalence failure(s)", file=sys.stderr)
         return 1
     print(f"all templates equivalent across sim + {', '.join(modes)}")
     return 0

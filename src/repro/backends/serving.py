@@ -27,8 +27,10 @@ mode is active, preserving the default path's trace bytes.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.backends.base import dataset_query
 from repro.backends.engines import make_engine
 from repro.backends.envelope import (
     EngineProfile,
@@ -40,7 +42,8 @@ from repro.backends.dataset import materialize
 from repro.backends.equivalence import assert_equivalent
 from repro.backends.sim import SimBackend
 from repro.backends.sqlgen import output_columns
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EquivalenceError
+from repro.planner.standin import standin_key
 from repro.trace.breakdown import BACKEND_ENVELOPE, BACKEND_EQUIVALENCE
 from repro.trace.tracer import current_tracer
 from repro.workload.jobs import JobCatalog, JobProfile, JobTemplate
@@ -98,35 +101,71 @@ def _check_calibration(
         )
 
 
+def gate_templates(
+    catalog: JobCatalog,
+    templates: Sequence[JobTemplate],
+    mode: str,
+    *,
+    failures: Optional[Dict[str, EquivalenceError]] = None,
+) -> Dict[str, str]:
+    """Run the cross-backend equivalence gate on ``templates``; return
+    each passing template's digest by name.
+
+    Each template executes through the operator simulator *and* the live
+    engine over one materialized dataset, and both bags must hold the
+    same rows in the columns of the declared projection
+    (:func:`~repro.backends.sqlgen.output_columns`).  Templates whose
+    stand-in data is the same (:func:`~repro.planner.standin.standin_key`:
+    every TPC-H query at one scale) share one dataset: it is
+    materialized, prepared in the engine and closed once.
+
+    A disagreement raises :class:`~repro.errors.EquivalenceError` — an
+    engine arm must never report a timing for a query the engine answers
+    differently — unless ``failures`` is given: then each failing
+    template's error is stored there by name and the gate goes on.
+    """
+    groups: Dict[Tuple, List[JobTemplate]] = {}
+    for template in templates:
+        groups.setdefault(standin_key(template), []).append(template)
+    sim, engine = SimBackend(catalog), make_engine(mode)
+    digests: Dict[str, str] = {}
+    for group in groups.values():
+        dataset = materialize(
+            group[0],
+            seed=catalog.pricing_seed,
+            row_cap=catalog.row_cap,
+            sf_cap=catalog.sf_cap,
+        )
+        handle = engine.prepare(dataset)
+        try:
+            for template in group:
+                shared = replace(dataset, template=template)
+                # Rows only, no pricing: the gate compares result bags,
+                # and pricing the sim arm here would re-enter the
+                # catalog mid-delegation.
+                sim_bag = sim.compute_rows(shared)
+                engine_bag, _ = engine.execute(handle, dataset_query(shared))
+                projection = output_columns(template)
+                try:
+                    digests[template.name] = assert_equivalent(
+                        {"sim": sim_bag, mode: engine_bag},
+                        columns={"sim": projection, mode: projection},
+                        context=f"template {template.name!r}",
+                    )
+                except EquivalenceError as error:
+                    if failures is None:
+                        raise
+                    failures[template.name] = error
+        finally:
+            engine.close(handle)
+    return digests
+
+
 def gate_template(
     catalog: JobCatalog, template: JobTemplate, mode: str
 ) -> str:
-    """Run the cross-backend equivalence gate; return the shared digest.
-
-    Executes the template through the operator simulator *and* the live
-    engine over one materialized dataset, then requires both bags to hold
-    the same rows in the columns of the declared projection
-    (:func:`~repro.backends.sqlgen.output_columns`).  Raises
-    :class:`~repro.errors.EquivalenceError` on disagreement — an engine
-    arm must never report a timing for a query the engine answers
-    differently.
-    """
-    dataset = materialize(
-        template,
-        seed=catalog.pricing_seed,
-        row_cap=catalog.row_cap,
-        sf_cap=catalog.sf_cap,
-    )
-    # Rows only, no pricing: the gate compares result bags, and pricing
-    # the sim arm here would re-enter the catalog mid-delegation.
-    sim_rows = SimBackend(catalog).compute_rows(dataset)
-    engine_rows, _ = make_engine(mode).run_dataset(dataset)
-    projection = output_columns(template)
-    return assert_equivalent(
-        {"sim": sim_rows, mode: engine_rows},
-        columns={"sim": projection, mode: projection},
-        context=f"template {template.name!r}",
-    )
+    """:func:`gate_templates` for one template: its digest, or raise."""
+    return gate_templates(catalog, [template], mode)[template.name]
 
 
 def engine_profile(

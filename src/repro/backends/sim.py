@@ -4,7 +4,11 @@ Executes the template's query through the silent run the catalog's
 pricing uses (:func:`~repro.planner.standin.run_silently`: static plan,
 catalog variant, the dataset's stand-in tables) and surfaces the real
 result rows, so the equivalence gate can compare the simulator against
-the engines.  The profile's seconds come from
+the engines.  The rows stay columns: the result bag is a
+:class:`~repro.backends.equivalence.ColumnBag` of the operator's own
+arrays (a join's matched payload pairs, a scan's qualifying values, a
+TPC-H plan's count), never a list of Python row tuples.  The profile's
+seconds come from
 :meth:`~repro.workload.jobs.JobCatalog.cost` — fully simulated and
 byte-deterministic.
 """
@@ -21,9 +25,9 @@ from repro.backends.base import (
     BackendHandle,
     BackendQuery,
     MeasuredProfile,
-    Rows,
 )
 from repro.backends.dataset import Dataset
+from repro.backends.equivalence import ColumnBag
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.planner.candidates import static_candidate
@@ -49,10 +53,10 @@ class SimBackend(Backend):
 
     def execute(
         self, handle: BackendHandle, query: BackendQuery
-    ) -> Tuple[Rows, MeasuredProfile]:
+    ) -> Tuple[ColumnBag, MeasuredProfile]:
         template = query.template
         dataset = handle.dataset
-        rows = self.compute_rows(dataset)
+        bag = self.compute_rows(dataset)
         # Pin the sim mode: under an ambient engine mode the catalog
         # would otherwise delegate right back to the engine bridge (and
         # the bridge's equivalence gate runs this backend — recursion).
@@ -65,17 +69,17 @@ class SimBackend(Backend):
             template=template.name,
             prepare_s=0.0,
             execute_s=plain.service_s,
-            rows=len(rows),
+            rows=len(bag),
             physical_bytes=dataset.physical_bytes,
             logical_bytes=dataset.logical_bytes,
             working_set_bytes=enclave.working_set_bytes,
             simulated=True,
         )
-        return rows, profile
+        return bag, profile
 
     # -- row computation -------------------------------------------------
 
-    def compute_rows(self, dataset: Dataset) -> Rows:
+    def compute_rows(self, dataset: Dataset) -> ColumnBag:
         """The result bag, computed by the real operator kernels.
 
         Columns follow the SQL rendering's projection
@@ -100,12 +104,14 @@ class SimBackend(Backend):
                     f"{result.algorithm} returned no match index"
                 )
             matched = result.match_index >= 0
-            s_payload = tables["s"]["payload"][matched]
-            r_payload = tables["r"]["payload"][result.match_index[matched]]
-            # tolist() yields Python ints already.
-            return list(zip(s_payload.tolist(), r_payload.tolist()))
+            return ColumnBag(
+                [
+                    tables["s"]["payload"][matched],
+                    tables["r"]["payload"][result.match_index[matched]],
+                ]
+            )
         if template.kind is JobKind.SCAN:
             column = tables["scan_values"].column("v")
             mask = np.unpackbits(result.bitvector)[: len(column)].astype(bool)
-            return list(zip(column.data[mask].tolist()))
-        return [(int(result.count),)]
+            return ColumnBag([column.data[mask]])
+        return ColumnBag([np.array([int(result.count)], dtype=np.int64)])

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.backends.config import ENGINE_MODES, missing_reason
 from repro.backends.envelope import SgxCostEnvelope, get_profile, load_profiles
-from repro.backends.serving import gate_template
+from repro.backends.serving import gate_templates
 from repro.bench.experiments import common
 from repro.bench.experiments.ext07_planner_ablation import PLATFORMS
 from repro.bench.report import ExperimentReport
@@ -87,10 +87,13 @@ def run(
     # Gate once, before any timing: result bags are platform-independent
     # (correctness, not cost), so one pass covers both platforms.
     gate_catalog = JobCatalog(quick=quick)
+    gated = {
+        mode: gate_templates(gate_catalog, chosen, mode) for mode in modes
+    }
     digests: Dict[str, str] = {}
     for template in chosen:
         for mode in modes:
-            digest = gate_template(gate_catalog, template, mode)
+            digest = gated[mode][template.name]
             digests[template.name] = digest
             tracer.event(
                 BACKEND_EQUIVALENCE,

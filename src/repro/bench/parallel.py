@@ -375,9 +375,12 @@ class _Worker:
         self.index: Optional[int] = None
 
     def send(self, index: int, task: _Task) -> None:
-        pickle.dump(task, self.process.stdin, pickle.HIGHEST_PROTOCOL)
-        self.process.stdin.flush()
         self.index = index
+        try:
+            pickle.dump(task, self.process.stdin, pickle.HIGHEST_PROTOCOL)
+            self.process.stdin.flush()
+        except BrokenPipeError:
+            pass  # the worker is gone: receive() answers with its exit
 
     def receive(self) -> Tuple[bool, Any]:
         """The running task's answer; a worker that died answers a failure."""

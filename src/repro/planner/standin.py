@@ -44,6 +44,18 @@ def _scan_range(rows: int) -> Dict[str, int]:
     return {"scan_lower": 0, "scan_upper": rows // 10}
 
 
+def standin_key(template) -> Tuple:
+    """What :func:`standin_tables` reads of ``template``: at one seed and
+    caps, templates with equal keys get array-equal tables and equal
+    parameters (every TPC-H query at one scale, say)."""
+    kind = template.kind.value
+    if kind == "join":
+        return (kind, template.build_bytes, template.probe_bytes)
+    if kind == "scan":
+        return (kind, template.scan_bytes)
+    return (kind, template.scale_factor)
+
+
 def standin_tables(
     template, seed: int, row_cap: int, sf_cap: float
 ) -> Tuple[Dict[str, Table], Dict[str, int]]:

@@ -4,7 +4,8 @@ A rewrite candidate is admitted to the race only after this module has
 *executed* both the reference plan and the candidate plan — through the
 real :class:`~repro.core.queries.executor.QueryExecutor`, over the same
 physical stand-in rows the catalog's pricing runs use — and shown their
-witness bags identical under
+witness bags (the final tables' columns, handed over as one
+:class:`~repro.backends.equivalence.ColumnBag` each) identical under
 :func:`~repro.backends.equivalence.assert_equivalent` (columns aligned
 by the final tables' names, values quantized, row order free, duplicates
 preserved).  Nothing is assumed: a candidate whose bag differs (a value
@@ -27,9 +28,9 @@ what a traced run records.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.backends.equivalence import assert_equivalent
+from repro.backends.equivalence import ColumnBag, assert_equivalent
 from repro.core.queries.plan import QueryPlan
 from repro.core.queries.tpch_queries import reference_count
 from repro.enclave.runtime import ExecutionSetting
@@ -72,14 +73,13 @@ class ProofResult:
 _MEMO: Dict[Tuple[str, str, float, float], ProofResult] = {}
 
 
-def _witness_rows(
+def _witness_bag(
     namespace: Dict[str, Table], plan: QueryPlan
-) -> Tuple[Tuple[str, ...], List[tuple]]:
-    """The final pre-count table's column names and rows (plain tuples)."""
+) -> Tuple[Tuple[str, ...], ColumnBag]:
+    """The final pre-count table's column names and its columns' bag."""
     final = namespace[plan.steps[-1].source]
     names = tuple(final.column_names)
-    arrays = [final[name] for name in names]
-    return names, (list(zip(*arrays)) if arrays else [])
+    return names, ColumnBag([final[name] for name in names])
 
 
 def _run_proof_plan(
@@ -87,9 +87,9 @@ def _run_proof_plan(
     plan: QueryPlan,
     tables: Dict[str, Table],
     candidate: RewriteCandidate,
-) -> Tuple[Tuple[str, ...], List[tuple], int, Dict[str, Table]]:
-    """Execute ``plan`` for real on the plain CPU; witness columns, bag,
-    count and namespace.
+) -> Tuple[Tuple[str, ...], ColumnBag, int, Dict[str, Table]]:
+    """Execute ``plan`` for real on the plain CPU; witness column names,
+    witness bag, count and namespace.
 
     Proofs are about results, not cycles: the plain-CPU setting and the
     silent run keep them fast and invisible to any enclave or trace
@@ -105,7 +105,8 @@ def _run_proof_plan(
         plan=plan,
         pipelined=candidate.pipelined,
     )
-    return (*_witness_rows(run.namespace, plan), run.result.count, run.namespace)
+    names, bag = _witness_bag(run.namespace, plan)
+    return names, bag, run.result.count, run.namespace
 
 
 def prove_candidate(

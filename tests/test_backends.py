@@ -12,6 +12,7 @@ import re
 import sqlite3
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ import repro
 
 from repro.backends import (
     BACKENDS_EXTRA,
+    ENGINE_MODES,
+    BackendQuery,
+    ColumnBag,
     SQLiteBackend,
     SimBackend,
     assert_equivalent,
@@ -32,7 +36,7 @@ from repro.backends import (
 )
 from repro.backends import base, serving
 from repro.backends.dataset import Dataset
-from repro.backends.engines import MAX_BOUND_PARAMS
+from repro.backends.engines import FETCH_ROWS, MAX_BOUND_PARAMS
 from repro.backends.envelope import (
     PROFILES_PATH,
     SgxCostEnvelope,
@@ -40,13 +44,18 @@ from repro.backends.envelope import (
     load_profiles,
 )
 from repro.backends.equivalence import canonical_value
-from repro.backends.serving import engine_profile, gate_template
+from repro.backends.serving import (
+    engine_profile,
+    gate_template,
+    gate_templates,
+)
 from repro.cache import experiment_key
 from repro.cli import main as cli_main
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError, EquivalenceError
 from repro.hardware.platforms import sgxv1_calibration, sgxv1_testbed
 from repro.machine import SimMachine
+from repro.planner.standin import standin_key
 from repro.runconfig import RunConfig, use_run_config
 from repro.tables.table import Column, Table
 from repro.trace import Tracer, backend_breakdown, use_tracer
@@ -58,6 +67,9 @@ from repro.workload.jobs import (
 )
 
 HAVE_DUCKDB = importlib.util.find_spec("duckdb") is not None
+
+#: The engines this environment can run (SQLite always).
+ENGINES = [mode for mode in ENGINE_MODES if missing_reason(mode) is None]
 
 
 class TestEquivalence:
@@ -242,6 +254,98 @@ class TestBackendsAgree:
         assert profile.simulated is False
         assert profile.rows == len(engine_rows)
 
+    def test_templates_with_one_standin_key_share_their_tables(self):
+        catalog = JobCatalog()
+        templates = sorted(serving_templates().values(), key=lambda t: t.name)
+        caps = dict(
+            seed=catalog.pricing_seed,
+            row_cap=catalog.row_cap,
+            sf_cap=catalog.sf_cap,
+        )
+        shared = [
+            (left, right)
+            for left, right in itertools.combinations(templates, 2)
+            if standin_key(left) == standin_key(right)
+        ]
+        assert [(a.name, b.name) for a, b in shared] == [("q12", "q3")]
+        for left, right in shared:
+            ours = materialize(left, **caps)
+            theirs = materialize(right, **caps)
+            assert ours.params == theirs.params
+            assert list(ours.tables) == list(theirs.tables)
+            for name, table in ours.tables.items():
+                other = theirs.tables[name]
+                assert table.column_names == other.column_names
+                for column in table.column_names:
+                    assert np.array_equal(table[column], other[column])
+
+    def test_gate_loads_each_shared_dataset_once(self, monkeypatch):
+        materialized, engines = [], []
+
+        def counting(template, **caps):
+            materialized.append(template.name)
+            return materialize(template, **caps)
+
+        def recording(mode):
+            engines.append(_RecordingSQLite())
+            return engines[-1]
+
+        monkeypatch.setattr(serving, "materialize", counting)
+        monkeypatch.setattr(serving, "make_engine", recording)
+        templates = serving_templates()
+        digests = gate_templates(
+            JobCatalog(), [templates["q3"], templates["q12"]], "sqlite"
+        )
+        pinned = load_profiles()
+        assert digests == {
+            name: pinned[("sqlite", name)].bag_digest for name in ("q3", "q12")
+        }
+        assert materialized == ["q3"]
+        assert [len(engine.connections) for engine in engines] == [1]
+        assert engines[0].connections[0].closed
+
+    def test_gate_failures_are_collected_per_template(self, monkeypatch):
+        real = SimBackend.compute_rows
+
+        def wrong_for_q3(self, dataset):
+            bag = real(self, dataset)
+            if dataset.template.name == "q3":
+                return ColumnBag([bag.columns[0] + 1])
+            return bag
+
+        monkeypatch.setattr(SimBackend, "compute_rows", wrong_for_q3)
+        templates = serving_templates()
+        chosen = [templates["q3"], templates["q12"]]
+        failures = {}
+        digests = gate_templates(
+            JobCatalog(), chosen, "sqlite", failures=failures
+        )
+        assert list(digests) == ["q12"]
+        assert list(failures) == ["q3"]
+        assert "first differing row #0" in str(failures["q3"])
+        with pytest.raises(EquivalenceError, match="template 'q3'"):
+            gate_templates(JobCatalog(), chosen, "sqlite")
+
+
+class TestGateMemory:
+    """The gate keeps a result in columns from the producers to the
+    digest: no per-row Python objects for an all-integer bag."""
+
+    #: Bound on the join-medium gate's Python heap peak (tracemalloc).
+    PEAK_BYTES = 14 * 2**20
+
+    def test_join_medium_gate_peak_stays_columnar(self):
+        template = serving_templates()["join-medium"]
+        catalog = JobCatalog(quick=True)
+        tracemalloc.start()
+        try:
+            digest = gate_template(catalog, template, "sqlite")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == load_profiles()[("sqlite", "join-medium")].bag_digest
+        assert peak <= self.PEAK_BYTES, f"{peak / 2**20:.1f} MiB"
+
 
 class _RecordingConnection:
     """A real in-memory SQLite connection that records each statement's
@@ -368,6 +472,90 @@ class TestLoader:
         with pytest.raises(OverflowError):
             backend.prepare(_synthetic([Table("t", [Column("v", values)])]))
         assert [conn.closed for conn in backend.connections] == [True]
+
+
+def _query(sql):
+    return BackendQuery(template=serving_templates()["scan-small"], sql=sql)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestEngineRoundTrip:
+    """What an engine loads comes back through its batched fetch: int64
+    columns for an all-integer result, the cursor's rows otherwise."""
+
+    def _run(self, engine, tables, sql):
+        backend = make_engine(engine)
+        handle = backend.prepare(_synthetic(tables))
+        try:
+            return backend.execute(handle, _query(sql))
+        finally:
+            backend.close(handle)
+
+    @pytest.mark.parametrize("name", sorted(serving_templates()))
+    def test_serving_tables_read_back_as_columns(self, engine, name):
+        catalog = JobCatalog()
+        dataset = materialize(
+            serving_templates()[name],
+            seed=catalog.pricing_seed,
+            row_cap=catalog.row_cap,
+            sf_cap=catalog.sf_cap,
+        )
+        backend = make_engine(engine)
+        handle = backend.prepare(dataset)
+        try:
+            for table_name, table in dataset.tables.items():
+                sql = f'SELECT * FROM "{table_name}" ORDER BY rowid'
+                bag, profile = backend.execute(handle, _query(sql))
+                assert isinstance(bag, ColumnBag)
+                assert profile.rows == len(bag) == table.num_rows
+                for column, fetched in zip(table.column_names, bag.columns):
+                    assert fetched.dtype == np.int64
+                    assert np.array_equal(fetched, table[column]), column
+        finally:
+            backend.close(handle)
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, FETCH_ROWS - 1, FETCH_ROWS, FETCH_ROWS + 1]
+    )
+    def test_fetch_batch_edges(self, engine, rows):
+        values = np.arange(rows, dtype=np.int64) - rows // 2
+        table = Table("t", [Column("a", values), Column("b", -3 * values)])
+        bag, profile = self._run(
+            engine, [table], 'SELECT b, a FROM "t" ORDER BY rowid'
+        )
+        assert isinstance(bag, ColumnBag)
+        assert len(bag) == profile.rows == rows
+        assert len(bag.columns) == 2
+        assert np.array_equal(bag.columns[0], -3 * values)
+        assert np.array_equal(bag.columns[1], values)
+
+    def test_int64_bounds_stay_exact(self, engine):
+        table = Table("t", [Column("v", np.arange(1, dtype=np.int64))])
+        bag, _ = self._run(
+            engine,
+            [table],
+            "SELECT 9223372036854775807, -9223372036854775807 - 1 FROM t",
+        )
+        assert list(bag) == [(2**63 - 1, -(2**63))]
+
+    @pytest.mark.parametrize("null_at", [0, FETCH_ROWS + 2])
+    def test_non_integer_results_fall_back_to_rows(self, engine, null_at):
+        rows = FETCH_ROWS + 3
+        table = Table("t", [Column("v", np.arange(rows, dtype=np.int64))])
+        bag, profile = self._run(
+            engine,
+            [table],
+            f'SELECT CASE WHEN v = {null_at} THEN NULL ELSE v END, v '
+            'FROM "t" ORDER BY rowid',
+        )
+        expected = [(v, v) for v in range(rows)]
+        expected[null_at] = (None, null_at)
+        assert bag == expected
+        assert profile.rows == rows
+        halves, _ = self._run(
+            engine, [table], 'SELECT v * 0.5 FROM "t" ORDER BY rowid'
+        )
+        assert halves == [(v * 0.5,) for v in range(rows)]
 
 
 class TestCalibrate:
