@@ -122,8 +122,10 @@ def canonical_value(value: Any) -> Any:
     if value is None:
         return None
     # Numpy scalars (the simulator's native currency) reduce to Python.
+    # Test the exact type: numpy.float64 subclasses float, and rounding it
+    # as a numpy scalar is inexact (and overflows near the float limit).
     item = getattr(value, "item", None)
-    if item is not None and not isinstance(value, (int, float, str, bytes)):
+    if item is not None and type(value) not in (int, float, str, bytes):
         value = item()
     if isinstance(value, bool):
         return int(value)

@@ -6,7 +6,8 @@ result bags, and fails (exit 1) on any disagreement.  CI runs it as a
 merge gate: no timing of an engine arm is trustworthy unless the engine
 and the simulator answer every query identically, and bag comparison is
 deterministic even where engine timings are not.  Templates that share
-their stand-in data (the TPC-H queries) share one engine load.
+their stand-in data (the TPC-H queries, and at the quick caps the two
+joins) share one engine load.
 """
 
 from __future__ import annotations

@@ -116,8 +116,9 @@ def gate_templates(
     same rows in the columns of the declared projection
     (:func:`~repro.backends.sqlgen.output_columns`).  Templates whose
     stand-in data is the same (:func:`~repro.planner.standin.standin_key`:
-    every TPC-H query at one scale) share one dataset: it is
-    materialized, prepared in the engine and closed once.
+    every TPC-H query at one scale, every join of one physical shape at
+    the catalog's row cap) share one dataset: it is materialized,
+    prepared in the engine and closed once.
 
     A disagreement raises :class:`~repro.errors.EquivalenceError` — an
     engine arm must never report a timing for a query the engine answers
@@ -126,7 +127,8 @@ def gate_templates(
     """
     groups: Dict[Tuple, List[JobTemplate]] = {}
     for template in templates:
-        groups.setdefault(standin_key(template), []).append(template)
+        key = standin_key(template, catalog.row_cap)
+        groups.setdefault(key, []).append(template)
     sim, engine = SimBackend(catalog), make_engine(mode)
     digests: Dict[str, str] = {}
     for group in groups.values():

@@ -105,9 +105,8 @@ class ParallelHashJoin(JoinAlgorithm):
         # estimate comes from the *measured* per-entry access frequencies;
         # near-uniform streams keep the nominal size (the estimator is
         # noisy at small physical scale, so mild shrinkage is ignored).
-        frequencies = np.bincount(
-            build_index[hit_mask].astype(np.int64), minlength=build.num_rows
-        )
+        hits = build_index if matches == len(hit_mask) else build_index[hit_mask]
+        frequencies = np.bincount(hits, minlength=build.num_rows)
         entry_bytes = logical_table_bytes / max(build.logical_rows, 1.0)
         gain = skew_gain(
             frequencies,

@@ -12,6 +12,10 @@ frequency distribution into the uniform-equivalent working-set size the
 residency model expects: the size ``ws_eff`` for which a uniform stream
 would see the same cache-hit fraction as the skewed stream does with the
 hottest entries cached.
+
+:func:`skew_gain` divides by a uniform baseline drawn at a fixed seed,
+which depends only on the entry and access counts; inside a
+:func:`~repro.reuse.experiment_scope` each baseline is drawn once.
 """
 
 from __future__ import annotations
@@ -19,6 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.reuse import ScopedLRU
+
+#: Bytes of uniform baselines one scope keeps (4 per hash-table entry):
+#: a full-fidelity 1M-row build side fits.
+BASELINE_MEMO_BYTES = 8 << 20
+_BASELINES = ScopedLRU(
+    "uniform_counts", BASELINE_MEMO_BYTES, arrays=lambda counts: (counts,)
+)
 
 
 def cache_hit_fraction(
@@ -37,7 +49,8 @@ def cache_hit_fraction(
         raise ConfigurationError("entry_bytes must be positive, cache >= 0")
     if sim_scale <= 0:
         raise ConfigurationError("sim_scale must be positive")
-    frequencies = np.asarray(frequencies, dtype=np.float64)
+    # A private copy, partitioned in place below.
+    frequencies = np.array(frequencies, dtype=np.float64)
     total = frequencies.sum()
     if total <= 0:
         return 1.0  # no accesses: everything trivially "hits"
@@ -47,8 +60,23 @@ def cache_hit_fraction(
         return 1.0
     if physical_capacity <= 0:
         return 0.0
-    hottest = np.partition(frequencies, -physical_capacity)[-physical_capacity:]
-    return float(hottest.sum() / total)
+    frequencies.partition(-physical_capacity)
+    return float(frequencies[-physical_capacity:].sum() / total)
+
+
+def uniform_counts(entries: int, total: int, seed: int = 0) -> np.ndarray:
+    """Per-entry counts of ``total`` uniform draws over ``entries`` at
+    ``seed``: int32 unless a count could overflow it."""
+    dtype = np.dtype(np.int32 if total < 2**31 else np.int64)
+
+    def draw() -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        counts = np.bincount(rng.integers(0, entries, total), minlength=entries)
+        return counts.astype(dtype)
+
+    return _BASELINES.get_or_make(
+        (entries, total, seed), draw, size=entries * dtype.itemsize
+    )
 
 
 def skew_gain(
@@ -73,12 +101,8 @@ def skew_gain(
     if total == 0 or entries == 0:
         return 1.0
     measured = cache_hit_fraction(frequencies, entry_bytes, cache_bytes, sim_scale)
-    rng = np.random.default_rng(seed)
-    baseline_counts = np.bincount(
-        rng.integers(0, entries, total), minlength=entries
-    )
     baseline = cache_hit_fraction(
-        baseline_counts, entry_bytes, cache_bytes, sim_scale
+        uniform_counts(entries, total, seed), entry_bytes, cache_bytes, sim_scale
     )
     if baseline <= 0:
         return 1.0

@@ -9,22 +9,29 @@ walks the chain comparing keys.
 The multiplicative hash is Knuth's: ``(key * 2654435761) >> shift`` masked
 to the bucket count, matching the radix-style hashing of the paper's code.
 
-The joins take their matches from :func:`match_first`.  Inside a
+Heads and links are int32 while row indexes fit, halving the table's
+arrays.
+
+The joins take their matches from :func:`match_first`.  When the build
+keys are unique non-negative integers below twice their count (every
+generated primary key is), it reads the matches from a position array
+instead of building a table; the result is the same.  Inside a
 :func:`~repro.reuse.experiment_scope` it computes the matches of each
 (build keys, probe keys, load factor) once: an experiment joins the same
 generated keys in several settings and sizes, and matching does not
-depend on either.
+depend on either.  Arrays a memo froze are named by their serial, so
+looking up generated keys hashes no bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.reuse import ScopedLRU
+from repro.reuse import ScopedLRU, frozen_serial
 
 _KNUTH_MULTIPLIER = np.uint64(2654435761)
 
@@ -74,8 +81,9 @@ class ChainedHashTable:
                 f"{self.num_buckets} buckets x {n} rows do not pack into 63 bits"
             )
         self._mask = np.uint64(self.num_buckets - 1)
-        self.heads = np.full(self.num_buckets, -1, dtype=np.int64)
-        self.links = np.full(n, -1, dtype=np.int64)
+        index = np.int32 if n < 2**31 else np.int64
+        self.heads = np.full(self.num_buckets, -1, dtype=index)
+        self.links = np.full(n, -1, dtype=index)
         if n:
             self._build()
 
@@ -183,13 +191,53 @@ _MATCH_BYTES_PER_PROBE_ROW = 9
 _MATCHES = ScopedLRU("match_first", MATCH_MEMO_BYTES, arrays=lambda matches: matches)
 
 
-def _fingerprint(keys: np.ndarray) -> tuple:
-    """dtype, length and a digest of every byte: equal only for equal arrays."""
+def _fingerprint(keys: np.ndarray):
+    """The serial of an array a memo froze (:func:`~repro.reuse.frozen_serial`),
+    else dtype, length and a digest of every byte: equal only for equal
+    arrays."""
+    serial = frozen_serial(keys)
+    if serial is not None:
+        return serial
     keys = np.ascontiguousarray(keys)
     return keys.dtype.str, len(keys), hashlib.blake2b(keys, digest_size=32).digest()
 
 
+def dense_match(
+    build_keys: np.ndarray, probe_keys: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``probe_first``'s result from a position array, in O(n).
+
+    Returns ``None`` unless both sides are integer arrays and the build
+    keys are unique, non-negative and below ``2 * len(build_keys)``: then
+    each key's slot holds its only build row, which is what a chain walk
+    finds.
+    """
+    build_keys, probe_keys = np.asarray(build_keys), np.asarray(probe_keys)
+    n = len(build_keys)
+    if not n or build_keys.dtype.kind not in "iu" or probe_keys.dtype.kind not in "iu":
+        return None
+    high = int(build_keys.max())
+    if build_keys.min() < 0 or high >= 2 * n:
+        return None
+    positions = np.full(high + 1, -1, dtype=np.int64)
+    positions[build_keys] = np.arange(n)
+    if np.count_nonzero(positions >= 0) != n:  # a duplicate key
+        return None
+    inside = probe_keys < len(positions)
+    if probe_keys.dtype.kind == "i":
+        inside &= probe_keys >= 0
+    if inside.all():
+        result = positions[probe_keys]
+    else:
+        result = np.full(len(probe_keys), -1, dtype=np.int64)
+        result[inside] = positions[probe_keys[inside]]
+    return result, result >= 0
+
+
 def _match(build_keys, probe_keys, load_factor: float) -> Tuple[np.ndarray, np.ndarray]:
+    dense = dense_match(build_keys, probe_keys)
+    if dense is not None:
+        return dense
     # Payloads play no part in matching; the keys stand in for them.
     return ChainedHashTable(build_keys, build_keys, load_factor).probe_first(probe_keys)
 
@@ -199,11 +247,12 @@ def match_first(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``ChainedHashTable(build_keys, ..., load_factor).probe_first(probe_keys)``.
 
-    Outside an experiment scope every call builds and probes a fresh
-    table, and so does a call whose matches would not fit
-    :data:`MATCH_MEMO_BYTES`.
-    Otherwise a call whose keys equal an earlier call's in dtype, length
-    and every byte returns that call's arrays, which are read-only.
+    Dense build keys (:func:`dense_match`) skip the table; the result is
+    equal in values and dtypes.  Outside an experiment scope every call
+    computes fresh matches, and so does a call whose matches would not fit
+    :data:`MATCH_MEMO_BYTES`.  Otherwise a call whose keys equal an
+    earlier call's in dtype, length and every byte, or are the same
+    frozen arrays, returns that call's arrays, which are read-only.
     """
     size = len(probe_keys) * _MATCH_BYTES_PER_PROBE_ROW
     if not _MATCHES.keeps(size):

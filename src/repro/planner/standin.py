@@ -35,6 +35,7 @@ from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
 from repro.planner.candidates import PlanCandidate, build_join
 from repro.tables import generate_join_relation_pair, generate_tpch
+from repro.tables.generator import rows_for_bytes, scaled_rows
 from repro.tables.table import Column, Table
 from repro.trace import NullTracer, use_tracer
 
@@ -44,13 +45,19 @@ def _scan_range(rows: int) -> Dict[str, int]:
     return {"scan_lower": 0, "scan_upper": rows // 10}
 
 
-def standin_key(template) -> Tuple:
-    """What :func:`standin_tables` reads of ``template``: at one seed and
-    caps, templates with equal keys get array-equal tables and equal
-    parameters (every TPC-H query at one scale, say)."""
+def standin_key(template, row_cap: int) -> Tuple:
+    """What :func:`standin_tables` reads of ``template`` at ``row_cap``: at
+    one seed and caps, templates with equal keys get array-equal tables
+    and equal parameters (every TPC-H query at one scale, say).  A join is
+    keyed by its physical shape, so joins whose logical sizes are both
+    past the cap share one key; only their tables' ``sim_scale`` differs."""
     kind = template.kind.value
     if kind == "join":
-        return (kind, template.build_bytes, template.probe_bytes)
+        return (
+            kind,
+            scaled_rows(rows_for_bytes(template.build_bytes), row_cap)[0],
+            scaled_rows(rows_for_bytes(template.probe_bytes), row_cap)[0],
+        )
     if kind == "scan":
         return (kind, template.scan_bytes)
     return (kind, template.scale_factor)

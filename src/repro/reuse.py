@@ -8,16 +8,22 @@ memo collapse that repeat work without changing one output byte:
   <repro.bench.registry.run_experiment>` opens one
   :func:`experiment_scope`.  Inside it each :class:`ScopedLRU` keeps what
   it computed: generated datasets (:func:`reused_within_scope` decorates
-  ``generate_tpch`` and ``generate_join_relation_pair``) and join matches
-  (``match_first``).  Kept values are shared between cells, so their
-  arrays are made read-only: an operator that writes its input raises
-  ``ValueError`` instead of silently changing a later cell's input.
-  Outside a scope nothing is kept and every call returns fresh, writable
-  arrays.  Each memo evicts *before* it computes, so it never holds more
-  than its bound, and the outermost scope empties every memo when it
-  exits, even on an exception.  Scopes nest and are shared with the
-  repetition threads of :func:`repro.bench.runner.repeat_runs`; one
-  :data:`LOCK` guards all of it.
+  ``generate_tpch``; ``generate_join_relation_pair`` keeps physical
+  pairs), join matches (``match_first``) and the uniform baselines of
+  the skew estimate (``uniform_counts``).  Kept values are shared
+  between cells, so their arrays are made read-only: an operator that
+  writes its input raises ``ValueError`` instead of silently changing a
+  later cell's input.  Outside a scope nothing is kept and every call
+  returns fresh, writable arrays.  Each memo runs its kernel once per
+  distinct *physical* input: generated join pairs are keyed by their
+  physical shape, not by the logical sizes they stand in for, and an
+  array a memo froze is named by a serial (:func:`frozen_serial`) that
+  later memos key on instead of hashing its bytes.  Each memo evicts
+  *before* it computes, so it never holds more than its bound, and the
+  outermost scope empties every memo when it exits, even on an
+  exception.  Scopes nest and are shared with the repetition threads of
+  :func:`repro.bench.runner.repeat_runs`; one :data:`LOCK` guards all
+  of it.
 * **The session profile memo.**  A :class:`~repro.cache.store.MemoStore`
   of priced query profiles under :func:`~repro.cache.keys.query_profile_key`
   (catalog pricing, planner and rewrite estimates; see :func:`profiled`).
@@ -37,10 +43,22 @@ from __future__ import annotations
 import contextlib
 import functools
 import inspect
+import itertools
 import pathlib
 import threading
+import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.cache.store import MemoStore
 
@@ -50,6 +68,11 @@ _depth = 0
 
 #: Memo name -> every experiment memo the outermost scope empties.
 MEMOS: Dict[str, "ScopedLRU"] = {}
+
+#: ``id`` -> (weak reference, serial) of each array a memo froze in the
+#: open scope; emptied with the memos.
+_frozen: Dict[int, Tuple[weakref.ref, int]] = {}
+_serials = itertools.count()
 
 #: Entries the profile memo keeps resident: each is a few floats, and a
 #: full-registry session touches a few hundred (template, setting,
@@ -108,11 +131,27 @@ class ScopedLRU:
                 value = make()
                 for array in self._arrays(value):
                     array.flags.writeable = False
+                    if array.flags.owndata:
+                        _frozen[id(array)] = (weakref.ref(array), next(_serials))
                 self._entries[key] = (value, size)
                 self.held += size
                 self.misses += 1
                 return value
         return make()
+
+
+def frozen_serial(array: Any) -> Optional[int]:
+    """The serial of ``array`` if a memo of the open scope froze it, else ``None``.
+
+    A frozen array is read-only and owns its data, so while it stays so
+    its serial names its contents: a memo keyed on the serial needs no
+    digest of its bytes.  Serials are never reused, and an array that was
+    made writable again, or any other array, has none.
+    """
+    entry = _frozen.get(id(array))
+    if entry is None or entry[0]() is not array or array.flags.writeable:
+        return None
+    return entry[1]
 
 
 @contextlib.contextmanager
@@ -135,6 +174,7 @@ def experiment_scope() -> Iterator[None]:
             if not _depth:
                 for memo in MEMOS.values():
                     memo.clear()
+                _frozen.clear()
 
 
 def reused_within_scope(

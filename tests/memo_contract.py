@@ -3,8 +3,9 @@
 Each check takes a :class:`MemoCase`, one per registered memo, so the
 behaviour is written once and each memo's test file applies it to its
 memo (``test_generated_reuse``: the generators, ``test_match_reuse``:
-join matches).  ``tests/test_reuse.py`` checks that every registered memo
-has a case here.
+join matches, ``test_kernel_reuse``: uniform skew baselines).
+``tests/test_reuse.py`` checks that every registered memo has a case
+here.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro import reuse
 from repro.bench import run_experiment
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.runner import use_repetition_jobs
+from repro.core.joins.skew import uniform_counts
 from repro.core.structures.hashtable import match_first
 from repro.reuse import experiment_scope
 from repro.tables import generate_join_relation_pair, generate_tpch
@@ -71,7 +73,14 @@ MATCHES = MemoCase(
     list,
     entry_size=_MATCH_ROWS * (8 + 1),  # int64 build index + bool hit flag
 )
-CASES = (TPCH, PAIR, MATCHES)
+_BASELINE_ENTRIES = 100
+BASELINES = MemoCase(
+    "uniform_counts",
+    lambda seed: uniform_counts(_BASELINE_ENTRIES, 1_000, seed),
+    lambda counts: [counts],
+    entry_size=_BASELINE_ENTRIES * 4,  # an int32 count per entry
+)
+CASES = (TPCH, PAIR, MATCHES, BASELINES)
 
 
 def held() -> int:

@@ -265,9 +265,13 @@ class TestBackendsAgree:
         shared = [
             (left, right)
             for left, right in itertools.combinations(templates, 2)
-            if standin_key(left) == standin_key(right)
+            if standin_key(left, catalog.row_cap)
+            == standin_key(right, catalog.row_cap)
         ]
-        assert [(a.name, b.name) for a, b in shared] == [("q12", "q3")]
+        assert [(a.name, b.name) for a, b in shared] == [
+            ("join-big", "join-medium"),
+            ("q12", "q3"),
+        ]
         for left, right in shared:
             ours = materialize(left, **caps)
             theirs = materialize(right, **caps)
@@ -293,16 +297,17 @@ class TestBackendsAgree:
         monkeypatch.setattr(serving, "materialize", counting)
         monkeypatch.setattr(serving, "make_engine", recording)
         templates = serving_templates()
+        names = ("join-medium", "q3", "join-big", "q12")
         digests = gate_templates(
-            JobCatalog(), [templates["q3"], templates["q12"]], "sqlite"
+            JobCatalog(), [templates[name] for name in names], "sqlite"
         )
         pinned = load_profiles()
         assert digests == {
-            name: pinned[("sqlite", name)].bag_digest for name in ("q3", "q12")
+            name: pinned[("sqlite", name)].bag_digest for name in names
         }
-        assert materialized == ["q3"]
-        assert [len(engine.connections) for engine in engines] == [1]
-        assert engines[0].connections[0].closed
+        assert materialized == ["join-medium", "q3"]
+        assert [len(engine.connections) for engine in engines] == [2]
+        assert all(connection.closed for connection in engines[0].connections)
 
     def test_gate_failures_are_collected_per_template(self, monkeypatch):
         real = SimBackend.compute_rows

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import ColumnBag, assert_equivalent, bag_digest
@@ -345,3 +345,21 @@ def test_column_bags_need_equal_lengths():
         ColumnBag([np.arange(2)], 3)
     assert len(ColumnBag([], 3)) == 3
     assert list(ColumnBag([], 2)) == [(), ()]
+
+
+@given(st.floats())
+@example(5038409234420101.0)
+@example(1e300)
+@example(-0.0)
+@settings(max_examples=500, deadline=None)
+def test_numpy_and_python_floats_canonicalize_alike(value):
+    """A ``numpy.float64`` (a ``float`` subclass) and a ``numpy.float32``
+    canonicalize exactly like the Python float of the same value."""
+    as_python = equivalence.canonical_value(value)
+    as_numpy = equivalence.canonical_value(np.float64(value))
+    assert (type(as_numpy), as_numpy) == (type(as_python), as_python)
+    with np.errstate(over="ignore"):  # past float32's range: +-inf
+        narrow = np.float32(value)
+    assert equivalence.canonical_value(narrow) == equivalence.canonical_value(
+        float(narrow)
+    )

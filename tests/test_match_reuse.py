@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import run_experiment
+from repro.core.joins import pht
 from repro.core.structures import hashtable
 from repro.core.structures.hashtable import ChainedHashTable, match_first
 from repro.reuse import experiment_scope
@@ -159,25 +160,18 @@ class TestSharedAcrossThreads:
 
 class TestRunExperimentScope:
     def test_fig04_reuses_matches_and_empties_the_memo(self, monkeypatch):
-        builds = []
-        original = ChainedHashTable.__init__
-
-        def counting(self, *args, **kwargs):
-            builds.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ChainedHashTable, "__init__", counting)
-        lookups = []
-        fingerprint = hashtable._fingerprint
+        computed, lookups = [], []
+        match, lookup = hashtable._match, pht.match_first
         monkeypatch.setattr(
-            hashtable,
-            "_fingerprint",
-            lambda keys: lookups.append(1) or fingerprint(keys),
+            hashtable, "_match", lambda *args: computed.append(1) or match(*args)
+        )
+        monkeypatch.setattr(
+            pht, "match_first", lambda *args: lookups.append(1) or lookup(*args)
         )
         run_experiment("fig04")
         assert _held() == 0
-        # Each lookup fingerprints two sides; plain and SGX share matches.
-        assert 0 < len(builds) <= len(lookups) // 4
+        # fig04 joins with PHT only; plain and SGX share matches.
+        assert 0 < len(computed) <= len(lookups) // 2
 
     def test_memo_is_empty_after_run_experiment_raises(self, monkeypatch):
         contract.check_memo_is_empty_after_run_experiment_raises(

@@ -5,6 +5,7 @@ import pytest
 from repro import reuse
 from repro.bench.parallel import run_session
 from repro.cache import MemoStore, profile_memo
+from repro.core.joins.skew import BASELINE_MEMO_BYTES
 from repro.core.structures.hashtable import MATCH_MEMO_BYTES
 from repro.reuse import experiment_scope, profiled, use_memos
 from repro.tables.generator import REUSED_PAIRS
@@ -30,8 +31,9 @@ def test_every_registered_memo_has_a_contract_case():
 
 def test_each_memo_keeps_its_declared_bound():
     assert reuse.MEMOS["generate_tpch"].limit == REUSED_DATASETS == 3
-    assert reuse.MEMOS["generate_join_relation_pair"].limit == REUSED_PAIRS == 1
+    assert reuse.MEMOS["generate_join_relation_pair"].limit == REUSED_PAIRS == 3
     assert reuse.MEMOS["match_first"].limit == MATCH_MEMO_BYTES == 6 << 20
+    assert reuse.MEMOS["uniform_counts"].limit == BASELINE_MEMO_BYTES == 8 << 20
     assert profile_memo().memory_entries == reuse.DEFAULT_PROFILE_ENTRIES == 512
 
 
