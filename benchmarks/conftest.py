@@ -20,15 +20,20 @@ from repro.bench.registry import run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-SCOREBOARD = RESULTS_DIR / "BENCH_planner.json"
-
-CLUSTER_SCOREBOARD = RESULTS_DIR / "BENCH_cluster.json"
-
-STORAGE_SCOREBOARD = RESULTS_DIR / "BENCH_storage.json"
-
-BACKENDS_SCOREBOARD = RESULTS_DIR / "BENCH_backends.json"
-
-REWRITE_SCOREBOARD = RESULTS_DIR / "BENCH_rewrite.json"
+#: Scoreboard name -> the metrics every ``BENCH_<name>.json`` entry
+#: carries, in the order a missing one is appended (as ``None``).
+SCOREBOARD_METRICS = {
+    "planner": ("p50", "p99", "goodput"),
+    "cluster": ("p50", "p99", "goodput", "availability", "slo_attainment"),
+    "storage": (
+        "p50", "p99", "goodput", "spills", "spilled_gb", "seal_s", "unseal_s",
+    ),
+    "backends": ("overhead", "init_share"),
+    "rewrite": (
+        "p50", "p99", "goodput", "off_ms", "learned_ms", "speedup", "proved",
+        "rejected", "q_error_raw", "q_error_corrected", "gap_recovered",
+    ),
+}
 
 FULL_FIDELITY = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
@@ -66,160 +71,28 @@ def run_figure(benchmark, results_dir):
 
 
 @pytest.fixture
-def planner_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_planner.json``, the planner perf trajectory.
+def scoreboard(results_dir):
+    """Read-modify-write ``BENCH_<name>.json``, one subsystem's perf
+    trajectory.
 
-    Each entry is ``{experiment, arm, p50, p99, goodput, ...}`` (``None``
-    where a metric does not apply); a bench replaces its own experiment's
-    entries and leaves the others, so partial reruns keep the file whole.
-    Future PRs regress against these numbers.
+    Each entry is ``{experiment, arm, ...metrics}`` with ``None`` where a
+    metric of :data:`SCOREBOARD_METRICS` does not apply; a bench replaces
+    its own experiment's entries and leaves the others, so partial reruns
+    keep the file whole, and the merged file stays sorted so reruns are
+    byte-stable.  Future PRs regress against these numbers.
     """
 
-    def _update(experiment_id: str, entries):
-        existing = []
-        if SCOREBOARD.exists():
-            existing = json.loads(SCOREBOARD.read_text())
+    def _update(name: str, experiment_id: str, entries):
+        path = results_dir / f"BENCH_{name}.json"
+        existing = json.loads(path.read_text()) if path.exists() else []
         kept = [e for e in existing if e["experiment"] != experiment_id]
         for entry in entries:
-            entry.setdefault("p50", None)
-            entry.setdefault("p99", None)
-            entry.setdefault("goodput", None)
+            for metric in SCOREBOARD_METRICS[name]:
+                entry.setdefault(metric, None)
         merged = sorted(
             kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
         )
-        SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
+        path.write_text(json.dumps(merged, indent=2) + "\n")
         return merged
 
     return _update
-
-
-@pytest.fixture
-def cluster_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_cluster.json``, the cluster perf trajectory.
-
-    Same contract as ``planner_scoreboard``: each entry is
-    ``{experiment, arm, ...metrics}`` with ``None`` where a metric does
-    not apply, a bench replaces only its own experiment's entries, and the
-    merged file stays sorted so reruns are byte-stable.
-    """
-
-    def _update(experiment_id: str, entries):
-        existing = []
-        if CLUSTER_SCOREBOARD.exists():
-            existing = json.loads(CLUSTER_SCOREBOARD.read_text())
-        kept = [e for e in existing if e["experiment"] != experiment_id]
-        for entry in entries:
-            entry.setdefault("p50", None)
-            entry.setdefault("p99", None)
-            entry.setdefault("goodput", None)
-            entry.setdefault("availability", None)
-            entry.setdefault("slo_attainment", None)
-        merged = sorted(
-            kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
-        )
-        CLUSTER_SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
-        return merged
-
-    return _update
-
-
-@pytest.fixture
-def storage_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_storage.json``, the spill-path trajectory.
-
-    Same contract as ``cluster_scoreboard``: each entry is
-    ``{experiment, arm, ...metrics}`` with ``None`` where a metric does
-    not apply (here the extra metrics are ``spills``, ``spilled_gb``,
-    ``seal_s``, ``unseal_s``), a bench replaces only its own experiment's
-    entries, and the merged file stays sorted so reruns are byte-stable.
-    """
-
-    def _update(experiment_id: str, entries):
-        existing = []
-        if STORAGE_SCOREBOARD.exists():
-            existing = json.loads(STORAGE_SCOREBOARD.read_text())
-        kept = [e for e in existing if e["experiment"] != experiment_id]
-        for entry in entries:
-            entry.setdefault("p50", None)
-            entry.setdefault("p99", None)
-            entry.setdefault("goodput", None)
-            entry.setdefault("spills", None)
-            entry.setdefault("spilled_gb", None)
-            entry.setdefault("seal_s", None)
-            entry.setdefault("unseal_s", None)
-        merged = sorted(
-            kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
-        )
-        STORAGE_SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
-        return merged
-
-    return _update
-
-
-@pytest.fixture
-def backends_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_backends.json``, the backend-arm trajectory.
-
-    Same contract as ``storage_scoreboard``: each entry is
-    ``{experiment, arm, ...metrics}`` with ``None`` where a metric does
-    not apply (here the metrics are per-template ``overhead`` ratios plus
-    the envelope's ``init_share``), a bench replaces only its own
-    experiment's entries, and the merged file stays sorted so reruns are
-    byte-stable.
-    """
-
-    def _update(experiment_id: str, entries):
-        existing = []
-        if BACKENDS_SCOREBOARD.exists():
-            existing = json.loads(BACKENDS_SCOREBOARD.read_text())
-        kept = [e for e in existing if e["experiment"] != experiment_id]
-        for entry in entries:
-            entry.setdefault("overhead", None)
-            entry.setdefault("init_share", None)
-        merged = sorted(
-            kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
-        )
-        BACKENDS_SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
-        return merged
-
-    return _update
-
-
-@pytest.fixture
-def rewrite_scoreboard(results_dir):
-    """Read-modify-write ``BENCH_rewrite.json``, the rewrite trajectory.
-
-    Same contract as ``backends_scoreboard``: each entry is
-    ``{experiment, arm, ...metrics}`` with ``None`` where a metric does
-    not apply (here the metrics are the ablation's priced times and
-    ``speedup``/``proved``/``rejected``/Q-error columns plus the serving
-    tails and ``gap_recovered``), a bench replaces only its own
-    experiment's entries, and the merged file stays sorted so reruns are
-    byte-stable.
-    """
-
-    def _update(experiment_id: str, entries):
-        existing = []
-        if REWRITE_SCOREBOARD.exists():
-            existing = json.loads(REWRITE_SCOREBOARD.read_text())
-        kept = [e for e in existing if e["experiment"] != experiment_id]
-        for entry in entries:
-            entry.setdefault("p50", None)
-            entry.setdefault("p99", None)
-            entry.setdefault("goodput", None)
-            entry.setdefault("off_ms", None)
-            entry.setdefault("learned_ms", None)
-            entry.setdefault("speedup", None)
-            entry.setdefault("proved", None)
-            entry.setdefault("rejected", None)
-            entry.setdefault("q_error_raw", None)
-            entry.setdefault("q_error_corrected", None)
-            entry.setdefault("gap_recovered", None)
-        merged = sorted(
-            kept + list(entries), key=lambda e: (e["experiment"], e["arm"])
-        )
-        REWRITE_SCOREBOARD.write_text(json.dumps(merged, indent=2) + "\n")
-        return merged
-
-    return _update
-

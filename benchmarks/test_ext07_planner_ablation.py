@@ -6,7 +6,7 @@ throughputs feed ``BENCH_planner.json``.
 """
 
 
-def test_ext07(run_figure, planner_scoreboard):
+def test_ext07(run_figure, scoreboard):
     report = run_figure("ext07")
     # The headline acceptance bar: cost picks the oracle arm on >= 90 %
     # of sweep points, on both platforms.
@@ -22,7 +22,8 @@ def test_ext07(run_figure, planner_scoreboard):
     assert report.value("SGXv2 RHO-unrolled", 128) > report.value(
         "SGXv2 CrkJoin", 128
     )
-    planner_scoreboard(
+    scoreboard(
+        "planner",
         "ext07",
         [
             {

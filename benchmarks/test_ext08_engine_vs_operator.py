@@ -11,7 +11,7 @@ from repro.backends.config import missing_reason
 from repro.bench.experiments.ext08_engine_vs_operator import TEMPLATE_NAMES
 
 
-def test_ext08(run_figure, backends_scoreboard):
+def test_ext08(run_figure, scoreboard):
     report = run_figure("ext08")
     # The gate ran before any timing, on every template.
     assert any("equivalence gate passed" in note for note in report.notes)
@@ -56,4 +56,4 @@ def test_ext08(run_figure, backends_scoreboard):
                     ),
                 }
             )
-    backends_scoreboard("ext08", entries)
+    scoreboard("backends", "ext08", entries)

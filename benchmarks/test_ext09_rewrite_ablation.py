@@ -8,7 +8,7 @@ and the per-query speedups feed ``BENCH_rewrite.json``.
 from repro.bench.experiments.ext09_rewrite_ablation import QUICK_QUERIES
 
 
-def test_ext09(run_figure, rewrite_scoreboard):
+def test_ext09(run_figure, scoreboard):
     report = run_figure("ext09")
     for platform in ("SGXv2", "SGXv1"):
         for query in QUICK_QUERIES:
@@ -39,7 +39,8 @@ def test_ext09(run_figure, rewrite_scoreboard):
         assert report.value("SGXv2 proved", query) == report.value(
             "SGXv1 proved", query
         )
-    rewrite_scoreboard(
+    scoreboard(
+        "rewrite",
         "ext09",
         [
             {

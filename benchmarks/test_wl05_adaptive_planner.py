@@ -8,7 +8,7 @@ feed ``BENCH_planner.json``.
 ARMS = ("static-native", "cost", "adaptive", "oracle")
 
 
-def test_wl05(run_figure, planner_scoreboard):
+def test_wl05(run_figure, scoreboard):
     report = run_figure("wl05")
     static = report.value("static-native latency", 99)
     oracle = report.value("oracle latency", 99)
@@ -18,7 +18,8 @@ def test_wl05(run_figure, planner_scoreboard):
     assert report.value("goodput", "adaptive") >= report.value(
         "goodput", "static-native"
     )
-    planner_scoreboard(
+    scoreboard(
+        "planner",
         "wl05",
         [
             {

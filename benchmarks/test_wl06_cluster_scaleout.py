@@ -13,7 +13,7 @@ CRASH_ARMS = ("failover", "no-failover")
 ELASTIC_ARMS = ("elastic", "static-2")
 
 
-def test_wl06(run_figure, cluster_scoreboard):
+def test_wl06(run_figure, scoreboard):
     report = run_figure("wl06")
     # The single-enclave baseline saturates while eight shards clear the
     # headline target: >=10k QPS inside a 25 ms p99 SLO.
@@ -23,7 +23,8 @@ def test_wl06(run_figure, cluster_scoreboard):
     # Failover keeps the crash window fully available.
     assert report.value("crash availability", "failover") == 1.0
     assert report.value("crash availability", "no-failover") < 1.0
-    cluster_scoreboard(
+    scoreboard(
+        "cluster",
         "wl06",
         [
             {

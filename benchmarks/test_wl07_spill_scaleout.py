@@ -11,7 +11,7 @@ from repro.bench.experiments.wl07_spill_scaleout import (
 )
 
 
-def test_wl07(run_figure, storage_scoreboard):
+def test_wl07(run_figure, scoreboard):
     report = run_figure("wl07")
     tight = BUDGET_FRACTIONS[-1]
     # The squeeze actually forces the spill regime, and the sealed path
@@ -26,7 +26,8 @@ def test_wl07(run_figure, storage_scoreboard):
     assert report.value("stalled spills", "spill-faulted") > 0
     # Sharded serving still spills (locally, per shard).
     assert report.value("sharded spills", SHARD_SPEC) > 0
-    storage_scoreboard(
+    scoreboard(
+        "storage",
         "wl07",
         [
             {

@@ -8,7 +8,7 @@ feed ``BENCH_rewrite.json``.
 ARMS = ("static", "adaptive", "adaptive+learned", "oracle")
 
 
-def test_wl08(run_figure, rewrite_scoreboard):
+def test_wl08(run_figure, scoreboard):
     report = run_figure("wl08")
     static_p99 = report.value("static latency", 99)
     oracle_p99 = report.value("oracle latency", 99)
@@ -26,7 +26,8 @@ def test_wl08(run_figure, rewrite_scoreboard):
     assert report.value("goodput", "adaptive+learned") >= report.value(
         "goodput", "static"
     )
-    rewrite_scoreboard(
+    scoreboard(
+        "rewrite",
         "wl08",
         [
             {

@@ -1,18 +1,20 @@
 """Multi-backend confidential engines: sim, SQLite, and DuckDB.
 
 The paper benchmarks *operators* inside SGXv2; its nearest neighbours run
-*whole engines* (DuckDB, Polars) in enclaves.  This package holds both
-arms to one contract so they can be compared:
+*whole engines* (DuckDB, Polars) in enclaves.  This package runs both
+arms over the same materialized rows so they can be compared:
 
-* a :class:`~repro.backends.base.Backend` protocol — prepare a
-  materialized dataset, execute a SQL rendering of a job template, return
-  the result bag (columns, or rows for a non-integer result) plus a
-  measured profile;
-* three implementations — the operator-level simulator
-  (:class:`~repro.backends.sim.SimBackend`), CPython's bundled SQLite
-  (:class:`~repro.backends.engines.SQLiteBackend`, always available), and
-  DuckDB (:class:`~repro.backends.engines.DuckDBBackend`, optional: the
+* one engine class, :class:`~repro.backends.engines.SqlEngineBackend` —
+  prepare a materialized dataset, execute a SQL rendering of a job
+  template, return the result bag (columns, or rows for a non-integer
+  result) plus the measured seconds — with two connection factories:
+  CPython's bundled SQLite (:class:`~repro.backends.engines.SQLiteBackend`,
+  always available) and DuckDB
+  (:class:`~repro.backends.engines.DuckDBBackend`, optional: the
   ``repro[backends]`` extra);
+* the operator simulator's side of a comparison,
+  :func:`~repro.backends.serving.sim_rows`: the result bag of the
+  catalog's static plan over the same tables;
 * a **cross-backend equivalence gate**
   (:mod:`repro.backends.equivalence`): result bags must hold the same
   rows, column by column, before any backend's timing is reported;
@@ -26,12 +28,6 @@ Backend selection is the ``backend`` field of the ambient
 leaves every existing code path — and its output bytes — untouched.
 """
 
-from repro.backends.base import (
-    Backend,
-    BackendHandle,
-    BackendQuery,
-    MeasuredProfile,
-)
 from repro.backends.config import (
     BACKEND_MODES,
     BACKENDS_EXTRA,
@@ -42,9 +38,12 @@ from repro.backends.config import (
 )
 from repro.backends.dataset import Dataset, materialize
 from repro.backends.engines import (
+    BackendHandle,
     DuckDBBackend,
     ENGINE_BACKENDS,
+    MeasuredProfile,
     SQLiteBackend,
+    SqlEngineBackend,
     make_engine,
 )
 from repro.backends.envelope import (
@@ -66,16 +65,14 @@ from repro.backends.serving import (
     engine_profile,
     gate_template,
     gate_templates,
+    sim_rows,
 )
-from repro.backends.sim import SimBackend
 from repro.backends.sqlgen import render_sql
 
 __all__ = [
     "BACKEND_MODES",
     "BACKENDS_EXTRA",
-    "Backend",
     "BackendHandle",
-    "BackendQuery",
     "Bag",
     "ColumnBag",
     "Dataset",
@@ -88,7 +85,7 @@ __all__ = [
     "MeasuredProfile",
     "SQLiteBackend",
     "SgxCostEnvelope",
-    "SimBackend",
+    "SqlEngineBackend",
     "assert_equivalent",
     "bag_digest",
     "canonical_bag",
@@ -102,5 +99,6 @@ __all__ = [
     "missing_reason",
     "render_sql",
     "require_available",
+    "sim_rows",
     "validate_mode",
 ]

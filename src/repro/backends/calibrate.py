@@ -23,10 +23,9 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from repro.backends.base import Backend
 from repro.backends.config import ENGINE_MODES, missing_reason
 from repro.backends.dataset import materialize
-from repro.backends.engines import make_engine
+from repro.backends.engines import SqlEngineBackend, make_engine
 from repro.backends.envelope import PROFILES_FORMAT, PROFILES_PATH
 from repro.backends.equivalence import bag_digest
 from repro.workload.jobs import (
@@ -46,7 +45,7 @@ DEFAULT_SEED = 13
 
 
 def capture_profile(
-    backend: Backend,
+    backend: SqlEngineBackend,
     template: JobTemplate,
     *,
     seed: int,
@@ -140,12 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--full", action="store_true",
         help="capture at the full (non-quick) pricing caps",
     )
-    parser.add_argument(
-        "--live", action="store_true",
-        help="re-measure in-process and compare against the checked-in "
-        "artifact instead of writing it (NON-DETERMINISTIC: wall-clock "
-        "timings vary run to run; the artifact stays the pricing source)",
-    )
     args = parser.parse_args(argv)
 
     modes = args.backend
@@ -159,70 +152,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = capture_all(
         modes, seed=args.seed, full=args.full, repeats=args.repeats
     )
-    if args.live:
-        return _report_live(payload, args.out)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
         f"captured {len(payload['profiles'])} profiles "
         f"({', '.join(modes)}) -> {args.out}"
     )
-    return 0
-
-
-def _report_live(payload: Dict[str, object], path: pathlib.Path) -> int:
-    """Print the ``--live`` comparison against the artifact at ``path``.
-
-    Nothing is written: live timings are wall-clock (the one
-    nondeterministic measurement in the repository) and exist to sanity
-    check the checked-in artifact, not to replace it.  Timing drift is
-    expected and informational; **digest** drift is not (the result bag
-    is a pure function of the seed and caps) and fails the command.
-    """
-    from repro.backends.envelope import load_profiles
-
-    print(
-        "live re-measure — NON-DETERMINISTIC wall-clock timings; nothing "
-        "is written (the checked-in artifact remains the pricing source)"
-    )
-    stored = load_profiles(path)
-    drifted = False
-    for entry in payload["profiles"]:
-        key = (entry["backend"], entry["template"])
-        label = f"{key[0]}/{key[1]}"
-        ref = stored.get(key)
-        if ref is None:
-            print(f"  {label}: live {entry['execute_s'] * 1e3:.3f} ms "
-                  "(no artifact entry)")
-            continue
-        ratio = (
-            entry["execute_s"] / ref.execute_s
-            if ref.execute_s > 0
-            else float("inf")
-        )
-        comparable = (
-            entry["row_cap"] == ref.row_cap
-            and entry["sf_cap"] == ref.sf_cap
-            and entry["pricing_seed"] == ref.pricing_seed
-        )
-        if not comparable:
-            digest = "digest not comparable (caps/seed differ)"
-        elif entry["bag_digest"] == ref.bag_digest:
-            digest = "digest ok"
-        else:
-            digest = "DIGEST DRIFT"
-            drifted = True
-        print(
-            f"  {label}: live {entry['execute_s'] * 1e3:.3f} ms vs "
-            f"artifact {ref.execute_s * 1e3:.3f} ms ({ratio:.2f}x); "
-            f"{digest}"
-        )
-    if drifted:
-        print(
-            "result bags no longer match the artifact: the engines or "
-            "generators drifted — re-capture and review the diff",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

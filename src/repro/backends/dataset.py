@@ -41,10 +41,6 @@ class Dataset:
         """The template's full logical size (what the cost model prices)."""
         return float(sum(t.logical_bytes for t in self.tables.values()))
 
-    @property
-    def physical_rows(self) -> int:
-        return int(sum(t.num_rows for t in self.tables.values()))
-
 
 def materialize(
     template: JobTemplate, *, seed: int, row_cap: int, sf_cap: float

@@ -1,12 +1,22 @@
-"""Real SQL engines behind the backend protocol: SQLite and DuckDB.
+"""Real SQL engines: SQLite and DuckDB.
+
+An engine runs a job template's logical query: ``prepare(dataset) ->
+handle`` loads the template's materialized data (the same physical rows
+the operator simulator queries — see :mod:`repro.backends.dataset`),
+``execute(handle, sql) -> (bag, MeasuredProfile)`` runs the rendered SQL
+and returns the *result bag* (the equivalence gate's input: a
+:class:`~repro.backends.equivalence.ColumnBag`, or a list of row tuples
+for a result that is not all integers) plus the measured seconds, and
+``close(handle)`` releases what ``prepare`` loaded.
 
 Both engines implement the DB-API surface this module needs (``execute``
-/ ``executemany`` / ``fetchmany``), so one implementation covers both;
-only the connection factory differs.  SQLite ships with CPython and is
-therefore always available — it is the engine the CI equivalence gate
-runs against.  DuckDB is optional: :meth:`DuckDBBackend.missing_reason`
-names the ``repro[backends]`` extra when the wheel is absent, and every
-caller is expected to skip (not crash) in that case.
+/ ``executemany`` / ``fetchmany``), so one class covers both; only the
+connection factory differs.  SQLite ships with CPython and is therefore
+always available — it is the engine the CI equivalence gate runs
+against.  DuckDB is optional:
+:func:`~repro.backends.config.missing_reason` names the
+``repro[backends]`` extra when the wheel is absent, and every caller is
+expected to skip (not crash) in that case.
 
 Tables load in streamed multi-row batches: one ``INSERT ... VALUES
 (?, ...), (?, ...), ...`` statement of :data:`MAX_BOUND_PARAMS` // width
@@ -24,31 +34,26 @@ held as Python rows at once.  The first batch holding anything else (a
 float, a NULL, a text, an integer past int64) turns the whole result
 back into the list of row tuples the cursor would have fetched.
 
-Engine timings are **wall-clock** (``MeasuredProfile.simulated=False``).
-They never enter reports or traces directly; the deterministic path
-consumes them only through the checked-in calibration artifact
-(:mod:`repro.backends.calibrate`).
+Engine timings are **wall-clock**.  They never enter reports or traces
+directly; the deterministic path consumes them only through the
+checked-in calibration artifact (:mod:`repro.backends.calibrate`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import (
-    Backend,
-    BackendHandle,
-    BackendQuery,
-    Bag,
-    MeasuredProfile,
-)
-from repro.backends.config import missing_reason as _config_missing_reason
-from repro.backends.dataset import Dataset
-from repro.backends.equivalence import ColumnBag
+from repro.backends.config import require_available
+from repro.backends.dataset import Dataset, materialize
+from repro.backends.equivalence import Bag, ColumnBag
+from repro.backends.sqlgen import render_sql
 from repro.errors import ConfigurationError
 from repro.tables.table import Table
+from repro.workload.jobs import JobTemplate
 
 #: Bound parameters per ``INSERT`` statement: SQLite's historical default
 #: limit (``SQLITE_MAX_VARIABLE_NUMBER``), which DuckDB accepts too.
@@ -131,61 +136,76 @@ def _fetch(cursor) -> Bag:
     return ColumnBag(list(np.concatenate(blocks).T))
 
 
-class SqlEngineBackend(Backend):
-    """Shared DB-API implementation (subclasses provide the connection)."""
+@dataclass(frozen=True)
+class MeasuredProfile:
+    """The wall-clock seconds one engine execution measured."""
+
+    prepare_s: float
+    execute_s: float
+
+
+@dataclass(frozen=True)
+class BackendHandle:
+    """A dataset loaded into an engine: its connection and load time."""
+
+    state: Any
+    prepare_s: float
+
+
+class SqlEngineBackend:
+    """One SQL engine for job templates (subclasses provide the
+    connection)."""
+
+    #: Mode string (one of :data:`repro.backends.config.ENGINE_MODES`).
+    name: str = "engine"
 
     def _connect(self):  # pragma: no cover - abstract hook
         raise NotImplementedError
 
     def prepare(self, dataset: Dataset) -> BackendHandle:
-        reason = self.missing_reason()
-        if reason is not None:
-            raise ConfigurationError(reason)
+        """Load ``dataset`` and return a handle for :meth:`execute`."""
+        require_available(self.name)
         start = time.perf_counter()
         conn = self._connect()
         try:
             for name, table in dataset.tables.items():
                 _load_table(conn, name, table)
-            self._commit(conn)
+            commit = getattr(conn, "commit", None)
+            if commit is not None:
+                commit()
         except BaseException:
             conn.close()
             raise
-        return BackendHandle(
-            backend=self.name,
-            dataset=dataset,
-            prepare_s=time.perf_counter() - start,
-            state=conn,
-        )
-
-    @staticmethod
-    def _commit(conn) -> None:
-        commit = getattr(conn, "commit", None)
-        if commit is not None:
-            commit()
+        return BackendHandle(conn, time.perf_counter() - start)
 
     def execute(
-        self, handle: BackendHandle, query: BackendQuery
+        self, handle: BackendHandle, sql: str
     ) -> Tuple[Bag, MeasuredProfile]:
-        if handle.state is None:
-            raise ConfigurationError(
-                f"backend {self.name!r}: execute() needs a prepared handle"
-            )
+        """Run ``sql`` against the prepared data; result bag + profile."""
         start = time.perf_counter()
-        bag = _fetch(handle.state.execute(query.sql))
+        bag = _fetch(handle.state.execute(sql))
         elapsed = time.perf_counter() - start
-        dataset = handle.dataset
-        profile = MeasuredProfile(
-            backend=self.name,
-            template=query.template.name,
-            prepare_s=handle.prepare_s,
-            execute_s=elapsed,
-            rows=len(bag),
-            physical_bytes=dataset.physical_bytes,
-            logical_bytes=dataset.logical_bytes,
-            working_set_bytes=0,  # engines do not expose EPC footprints
-            simulated=False,
+        return bag, MeasuredProfile(handle.prepare_s, elapsed)
+
+    def close(self, handle: BackendHandle) -> None:
+        """Release ``handle``'s prepared data (its connection)."""
+        handle.state.close()
+
+    def run_template(
+        self, template: JobTemplate, *, seed: int, row_cap: int, sf_cap: float
+    ) -> Tuple[Bag, MeasuredProfile]:
+        """Materialize, prepare, and execute ``template`` in one call."""
+        return self.run_dataset(
+            materialize(template, seed=seed, row_cap=row_cap, sf_cap=sf_cap)
         )
-        return bag, profile
+
+    def run_dataset(self, dataset: Dataset) -> Tuple[Bag, MeasuredProfile]:
+        """Prepare ``dataset`` and execute its template's query."""
+        handle = self.prepare(dataset)
+        try:
+            return self.execute(handle, render_sql(dataset.template, dataset))
+        finally:
+            self.close(handle)
 
 
 class SQLiteBackend(SqlEngineBackend):
@@ -204,19 +224,13 @@ class DuckDBBackend(SqlEngineBackend):
 
     name = "duckdb"
 
-    @classmethod
-    def missing_reason(cls) -> Optional[str]:
-        return _config_missing_reason("duckdb")
-
     def _connect(self):
         import duckdb
 
         return duckdb.connect(":memory:")
 
 
-#: Backend classes by mode name (the sim backend registers in
-#: :mod:`repro.backends.__init__` to avoid importing operator modules
-#: from here).
+#: Engine classes by mode name.
 ENGINE_BACKENDS = {
     SQLiteBackend.name: SQLiteBackend,
     DuckDBBackend.name: DuckDBBackend,
@@ -232,7 +246,5 @@ def make_engine(mode: str) -> SqlEngineBackend:
             f"unknown engine backend {mode!r}; "
             f"known: {', '.join(sorted(ENGINE_BACKENDS))}"
         ) from None
-    reason = cls.missing_reason()
-    if reason is not None:
-        raise ConfigurationError(reason)
+    require_available(mode)
     return cls()

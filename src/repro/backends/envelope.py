@@ -176,10 +176,6 @@ class SgxCostEnvelope:
             self._machine.params, self._machine.spec.l3_per_socket_bytes
         )
 
-    @property
-    def machine(self) -> SimMachine:
-        return self._machine
-
     def price(
         self, profile: EngineProfile, template: JobTemplate
     ) -> EnvelopeCost:

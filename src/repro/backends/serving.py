@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.backends.base import dataset_query
+import numpy as np
+
+from repro.backends.dataset import Dataset, materialize
 from repro.backends.engines import make_engine
 from repro.backends.envelope import (
     EngineProfile,
@@ -38,15 +40,15 @@ from repro.backends.envelope import (
     get_profile,
     load_profiles,
 )
-from repro.backends.dataset import materialize
-from repro.backends.equivalence import assert_equivalent
-from repro.backends.sim import SimBackend
-from repro.backends.sqlgen import output_columns
+from repro.backends.equivalence import ColumnBag, assert_equivalent
+from repro.backends.sqlgen import output_columns, render_sql
+from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError, EquivalenceError
-from repro.planner.standin import standin_key
+from repro.planner.candidates import static_candidate
+from repro.planner.standin import run_silently, standin_key
 from repro.trace.breakdown import BACKEND_ENVELOPE, BACKEND_EQUIVALENCE
 from repro.trace.tracer import current_tracer
-from repro.workload.jobs import JobCatalog, JobProfile, JobTemplate
+from repro.workload.jobs import JobCatalog, JobKind, JobProfile, JobTemplate
 
 #: Module-level artifact cache: the checked-in file never changes within
 #: a process, and loading it once keeps repeated catalog builds cheap.
@@ -75,6 +77,45 @@ def _gate_memo(catalog: JobCatalog) -> Set[Tuple[str, str]]:
         memo = set()
         catalog._backend_gated = memo
     return memo
+
+
+def sim_rows(catalog: JobCatalog, dataset: Dataset) -> ColumnBag:
+    """The operator simulator's result bag for ``dataset``'s template.
+
+    One :func:`~repro.planner.standin.run_silently` run of the catalog's
+    static plan under a plain-CPU context, over the dataset's own tables:
+    the row computation is gate bookkeeping, not priced serving work.
+    Columns follow the SQL rendering's projection
+    (:func:`~repro.backends.sqlgen.output_columns`) and stay the
+    operator's own arrays: a join's matched payload pairs, a scan's
+    qualifying values, a TPC-H plan's count.
+    """
+    template = dataset.template
+    tables = dataset.tables
+    result = run_silently(
+        catalog.machine_prototype(),
+        ExecutionSetting.plain_cpu(),
+        template,
+        static_candidate(template, catalog.variant),
+        tables,
+    ).result
+    if template.kind is JobKind.JOIN:
+        if result.match_index is None:  # pragma: no cover
+            raise ConfigurationError(
+                f"{result.algorithm} returned no match index"
+            )
+        matched = result.match_index >= 0
+        return ColumnBag(
+            [
+                tables["s"]["payload"][matched],
+                tables["r"]["payload"][result.match_index[matched]],
+            ]
+        )
+    if template.kind is JobKind.SCAN:
+        column = tables["scan_values"].column("v")
+        mask = np.unpackbits(result.bitvector)[: len(column)].astype(bool)
+        return ColumnBag([column.data[mask]])
+    return ColumnBag([np.array([int(result.count)], dtype=np.int64)])
 
 
 def _check_calibration(
@@ -129,7 +170,7 @@ def gate_templates(
     for template in templates:
         key = standin_key(template, catalog.row_cap)
         groups.setdefault(key, []).append(template)
-    sim, engine = SimBackend(catalog), make_engine(mode)
+    engine = make_engine(mode)
     digests: Dict[str, str] = {}
     for group in groups.values():
         dataset = materialize(
@@ -145,8 +186,10 @@ def gate_templates(
                 # Rows only, no pricing: the gate compares result bags,
                 # and pricing the sim arm here would re-enter the
                 # catalog mid-delegation.
-                sim_bag = sim.compute_rows(shared)
-                engine_bag, _ = engine.execute(handle, dataset_query(shared))
+                sim_bag = sim_rows(catalog, shared)
+                engine_bag, _ = engine.execute(
+                    handle, render_sql(template, shared)
+                )
                 projection = output_columns(template)
                 try:
                     digests[template.name] = assert_equivalent(

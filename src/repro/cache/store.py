@@ -231,12 +231,6 @@ class MemoStore:
 
     # -- inspection ------------------------------------------------------
 
-    def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        path = self.path_for(key)
-        return path is not None and path.exists()
-
     def __len__(self) -> int:
         """Number of distinct entries across both tiers."""
         keys = set(self._memory)

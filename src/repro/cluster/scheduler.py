@@ -1,10 +1,10 @@
-"""The cluster scheduler: many shard event loops, one simulated clock.
+"""The cluster scheduler: many shard schedulers, one simulated clock.
 
 :class:`ClusterScheduler` multiplexes N :class:`~repro.workload.scheduler.
-SchedulerLoop` instances — one per enclave shard — against a single global
-event order.  Each iteration picks the earliest pending event across
+WorkloadScheduler` instances — one per enclave shard — against a single
+global event order.  Each iteration picks the earliest pending event across
 
-* every shard loop's internal heap (finishes, wakes, retries),
+* every shard scheduler's internal heap (finishes, wakes, retries),
 * the globally sorted open-loop arrival list, and
 * the cluster's own control timeline (shard-crash edges, elastic ticks),
 
@@ -50,11 +50,7 @@ from repro.trace.tracer import current_tracer
 from repro.workload.generators import Arrival, ClosedLoopStream, OpenLoopStream
 from repro.workload.jobs import JobCost
 from repro.workload.metrics import MetricsRegistry, WorkloadMetrics
-from repro.workload.scheduler import (
-    _ARRIVAL,
-    SchedulerLoop,
-    WorkloadScheduler,
-)
+from repro.workload.scheduler import _ARRIVAL, WorkloadScheduler
 
 #: Cross-machine transfers leave the UPI domain entirely: a flat 100 GbE
 #: link (12.5 GB/s) — optimistic for TLS-terminated enclave traffic, but
@@ -72,7 +68,7 @@ _CONTROL = -1
 # shard-internal retry at (t, _ARRIVAL) precedes a new global arrival.
 _GLOBAL = 1 << 30
 
-# What one multiplex iteration does: nothing is left, step a shard loop,
+# What one multiplex iteration does: nothing is left, step a shard,
 # place the next global arrival, or apply the next control edge.
 _IDLE, _STEP_SHARD, _PLACE_ARRIVAL, _RUN_CONTROL = range(4)
 
@@ -82,7 +78,7 @@ class ShardRuntime:
     """One shard's live serving state inside the cluster."""
 
     spec: ShardSpec
-    loop: SchedulerLoop
+    scheduler: WorkloadScheduler
     active: bool = True  # in the elastic pool
     activates_at_s: float = 0.0  # EDMM growth completes here
     down: bool = False  # inside a crash window
@@ -205,14 +201,14 @@ class ClusterScheduler:
 
         runtimes: List[ShardRuntime] = []
         for shard, scheduler in zip(self._shards, self._schedulers):
-            loop = scheduler.loop(
+            scheduler.start(
                 closed_streams=tuple(pinned.get(shard.shard_id, ())),
                 duration_s=duration_s,
             )
             runtimes.append(
                 ShardRuntime(
                     spec=shard,
-                    loop=loop,
+                    scheduler=scheduler,
                     active=shard.shard_id in initial_pool,
                 )
             )
@@ -251,7 +247,7 @@ class ClusterScheduler:
         control_idx = 0
 
         def load_of(shard_id: int) -> float:
-            return runtimes[shard_id].loop.load_score
+            return runtimes[shard_id].scheduler.load_score
 
         # The shard pools a placement reads.  They change only when a
         # shard changes state (crash, recovery, elastic growth or shrink,
@@ -300,14 +296,14 @@ class ClusterScheduler:
             if not alive:
                 # Every shard is down: nothing can serve or even shed
                 # gracefully — charge the rejection to the natural home.
-                runtimes[home_id].loop.reject(arrival, now)
+                runtimes[home_id].scheduler.reject(arrival, now)
                 result.rejected += 1
                 route_seq += 1
                 return
             home_down = runtimes[home_id].down
             if home_down and not cluster.failover:
                 # The tenant's shard crashed and nothing re-routes for it.
-                runtimes[home_id].loop.reject(arrival, now)
+                runtimes[home_id].scheduler.reject(arrival, now)
                 result.rejected += 1
                 route_seq += 1
                 return
@@ -348,7 +344,7 @@ class ClusterScheduler:
                 if diverted:
                     attrs["diverted"] = True
                 tracer.event(ROUTE, attrs, now)
-            target.loop.submit(arrival, shuffle_s=shuffle)
+            target.scheduler.submit(arrival, shuffle_s=shuffle)
             target.routed += 1
             result.routed += 1
             route_seq += 1
@@ -357,7 +353,7 @@ class ClusterScheduler:
             rt = runtimes[shard_id]
             rt.down = True
             stale_pools()
-            victims = rt.loop.evict(now)
+            victims = rt.scheduler.evict(now)
             alive = pools(now)[1]
             if tracer.enabled:
                 tracer.event(
@@ -380,7 +376,7 @@ class ClusterScheduler:
                         rt.spec, target.spec, self._costs[pending.template]
                     )
                     result.shuffle_s += shuffle
-                    target.loop.submit(
+                    target.scheduler.submit(
                         Arrival(
                             now, pending.stream, pending.template,
                             pending.client,
@@ -391,7 +387,7 @@ class ClusterScheduler:
                     )
                     result.failovers += 1
                 else:
-                    rt.loop.fail_evicted(pending, now)
+                    rt.scheduler.fail_evicted(pending, now)
 
         def recover(shard_id: int, now: float) -> None:
             rt = runtimes[shard_id]
@@ -414,7 +410,7 @@ class ClusterScheduler:
             serving = [rt for rt in pool if rt.routable(now)]
             if not serving:
                 return
-            mean_load = sum(rt.loop.load_score for rt in serving) / len(
+            mean_load = sum(rt.scheduler.load_score for rt in serving) / len(
                 serving
             )
             if (
@@ -478,7 +474,7 @@ class ClusterScheduler:
         # the next global arrival.  Ties on time compare the rest of the
         # key, exactly like the tuple comparison they stand for.
         heads = [
-            (rt.loop._events, rt.spec.shard_id, rt.loop.step)
+            (rt.scheduler._events, rt.spec.shard_id, rt.scheduler.step)
             for rt in runtimes
         ]
         while True:
@@ -533,6 +529,6 @@ class ClusterScheduler:
                 break
 
         for rt in runtimes:
-            result.registry.register(rt.spec.label, rt.loop.result())
+            result.registry.register(rt.spec.label, rt.scheduler.result())
         result.metrics = result.registry.merged()
         return result

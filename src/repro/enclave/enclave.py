@@ -114,10 +114,6 @@ class Enclave:
     # -- memory ----------------------------------------------------------
 
     @property
-    def node(self) -> int:
-        return self.config.node
-
-    @property
     def heap_free_bytes(self) -> int:
         return self.config.heap_bytes - self._heap_used
 

@@ -164,7 +164,3 @@ class ParallelExecutor:
     def total_cycles(self) -> float:
         """Cycles accumulated over all phases run so far."""
         return self.trace.total_cycles
-
-    def seconds(self) -> float:
-        """Elapsed simulated seconds over all phases."""
-        return self.trace.total_cycles / self.cost_model.spec.base_frequency_hz

@@ -33,9 +33,6 @@ class Placement:
         for core_id in self.core_ids:
             self.topology.core(core_id)  # validates existence
 
-    def __len__(self) -> int:
-        return len(self.core_ids)
-
     @property
     def threads(self) -> int:
         return len(self.core_ids)

@@ -24,11 +24,6 @@ class SimClock:
         self._marks = []
 
     @property
-    def cycles(self) -> float:
-        """Total cycles elapsed since construction."""
-        return self._cycles
-
-    @property
     def seconds(self) -> float:
         """Total elapsed simulated wall-clock time."""
         return cycles_to_seconds(self._cycles, self.frequency_hz)

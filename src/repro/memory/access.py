@@ -199,10 +199,6 @@ class AccessProfile:
         """Append one batch."""
         self._batches.append(batch)
 
-    def extend(self, batches: Iterable[AccessBatch]) -> None:
-        for batch in batches:
-            self.add(batch)
-
     def merge(self, other: "AccessProfile") -> None:
         """Append all of ``other``'s batches and sync costs into self."""
         self._batches.extend(other._batches)

@@ -82,9 +82,6 @@ class RewriteEstimate:
     working_set_bytes: int
     proxy_bytes: float = 0.0  # the cardinality model's screening cost
 
-    def label(self) -> str:
-        return self.candidate.label()
-
 
 @dataclasses.dataclass(frozen=True)
 class RewriteDecision:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.units import GB, GiB, KB, KiB, MB, MiB, PAGE_BYTES, format_bytes
+from repro.units import GB, GiB, KB, KiB, MB, MiB, PAGE_BYTES
 
 #: Default sealed block: 1 MiB amortizes the per-block enclave transition
 #: to well under a cycle per byte while keeping partition buffers far
@@ -98,10 +98,3 @@ class StorageConfig:
         if self.block_bytes == DEFAULT_BLOCK_BYTES:
             return str(self.budget_bytes)
         return f"{self.budget_bytes}:{self.block_bytes}"
-
-    def describe(self) -> str:
-        """One-line summary for notes and logs."""
-        text = f"spill over {format_bytes(self.budget_bytes)}"
-        if self.block_bytes != DEFAULT_BLOCK_BYTES:
-            text += f", {format_bytes(self.block_bytes)} blocks"
-        return text

@@ -18,7 +18,7 @@ variants is the correctness gate).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.hardware.calibration import CostParameters
@@ -124,15 +124,6 @@ class SealedStore:
         return cycles
 
     # -- inspection ------------------------------------------------------
-
-    @property
-    def stats(self) -> Dict[str, float]:
-        return {
-            "sealed_bytes": self.sealed_bytes,
-            "unsealed_bytes": self.unsealed_bytes,
-            "sealed_blocks": float(self.sealed_blocks),
-            "unsealed_blocks": float(self.unsealed_blocks),
-        }
 
 
 class SpillModel:

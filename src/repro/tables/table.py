@@ -34,10 +34,6 @@ class Column:
         return len(self.data)
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    @property
     def element_bytes(self) -> int:
         return int(self.data.dtype.itemsize)
 

@@ -42,13 +42,11 @@ from repro.workload.policies import (
     AdmissionPolicy,
     EpcAwarePolicy,
     FifoPolicy,
-    ResourceState,
     make_policy,
 )
 from repro.workload.scheduler import (
     EDMM_OVERFLOW_SLOWDOWN,
     INTERFERENCE_FACTOR,
-    SchedulerLoop,
     WorkloadScheduler,
 )
 
@@ -70,9 +68,7 @@ __all__ = [
     "OpenLoopStream",
     "QueryMix",
     "QueryRecord",
-    "ResourceState",
     "SchedulerCounters",
-    "SchedulerLoop",
     "ServingEngine",
     "WorkloadConfig",
     "WorkloadMetrics",

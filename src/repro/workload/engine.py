@@ -173,14 +173,20 @@ class ServingEngine:
             costs[name] = self.catalog.cost(template, config.setting)
         return costs
 
-    def epc_budget(self, config: WorkloadConfig) -> float:
-        """The effective EPC budget for this config."""
+    def epc_budget(
+        self, config: WorkloadConfig, epc_bytes: Optional[float] = None
+    ) -> float:
+        """The effective EPC budget for this config: the explicit one,
+        unlimited for plain-CPU serving, else ``epc_bytes`` (default: one
+        socket's EPC)."""
         if config.epc_budget_bytes is not None:
             return float(config.epc_budget_bytes)
         if not config.setting.data_in_enclave:
             return math.inf
-        machine = self.catalog.machine_prototype()
-        return float(machine.topology.node(0).epc_bytes)
+        if epc_bytes is None:
+            machine = self.catalog.machine_prototype()
+            epc_bytes = machine.topology.node(0).epc_bytes
+        return float(epc_bytes)
 
     def run_config_of(self, config: WorkloadConfig) -> RunConfig:
         """The ambient run config with ``config``'s explicit pins applied."""
@@ -191,14 +197,6 @@ class ServingEngine:
             if getattr(config, name) is not None
         }
         return dataclasses.replace(run, **pins) if pins else run
-
-    def planner_mode(self, config: WorkloadConfig) -> str:
-        """The planner mode this config serves under (explicit or ambient)."""
-        return self.run_config_of(config).planner
-
-    def rewrite_of(self, config: WorkloadConfig) -> str:
-        """The rewrite mode this config serves under (explicit or ambient)."""
-        return self.run_config_of(config).rewrite
 
     def plan_arms(self, config: WorkloadConfig) -> Dict[str, Tuple[ArmCost, ...]]:
         """Per-template bandit/oracle arms: the top-k candidates, priced.
@@ -271,8 +269,9 @@ class ServingEngine:
                 arms[name] = tuple(arm_list)
         return arms
 
-    def _make_selector(self, config: WorkloadConfig) -> Optional[PlanSelector]:
-        mode = self.planner_mode(config)
+    def _make_selector(
+        self, config: WorkloadConfig, mode: str
+    ) -> Optional[PlanSelector]:
         if mode == "static":
             return None
         arms = self.plan_arms(config)
@@ -289,10 +288,6 @@ class ServingEngine:
         )
         return EpsilonGreedySelector(arms, seed=seed)
 
-    def cluster_of(self, config: WorkloadConfig):
-        """The effective cluster config (explicit, ambient, or ``None``)."""
-        return self.run_config_of(config).cluster
-
     def _make_spill(self, storage):
         """A :class:`~repro.storage.SpillModel` priced for this machine."""
         if storage is None:
@@ -303,95 +298,78 @@ class ServingEngine:
         store = SealedStore(machine.params, block_bytes=storage.block_bytes)
         return SpillModel(store, machine.spec.base_frequency_hz)
 
-    def run(self, config: WorkloadConfig) -> WorkloadMetrics:
-        """Serve ``config`` to completion and return its metrics."""
-        run = self.run_config_of(config)
-        if run.cluster is not None:
-            return self.run_cluster(config, run.cluster).metrics
-        policy = make_policy(config.policy, bypass_bytes=config.bypass_bytes)
-        storage = run.storage
-        budget = self.epc_budget(config)
-        if storage is not None:
+    def _scheduler(
+        self,
+        config: WorkloadConfig,
+        run: RunConfig,
+        costs: Dict[str, JobCost],
+        shard=None,
+    ) -> WorkloadScheduler:
+        """One solo or shard scheduler with its own admission policy, fault
+        injector, plan selector and spill model.  A shard serves its shard
+        map slice of cores and EPC and takes a disjoint query-id range, so
+        merged records never collide."""
+        from repro.cluster.scheduler import QUERY_ID_STRIDE
+
+        budget = self.epc_budget(
+            config, None if shard is None else shard.epc_budget_bytes
+        )
+        if run.storage is not None:
             # The storage budget caps the in-enclave working-set share:
             # anything beyond it takes the sealed spill path, which is
             # what lets ``--storage 2G`` force the spill regime on a
-            # machine whose physical EPC would otherwise absorb it.
-            budget = min(budget, float(storage.budget_bytes))
-        scheduler = WorkloadScheduler(
-            self.costs_for(config),
-            policy,
-            cores=config.cores,
+            # machine whose physical EPC would otherwise absorb it.  Each
+            # shard spills against its own slice; the ``shard`` attr on
+            # its storage.* events keeps local spill traffic apart from
+            # re-shard shuffles (``ClusterResult.shuffle_s``).
+            budget = min(budget, float(run.storage.budget_bytes))
+        return WorkloadScheduler(
+            costs,
+            make_policy(config.policy, bypass_bytes=config.bypass_bytes),
+            cores=config.cores if shard is None else shard.cores,
             epc_budget_bytes=budget,
             setting_label=config.setting.label,
             injector=make_injector(run.faults),
             resilience=config.resilience,
-            selector=self._make_selector(config),
-            storage=self._make_spill(storage),
+            selector=self._make_selector(config, run.planner),
+            storage=self._make_spill(run.storage),
+            shard="" if shard is None else shard.label,
+            query_id_base=(
+                0 if shard is None else shard.shard_id * QUERY_ID_STRIDE
+            ),
         )
+
+    def run(self, config: WorkloadConfig) -> WorkloadMetrics:
+        """Serve ``config`` to completion and return its metrics."""
+        run = self.run_config_of(config)
+        if run.cluster is not None:
+            return self.run_cluster(config).metrics
+        scheduler = self._scheduler(config, run, self.costs_for(config))
         return scheduler.run(
             open_streams=config.open_streams,
             closed_streams=config.closed_streams,
             duration_s=config.duration_s,
         )
 
-    def run_cluster(self, config: WorkloadConfig, cluster=None):
-        """Serve ``config`` over a shard map; returns the full
+    def run_cluster(self, config: WorkloadConfig):
+        """Serve ``config`` over its shard map; returns the full
         :class:`~repro.cluster.ClusterResult` (merged metrics plus the
         routing layer's activity — :meth:`run` keeps only the metrics).
-
-        Each shard is a complete :class:`WorkloadScheduler` with its own
-        admission policy instance, plan selector, fault injector, and the
-        shard map's core/EPC slice; disjoint query-id ranges keep merged
-        records collision-free.
         """
-        from repro.cluster.scheduler import QUERY_ID_STRIDE, ClusterScheduler
+        from repro.cluster.scheduler import ClusterScheduler
 
         run = self.run_config_of(config)
-        if cluster is None:
-            cluster = run.cluster
-        if cluster is None:
+        if run.cluster is None:
             raise ConfigurationError("run_cluster needs a cluster config")
         machine = self.catalog.machine_prototype()
-        shards = cluster.spec.shards(machine.spec)
+        shards = run.cluster.spec.shards(machine.spec)
         costs = self.costs_for(config)
-        storage = run.storage
-        spill = self._make_spill(storage)
-        schedulers = []
-        for shard in shards:
-            if config.epc_budget_bytes is not None:
-                budget = float(config.epc_budget_bytes)
-            elif not config.setting.data_in_enclave:
-                budget = math.inf
-            else:
-                budget = shard.epc_budget_bytes
-            if storage is not None:
-                # Shard-local spill: each shard spills against its own
-                # slice of the storage budget; the ``shard`` attr on the
-                # resulting storage.* events is what keeps local spill
-                # traffic distinguishable from re-shard shuffles (which
-                # report through ``ClusterResult.shuffle_s``).
-                budget = min(budget, float(storage.budget_bytes))
-            schedulers.append(
-                WorkloadScheduler(
-                    costs,
-                    make_policy(
-                        config.policy, bypass_bytes=config.bypass_bytes
-                    ),
-                    cores=shard.cores,
-                    epc_budget_bytes=budget,
-                    setting_label=config.setting.label,
-                    injector=make_injector(run.faults),
-                    resilience=config.resilience,
-                    selector=self._make_selector(config),
-                    storage=spill,
-                    shard=shard.label,
-                    query_id_base=shard.shard_id * QUERY_ID_STRIDE,
-                )
-            )
         scheduler = ClusterScheduler(
-            cluster=cluster,
+            cluster=run.cluster,
             shards=shards,
-            schedulers=schedulers,
+            schedulers=[
+                self._scheduler(config, run, costs, shard) for shard in shards
+            ],
             costs=costs,
             spec=machine.spec,
             params=machine.params,

@@ -86,10 +86,6 @@ class QueryRecord(NamedTuple):
     def service_s(self) -> float:
         return self.finish_s - self.start_s
 
-    @property
-    def latency_s(self) -> float:
-        return self.finish_s - self.arrival_s
-
 
 @dataclass(frozen=True)
 class FailureRecord:

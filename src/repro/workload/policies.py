@@ -19,15 +19,12 @@ blocked, the first queued query whose working set is at most
 interactive point-queries are not stuck behind a bulk join waiting for
 half the EPC.
 
-The scheduler asks through :meth:`AdmissionPolicy.pick_fast`, which takes
-the free cores and the clamped EPC headroom as plain numbers;
-:meth:`AdmissionPolicy.pick` is the same decision over a
-:class:`ResourceState`.
+The scheduler asks through :meth:`AdmissionPolicy.pick`, which takes the
+free cores and the EPC headroom (clamped at zero) as plain numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Deque, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
@@ -37,29 +34,6 @@ from repro.units import GiB
 #: EPC (Table 1, 64 GB).  A threshold above the whole EPC would classify
 #: every query as "small" and turn the bypass lane into queue reordering.
 MAX_BYPASS_BYTES = 64 * GiB
-
-
-@dataclass(frozen=True)
-class ResourceState:
-    """The resources :meth:`AdmissionPolicy.pick` decides against.
-
-    The scheduler hands the same quantities to
-    :meth:`AdmissionPolicy.pick_fast` as scalars instead of building one
-    per dispatch round.
-    """
-
-    free_cores: int
-    total_cores: int
-    epc_used_bytes: float
-    epc_budget_bytes: float
-
-    @property
-    def epc_headroom_bytes(self) -> float:
-        # An EPC_SQUEEZE fault can shrink the budget below what running
-        # queries already hold; clamp so headroom never goes negative
-        # (a negative value would over-penalise FIFO overflow accounting
-        # and make EpcAware comparisons depend on sign conventions).
-        return max(0.0, self.epc_budget_bytes - self.epc_used_bytes)
 
 
 class AdmissionDecision(NamedTuple):
@@ -109,19 +83,15 @@ class AdmissionPolicy:
 
     # -- public API ------------------------------------------------------
 
-    def pick(self, queue: Deque, state: ResourceState) -> Optional[AdmissionDecision]:
-        """The next query to dispatch, or None (with a block reason)."""
-        return self.pick_fast(
-            queue, state.free_cores, state.epc_headroom_bytes
-        )
-
-    def pick_fast(
+    def pick(
         self, queue: Deque, free_cores: int, headroom_bytes: float
     ) -> Optional[AdmissionDecision]:
-        """:meth:`pick` over scalars, the scheduler's per-event path.
+        """The next query to dispatch, or None (with a block reason).
 
-        ``headroom_bytes`` must already be clamped at zero, exactly as
-        :attr:`ResourceState.epc_headroom_bytes` clamps it.
+        ``headroom_bytes`` must already be clamped at zero: an EPC squeeze
+        can shrink the budget below what running queries hold, and a
+        negative headroom would over-penalise FIFO overflow and make
+        EPC-aware admission depend on sign conventions.
         """
         self.last_block_reason = None
         if not queue:

@@ -32,15 +32,14 @@ degrades gracefully under squeeze.  All fault paths stay cold under the
 default :data:`~repro.faults.NULL_INJECTOR`, so an un-faulted run is
 byte-identical to a pre-fault build.
 
-**Multiplexing** (:mod:`repro.cluster`): the event loop lives in
-:class:`SchedulerLoop`, a steppable object whose event heap a cluster
-scheduler reads in place and whose ``step`` it calls, so it can
-interleave many shards' loops on one simulated clock, plus ``submit``/``evict``/``reject`` so routed arrivals, shard
-crashes, and dead-shard rejections cross shard boundaries.  A shard label
-threads into every trace event's attrs (``shard=...``) so tee'd shards
-stay distinguishable; un-sharded runs omit the attr and stay
-byte-identical to the pre-cluster build.  :meth:`WorkloadScheduler.run`
-is now a thin drain of one loop — same events, same order, same bytes.
+**Multiplexing** (:mod:`repro.cluster`): a cluster scheduler starts one
+:class:`WorkloadScheduler` per shard, reads each one's event heap in
+place and calls its ``step``, so it can interleave many shards on one
+simulated clock; ``submit``/``evict``/``reject`` let routed arrivals,
+shard crashes and dead-shard rejections cross shard boundaries.  A shard
+label threads into every trace event's attrs (``shard=...``) so tee'd
+shards stay distinguishable; un-sharded runs omit the attr and stay
+byte-identical to the pre-cluster build.
 
 Everything — arrivals, mixes, dispatch order, tie-breaking, fault draws,
 retry jitter — is a pure function of the workload configuration and its
@@ -133,7 +132,20 @@ class PendingQuery:
 
 
 class WorkloadScheduler:
-    """Serves one workload configuration over simulated time."""
+    """Serves one workload configuration over simulated time.
+
+    :meth:`run` serves a set of streams to completion.  A cluster
+    scheduler multiplexes many shard schedulers on one simulated clock
+    instead: it calls :meth:`start`, reads the head of each ``_events``
+    heap in place (the next ``(time, kind, seq, payload)``, never popped
+    from outside), calls :meth:`step` to process exactly one event, and
+    calls :meth:`result` once no events remain.  Routed work crosses
+    shard boundaries through :meth:`submit` (deliver an arrival,
+    optionally priced with a cross-socket shuffle), :meth:`evict` (a
+    crashing shard hands back its queued and running queries) and
+    :meth:`reject` (a dead shard sheds an arrival terminally).  Every
+    run starts from fresh state.
+    """
 
     def __init__(
         self,
@@ -180,7 +192,7 @@ class WorkloadScheduler:
         #: sealed untrusted storage instead of paying the EDMM/paging
         #: penalty; without one, every spill branch stays cold and runs
         #: are byte-identical to the pre-storage build.
-        self._storage = storage
+        self._spill = storage
         #: Shard identity when multiplexed by a cluster scheduler; ""
         #: (un-sharded) suppresses every shard-related trace attr so solo
         #: runs stay byte-identical to the pre-cluster build.
@@ -188,8 +200,37 @@ class WorkloadScheduler:
         #: First query id this scheduler assigns.  Shards take disjoint
         #: id ranges so cluster-wide merged records never collide.
         self._query_id_base = query_id_base
-
-    # -- the event loop --------------------------------------------------
+        # The penalty stages, as (term, stage) in DISPATCH_TERMS order: an
+        # overflowing admission spills, or degrades (only while squeezed)
+        # or grows the enclave; a faulted run inflates every dispatch.
+        # Stages are held unbound: bound methods would make every
+        # scheduler a reference cycle that outlives its run until the
+        # cyclic GC.  Dispatch events carry each term this scheduler can
+        # charge, at zero when no stage charged it.
+        interference, spill, degraded, edmm, aex = DISPATCH_TERMS
+        cls = WorkloadScheduler
+        inflation = ((aex, cls._aex_stage),) if self._faulting else ()
+        if storage is not None:
+            overflow = ((spill, cls._spill_stage),)
+        elif (
+            self._faulting
+            and resilience is not None
+            and resilience.degrade_on_squeeze
+        ):
+            overflow = (
+                (degraded, cls._degrade_stage),
+                (edmm, cls._edmm_stage),
+            )
+        else:
+            overflow = ((edmm, cls._edmm_stage),)
+        self._stages = inflation
+        self._overflow_stages = overflow + inflation
+        self._interference_term = interference
+        zero = self._zero_terms = {edmm: 0.0}
+        if self._faulting:
+            zero[aex] = zero[degraded] = 0.0
+        if storage is not None:
+            zero[spill] = 0.0
 
     def run(
         self,
@@ -203,126 +244,40 @@ class WorkloadScheduler:
             raise ConfigurationError("duration must be positive")
         if not open_streams and not closed_streams:
             raise ConfigurationError("the workload needs at least one stream")
-        loop = SchedulerLoop(
-            self,
+        self.start(
             open_streams=open_streams,
             closed_streams=closed_streams,
             duration_s=duration_s,
         )
-        events, step = loop._events, loop.step
+        events, step = self._events, self.step
         while events:
             step()
-        return loop.result()
+        return self.result()
 
-    def loop(
+    def start(
         self,
-        *,
-        open_streams: Sequence[OpenLoopStream] = (),
-        closed_streams: Sequence[ClosedLoopStream] = (),
-        duration_s: float,
-    ) -> "SchedulerLoop":
-        """A steppable loop for external multiplexing (cluster serving).
-
-        Unlike :meth:`run` the loop may start with zero streams: a shard
-        in a cluster receives every arrival through :meth:`SchedulerLoop.submit`.
-        """
-        return SchedulerLoop(
-            self,
-            open_streams=open_streams,
-            closed_streams=closed_streams,
-            duration_s=duration_s,
-        )
-
-    def _cost_of(self, template: str) -> JobCost:
-        try:
-            return self._costs[template]
-        except KeyError:
-            known = ", ".join(sorted(self._costs))
-            raise ConfigurationError(
-                f"no priced cost for template {template!r}; known: {known}"
-            ) from None
-
-
-class SchedulerLoop:
-    """One scheduler's event loop, steppable from outside.
-
-    Extracted from the old monolithic ``run`` body so a cluster scheduler
-    can multiplex many loops on one simulated clock: the head of the
-    ``_events`` heap is the next ``(time, kind, seq, payload)`` (read in
-    place, never popped, by the multiplexer), ``step`` processes exactly
-    one event, and ``result`` finalises metrics once ``pending`` is
-    False.  Routed
-    work crosses shard boundaries through ``submit`` (deliver an arrival,
-    optionally priced with a cross-socket shuffle), ``evict`` (a crashing
-    shard hands back its queued + running queries), and ``reject`` (a
-    dead shard sheds an arrival terminally).
-
-    Event processing is verbatim the old loop body — driving a loop to
-    exhaustion yields the same metrics and the same trace bytes as the
-    pre-refactor ``run``.
-    """
-
-    def __init__(
-        self,
-        scheduler: WorkloadScheduler,
         *,
         open_streams: Sequence[OpenLoopStream] = (),
         closed_streams: Sequence[ClosedLoopStream] = (),
         duration_s: float,
     ) -> None:
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
-        self._s = scheduler
-        self._costs = scheduler._costs
+        """Begin a run from fresh state: seed the event heap, open the
+        trace run.
+
+        Unlike :meth:`run` a run may start with no streams: a shard in a
+        cluster receives every arrival through :meth:`submit`.
+        """
         self._duration_s = duration_s
         self._tracer = current_tracer()
-        self._injector = scheduler._injector
-        self._resilience = scheduler._resilience
-        self._faulting = scheduler._faulting
-        self._selector = scheduler._selector
-        self._spill = scheduler._storage
-        self._shard = scheduler._shard
-        # The penalty stages, as (term, stage) in DISPATCH_TERMS order: an
-        # overflowing admission spills, or degrades (only while squeezed)
-        # or grows the enclave; a faulted run inflates every dispatch.
-        # Stages are held unbound: bound methods would make every loop a
-        # reference cycle that outlives its run until the cyclic GC.
-        # Dispatch events carry each term this loop can charge, at zero
-        # when no stage charged it.
-        interference, spill, degraded, edmm, aex = DISPATCH_TERMS
-        resilience = self._resilience
-        loop = SchedulerLoop
-        inflation = ((aex, loop._aex_stage),) if self._faulting else ()
-        if self._spill is not None:
-            overflow = ((spill, loop._spill_stage),)
-        elif (
-            self._faulting
-            and resilience is not None
-            and resilience.degrade_on_squeeze
-        ):
-            overflow = (
-                (degraded, loop._degrade_stage),
-                (edmm, loop._edmm_stage),
-            )
-        else:
-            overflow = ((edmm, loop._edmm_stage),)
-        self._stages = inflation
-        self._overflow_stages = overflow + inflation
-        self._interference_term = interference
-        zero = self._zero_terms = {edmm: 0.0}
-        if self._faulting:
-            zero[aex] = zero[degraded] = 0.0
-        if self._spill is not None:
-            zero[spill] = 0.0
         if self._tracer.enabled:
             self._emit(
                 RUN_START,
                 0.0,
                 {
-                    "setting": scheduler._setting_label,
-                    "policy": scheduler._policy.label,
-                    "cores": scheduler._cores,
-                    "epc_budget_bytes": scheduler._epc_budget,
+                    "setting": self._setting_label,
+                    "policy": self._policy.label,
+                    "cores": self._cores,
+                    "epc_budget_bytes": self._epc_budget,
                     "duration_s": duration_s,
                 },
             )
@@ -342,11 +297,11 @@ class SchedulerLoop:
                 self._resilience.breaker_threshold,
                 self._resilience.breaker_cooldown_s,
             )
-        self._free_cores = scheduler._cores
+        self._free_cores = self._cores
         self._epc_used = 0.0
         self._epc_high_water = 0.0
         self._dispatched = False  # set by a traced dispatch
-        self._next_id = scheduler._query_id_base
+        self._next_id = self._query_id_base
         self._seq = 0
         self._queued_threads = 0  # incremental; backs the router's load score
         self._reserved: Dict[int, int] = {}  # qid -> EPC bytes held running
@@ -384,12 +339,16 @@ class SchedulerLoop:
         self._seq = seq
         heapq.heapify(events)
 
-    # -- multiplexing surface ---------------------------------------------
+    def _cost_of(self, template: str) -> JobCost:
+        try:
+            return self._costs[template]
+        except KeyError:
+            known = ", ".join(sorted(self._costs))
+            raise ConfigurationError(
+                f"no priced cost for template {template!r}; known: {known}"
+            ) from None
 
-    @property
-    def pending(self) -> bool:
-        """True while events remain to be stepped."""
-        return bool(self._events)
+    # -- multiplexing surface ---------------------------------------------
 
     @property
     def load_score(self) -> float:
@@ -401,14 +360,14 @@ class SchedulerLoop:
         is exactly the least-EPC-headroom signal the load-aware router
         ranks on.
         """
-        busy = self._s._cores - self._free_cores
-        compute = (self._queued_threads + busy) / self._s._cores
+        busy = self._cores - self._free_cores
+        compute = (self._queued_threads + busy) / self._cores
         return compute + (1.0 - self.epc_headroom_fraction)
 
     @property
     def epc_headroom_fraction(self) -> float:
         """Free share of the (un-squeezed) EPC budget, clamped to [0, 1]."""
-        budget = self._s._epc_budget
+        budget = self._epc_budget
         if budget == float("inf"):
             return 1.0
         free = max(0.0, budget - self._epc_used)
@@ -466,7 +425,7 @@ class SchedulerLoop:
 
     def reject(self, arrival: Arrival, now: float, outcome: str = "shard_down") -> None:
         """Terminally shed an arrival routed at a dead shard."""
-        cost = self._s._cost_of(arrival.template)  # raises if unpriced
+        cost = self._cost_of(arrival.template)  # raises if unpriced
         self._counters.arrivals += 1
         self._counters.shed += 1
         pending = PendingQuery(
@@ -506,8 +465,8 @@ class SchedulerLoop:
         attrs: Dict[str, object],
         pending: Optional[PendingQuery] = None,
     ) -> None:
-        """One event of this loop, its ``attrs`` completed in place with
-        the query's identity (given ``pending``) and the loop's shard."""
+        """One event of this run, its ``attrs`` completed in place with
+        the query's identity (given ``pending``) and the shard."""
         if pending is not None:
             attrs["query_id"] = pending.query_id
             attrs["stream"] = pending.stream
@@ -641,7 +600,7 @@ class SchedulerLoop:
         arms for the adaptive selector's cold start.
         """
         selector = self._selector
-        budget = self._s._epc_budget
+        budget = self._epc_budget
         if self._faulting:
             budget = budget * self._injector.epc_multiplier(now)
         headroom = budget - self._epc_used
@@ -673,18 +632,16 @@ class SchedulerLoop:
         if not queue:
             # Nothing to admit, and an empty queue counts no block reason.
             return
-        scheduler = self._s
-        policy = scheduler._policy
+        policy = self._policy
         counters = self._counters
         injector = self._injector
         resilience = self._resilience
         faulting = self._faulting
         while queue:
-            budget = scheduler._epc_budget
+            budget = self._epc_budget
             if faulting:
                 budget = budget * injector.epc_multiplier(now)
-            # The same clamp as ResourceState.epc_headroom_bytes.
-            decision = policy.pick_fast(
+            decision = policy.pick(
                 queue, self._free_cores, max(0.0, budget - self._epc_used)
             )
             if decision is None:
@@ -698,17 +655,17 @@ class SchedulerLoop:
             pending = queue[index]
             del queue[index]
             self._queued_threads -= pending.threads
-            busy_before = scheduler._cores - self._free_cores
+            busy_before = self._cores - self._free_cores
             # The dispatch-time service decomposition (DISPATCH_TERMS): a
             # frozen base service time plus additive terms the trace
             # attributes separately.  Interference applies to every
             # dispatch; the penalty stages run in their fixed order, and
-            # only where this loop can charge them.
+            # only where this scheduler can charge them.
             interference_s = (
                 pending.service_s
                 * INTERFERENCE_FACTOR
                 * busy_before
-                / scheduler._cores
+                / self._cores
             )
             service = pending.service_s + interference_s
             reserved_bytes = pending.working_set_bytes
@@ -1012,7 +969,7 @@ class SchedulerLoop:
                 arrival = payload
             cost = self._costs.get(arrival.template)
             if cost is None:
-                self._s._cost_of(arrival.template)  # raises with the names
+                self._cost_of(arrival.template)  # raises with the names
             counters.arrivals += 1
             pending = PendingQuery(
                 query_id=self._next_id,
@@ -1138,18 +1095,17 @@ class SchedulerLoop:
         """Finalise metrics and close the trace run (call exactly once)."""
         if self._finalised:
             raise ConfigurationError(
-                "SchedulerLoop.result() was already called: a second call "
+                "WorkloadScheduler.result() was already called: a second call "
                 "would close the trace run and count its counters twice"
             )
         self._finalised = True
-        scheduler = self._s
         counters = self._counters
         metrics = WorkloadMetrics(
-            setting_label=scheduler._setting_label,
-            policy=scheduler._policy.label,
+            setting_label=self._setting_label,
+            policy=self._policy.label,
             records=sorted(self._records, key=lambda r: r.query_id),
             counters=counters,
-            epc_budget_bytes=scheduler._epc_budget,
+            epc_budget_bytes=self._epc_budget,
             epc_high_water_bytes=int(self._epc_high_water),
             duration_s=self._duration_s,
             failures=sorted(self._failures, key=lambda f: f.query_id),
@@ -1159,8 +1115,8 @@ class SchedulerLoop:
             for name, value in counters.as_dict().items():
                 self._tracer.count(f"scheduler.{name}", value)
             end_attrs = {
-                "setting": scheduler._setting_label,
-                "policy": scheduler._policy.label,
+                "setting": self._setting_label,
+                "policy": self._policy.label,
                 "completed": counters.completed,
                 "epc_high_water_bytes": int(self._epc_high_water),
             }

@@ -22,19 +22,18 @@ import repro
 from repro.backends import (
     BACKENDS_EXTRA,
     ENGINE_MODES,
-    BackendQuery,
     ColumnBag,
     SQLiteBackend,
-    SimBackend,
     assert_equivalent,
     bag_digest,
     canonical_bag,
     make_engine,
     materialize,
     missing_reason,
+    sim_rows,
     validate_mode,
 )
-from repro.backends import base, serving
+from repro.backends import engines, serving
 from repro.backends.dataset import Dataset
 from repro.backends.engines import FETCH_ROWS, MAX_BOUND_PARAMS
 from repro.backends.envelope import (
@@ -235,7 +234,7 @@ class TestBackendsAgree:
             return materialize(template, **caps)
 
         monkeypatch.setattr(serving, "materialize", counting)
-        monkeypatch.setattr(base, "materialize", counting)
+        monkeypatch.setattr(engines, "materialize", counting)
         template = serving_templates()["scan-small"]
         gate_template(JobCatalog(), template, "sqlite")
         assert calls == ["scan-small"]
@@ -246,13 +245,12 @@ class TestBackendsAgree:
         dataset = materialize(
             template, seed=13, row_cap=catalog.row_cap, sf_cap=catalog.sf_cap
         )
-        sim_rows = SimBackend(catalog).compute_rows(dataset)
-        engine_rows, profile = SQLiteBackend().run_template(
+        sim_bag = sim_rows(catalog, dataset)
+        engine_bag, profile = SQLiteBackend().run_template(
             template, seed=13, row_cap=catalog.row_cap, sf_cap=catalog.sf_cap
         )
-        assert canonical_bag(sim_rows) == canonical_bag(engine_rows)
-        assert profile.simulated is False
-        assert profile.rows == len(engine_rows)
+        assert canonical_bag(sim_bag) == canonical_bag(engine_bag)
+        assert profile.prepare_s > 0 and profile.execute_s > 0
 
     def test_templates_with_one_standin_key_share_their_tables(self):
         catalog = JobCatalog()
@@ -310,15 +308,13 @@ class TestBackendsAgree:
         assert all(connection.closed for connection in engines[0].connections)
 
     def test_gate_failures_are_collected_per_template(self, monkeypatch):
-        real = SimBackend.compute_rows
-
-        def wrong_for_q3(self, dataset):
-            bag = real(self, dataset)
+        def wrong_for_q3(catalog, dataset):
+            bag = sim_rows(catalog, dataset)
             if dataset.template.name == "q3":
                 return ColumnBag([bag.columns[0] + 1])
             return bag
 
-        monkeypatch.setattr(SimBackend, "compute_rows", wrong_for_q3)
+        monkeypatch.setattr(serving, "sim_rows", wrong_for_q3)
         templates = serving_templates()
         chosen = [templates["q3"], templates["q12"]]
         failures = {}
@@ -441,9 +437,10 @@ class TestLoader:
             for rows in (1, batch - 1, batch, batch + 1)
         ]
         backend = _RecordingSQLite()
-        handle = backend.prepare(_synthetic(tables))
+        dataset = _synthetic(tables)
+        handle = backend.prepare(dataset)
         try:
-            _assert_round_trip(handle.state.conn, handle.dataset)
+            _assert_round_trip(handle.state.conn, dataset)
         finally:
             handle.state.close()
         assert max(backend.connections[0].params) <= MAX_BOUND_PARAMS
@@ -462,9 +459,10 @@ class TestLoader:
                 Column("negative", -big),
             ],
         )
-        handle = SQLiteBackend().prepare(_synthetic([table]))
+        dataset = _synthetic([table])
+        handle = SQLiteBackend().prepare(dataset)
         try:
-            _assert_round_trip(handle.state, handle.dataset)
+            _assert_round_trip(handle.state, dataset)
         finally:
             handle.state.close()
 
@@ -479,10 +477,6 @@ class TestLoader:
         assert [conn.closed for conn in backend.connections] == [True]
 
 
-def _query(sql):
-    return BackendQuery(template=serving_templates()["scan-small"], sql=sql)
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEngineRoundTrip:
     """What an engine loads comes back through its batched fetch: int64
@@ -492,7 +486,7 @@ class TestEngineRoundTrip:
         backend = make_engine(engine)
         handle = backend.prepare(_synthetic(tables))
         try:
-            return backend.execute(handle, _query(sql))
+            return backend.execute(handle, sql)
         finally:
             backend.close(handle)
 
@@ -510,9 +504,9 @@ class TestEngineRoundTrip:
         try:
             for table_name, table in dataset.tables.items():
                 sql = f'SELECT * FROM "{table_name}" ORDER BY rowid'
-                bag, profile = backend.execute(handle, _query(sql))
+                bag, _ = backend.execute(handle, sql)
                 assert isinstance(bag, ColumnBag)
-                assert profile.rows == len(bag) == table.num_rows
+                assert len(bag) == table.num_rows
                 for column, fetched in zip(table.column_names, bag.columns):
                     assert fetched.dtype == np.int64
                     assert np.array_equal(fetched, table[column]), column
@@ -525,11 +519,11 @@ class TestEngineRoundTrip:
     def test_fetch_batch_edges(self, engine, rows):
         values = np.arange(rows, dtype=np.int64) - rows // 2
         table = Table("t", [Column("a", values), Column("b", -3 * values)])
-        bag, profile = self._run(
+        bag, _ = self._run(
             engine, [table], 'SELECT b, a FROM "t" ORDER BY rowid'
         )
         assert isinstance(bag, ColumnBag)
-        assert len(bag) == profile.rows == rows
+        assert len(bag) == rows
         assert len(bag.columns) == 2
         assert np.array_equal(bag.columns[0], -3 * values)
         assert np.array_equal(bag.columns[1], values)
@@ -547,7 +541,7 @@ class TestEngineRoundTrip:
     def test_non_integer_results_fall_back_to_rows(self, engine, null_at):
         rows = FETCH_ROWS + 3
         table = Table("t", [Column("v", np.arange(rows, dtype=np.int64))])
-        bag, profile = self._run(
+        bag, _ = self._run(
             engine,
             [table],
             f'SELECT CASE WHEN v = {null_at} THEN NULL ELSE v END, v '
@@ -556,7 +550,6 @@ class TestEngineRoundTrip:
         expected = [(v, v) for v in range(rows)]
         expected[null_at] = (None, null_at)
         assert bag == expected
-        assert profile.rows == rows
         halves, _ = self._run(
             engine, [table], 'SELECT v * 0.5 FROM "t" ORDER BY rowid'
         )

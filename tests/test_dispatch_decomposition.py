@@ -5,17 +5,20 @@ query's ``query.finish`` latency must equal its final ``query.dispatch``'s
 queue wait plus base service plus every :data:`DISPATCH_TERMS` term, and
 :func:`serving_breakdown` must attribute exactly the dispatch events'
 summed seconds — no term dropped.  Holding the penalty stages must not
-keep a finished loop alive past its run.
+keep a finished scheduler alive past its run, and a scheduler's second
+run must start from the same fresh state as its first.
 """
 
+import dataclasses
 import gc
 
 import pytest
 
-from repro.trace import Event, Tracer, serving_breakdown, use_tracer
+from repro.faults import ResiliencePolicy, get_fault_plan, make_injector
+from repro.trace import Event, Tracer, serving_breakdown, to_jsonl, use_tracer
 from repro.trace.breakdown import DISPATCH, DISPATCH_TERMS, FINISH
-from repro.workload.scheduler import SchedulerLoop
-from tests.test_serving_bytes_pinned import RUNS
+from repro.workload import WorkloadScheduler
+from tests.test_serving_bytes_pinned import RUNS, _closed, _open, _scheduler
 
 
 def _dispatch_seconds(attrs):
@@ -65,14 +68,43 @@ def test_every_term_is_a_breakdown_field():
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_served_loop_is_freed_without_the_cyclic_gc(name):
-    """A loop that references itself (say, through bound-method stages it
-    keeps) holds its records and event heap until the cyclic GC runs,
-    which raises a serving process's peak memory."""
+    """A scheduler that references itself (say, through bound-method
+    stages it keeps) holds its records and event heap until the cyclic GC
+    runs, which raises a serving process's peak memory."""
     gc.collect()
     gc.disable()
     try:
         RUNS[name]()
-        leaked = [o for o in gc.get_objects() if isinstance(o, SchedulerLoop)]
+        leaked = [
+            o for o in gc.get_objects() if isinstance(o, WorkloadScheduler)
+        ]
     finally:
         gc.enable()
     assert leaked == []
+
+
+def test_a_second_run_starts_from_fresh_state():
+    """The run state (queue, heap, counters, records, breaker, closed-loop
+    sessions) lives on the scheduler, so each run must reset all of it:
+    the same scheduler run twice gives equal metrics and trace text."""
+    plan = dataclasses.replace(get_fault_plan("chaos"), seed=31)
+    scheduler = _scheduler(
+        "fifo",
+        injector=make_injector(plan),
+        resilience=ResiliencePolicy(
+            degrade_on_squeeze=True, timeout_s=0.6, seed=7
+        ),
+    )
+    runs = []
+    for _ in range(2):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            metrics = scheduler.run(
+                open_streams=(_open(35.0),),
+                closed_streams=(_closed(clients=2, think_s=0.2),),
+                duration_s=9.0,
+            )
+        runs.append((metrics, to_jsonl(tracer)))
+    assert runs[0][0].counters.retries > 0
+    assert runs[0][0].counters.shed > 0
+    assert runs[1] == runs[0]

@@ -301,10 +301,10 @@ class TestEngineWiring:
         engine = ServingEngine(JobCatalog(None, quick=True))
         config = workload(rewrite="prove")
         with use_run_config(RunConfig(rewrite="learned")):
-            assert engine.rewrite_of(config) == "prove"
-        assert engine.rewrite_of(workload()) == "off"
+            assert engine.run_config_of(config).rewrite == "prove"
+        assert engine.run_config_of(workload()).rewrite == "off"
         with use_run_config(RunConfig(rewrite="race")):
-            assert engine.rewrite_of(workload()) == "race"
+            assert engine.run_config_of(workload()).rewrite == "race"
 
     def test_learned_adds_rw_arm(self):
         engine = ServingEngine(JobCatalog(None, quick=True))

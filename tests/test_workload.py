@@ -20,7 +20,6 @@ from repro.workload import (
     JobTemplate,
     OpenLoopStream,
     QueryMix,
-    ResourceState,
     ServingEngine,
     WorkloadConfig,
     WorkloadScheduler,
@@ -138,13 +137,10 @@ class TestStreams:
 
 
 class TestPolicies:
-    def state(self, free_cores=8, epc_used=0.0):
-        return ResourceState(
-            free_cores=free_cores,
-            total_cores=8,
-            epc_used_bytes=epc_used,
-            epc_budget_bytes=500 * MB,
-        )
+    def pick(self, policy, queue, free_cores=8, epc_used=0.0):
+        """``policy``'s pick as the scheduler asks for it: 8 free cores and
+        a 500 MB budget's headroom, clamped at zero."""
+        return policy.pick(queue, free_cores, max(0.0, 500 * MB - epc_used))
 
     def pending(self, name="big"):
         from repro.workload.scheduler import PendingQuery
@@ -160,7 +156,7 @@ class TestPolicies:
         from collections import deque
 
         queue = deque([self.pending("big")])
-        decision = FifoPolicy().pick(queue, self.state(epc_used=300 * MB))
+        decision = self.pick(FifoPolicy(), queue, epc_used=300 * MB)
         assert decision is not None
         assert decision.overflow_bytes == 200 * MB  # 400 demanded, 200 left
 
@@ -169,9 +165,9 @@ class TestPolicies:
 
         policy = EpcAwarePolicy()
         queue = deque([self.pending("big")])
-        assert policy.pick(queue, self.state(epc_used=300 * MB)) is None
+        assert self.pick(policy, queue, epc_used=300 * MB) is None
         assert policy.last_block_reason == "epc"
-        decision = policy.pick(queue, self.state(epc_used=0.0))
+        decision = self.pick(policy, queue, epc_used=0.0)
         assert decision is not None and decision.overflow_bytes == 0
 
     def test_bypass_lane_jumps_blocked_head(self):
@@ -179,7 +175,7 @@ class TestPolicies:
 
         policy = EpcAwarePolicy(bypass_bytes=50 * MB)
         queue = deque([self.pending("big"), self.pending("small")])
-        decision = policy.pick(queue, self.state(epc_used=300 * MB))
+        decision = self.pick(policy, queue, epc_used=300 * MB)
         assert decision is not None
         assert decision.queue_index == 1
         assert decision.bypassed
@@ -199,20 +195,14 @@ class TestPolicies:
         # Regression: an EPC_SQUEEZE can shrink the budget below what
         # running queries already hold; headroom used to go negative,
         # over-penalising FIFO overflow accounting and making EpcAware
-        # admission depend on sign conventions.
-        state = ResourceState(
-            free_cores=8,
-            total_cores=8,
-            epc_used_bytes=600 * MB,
-            epc_budget_bytes=500 * MB,
-        )
-        assert state.epc_headroom_bytes == 0.0
+        # admission depend on sign conventions.  The scheduler clamps.
         # FIFO overflow is capped at the query's whole demand.
-        decision = FifoPolicy().pick(deque([self.pending("big")]), state)
+        queue = deque([self.pending("big")])
+        decision = self.pick(FifoPolicy(), queue, epc_used=600 * MB)
         assert decision.overflow_bytes == self.pending("big").working_set_bytes
         # EpcAware holds the query instead of admitting on a negative.
         policy = EpcAwarePolicy()
-        assert policy.pick(deque([self.pending("big")]), state) is None
+        assert self.pick(policy, queue, epc_used=600 * MB) is None
         assert policy.last_block_reason == "epc"
 
     def test_bypass_threshold_validated_against_plausible_epc(self):
@@ -319,19 +309,17 @@ class TestScheduler:
         from repro.trace import Tracer, use_tracer
 
         tracer = Tracer()
+        served = scheduler()
         with use_tracer(tracer):
-            loop = scheduler().loop(
+            metrics = served.run(
                 open_streams=(
                     OpenLoopStream("t", qps=50.0, mix=self.MIX, seed=5),
                 ),
                 duration_s=1.0,
             )
-            while loop.pending:
-                loop.step()
-            metrics = loop.result()
             counted = dict(tracer.counters)
             with pytest.raises(ConfigurationError, match="already called"):
-                loop.result()
+                served.result()
         assert tracer.counters == counted
         assert counted["scheduler.completed"] == metrics.counters.completed
         run_ends = [r for r in tracer.records if r.name == "serving.run_end"]
@@ -786,10 +774,10 @@ class TestEngineClusterChannel:
     def test_bad_cluster_type_rejected(self):
         engine = ServingEngine(JobCatalog(quick=True))
         with pytest.raises(ConfigurationError):
-            engine.cluster_of(self.config(cluster=42))
+            engine.run_config_of(self.config(cluster=42))
 
     def test_without_cluster_nothing_changes(self):
         engine = ServingEngine(JobCatalog(quick=True))
-        assert engine.cluster_of(self.config()) is None
+        assert engine.run_config_of(self.config()).cluster is None
         with pytest.raises(ConfigurationError):
             engine.run_cluster(self.config())
