@@ -257,6 +257,13 @@ class ClusterScheduler:
         home_pool: Set[int] = set()
         alive_pool: Set[int] = set()
         pools_expire_s = -math.inf
+        # Consistent-hash placements read only (key, pool), so they are
+        # kept per stream until the pools are rebuilt: the natural home,
+        # and the target too when the serving router is the hash ring.
+        home_of: Dict[str, int] = {}
+        hashed_target_of: Dict[str, int] = {}
+        hash_routing = self._router is self._home_router
+        storms = cluster.faults.active
 
         def stale_pools() -> None:
             nonlocal pools_expire_s
@@ -284,14 +291,19 @@ class ClusterScheduler:
                     ),
                     default=math.inf,
                 )
+                home_of.clear()
+                hashed_target_of.clear()
             return home_pool, alive_pool
 
         def place(arrival: Arrival, now: float) -> None:
             nonlocal route_seq
             nominal, alive = pools(now)
-            home_id = self._home_router.route(
-                arrival.stream, nominal, load_of
-            )
+            stream = arrival.stream
+            home_id = home_of.get(stream)
+            if home_id is None:
+                home_id = home_of[stream] = self._home_router.route(
+                    stream, nominal, load_of
+                )
             diverted = False
             if not alive:
                 # Every shard is down: nothing can serve or even shed
@@ -309,13 +321,18 @@ class ClusterScheduler:
                 return
             # Both routers place onto live shards only; the natural home
             # being down makes the placement a failover by definition.
-            target_id = self._router.route(arrival.stream, alive, load_of)
+            if not hash_routing:
+                target_id = self._router.route(stream, alive, load_of)
+            else:
+                target_id = hashed_target_of.get(stream)
+                if target_id is None:
+                    target_id = hashed_target_of[stream] = self._router.route(
+                        stream, alive, load_of
+                    )
             failover = home_down
             if failover:
                 result.failovers += 1
-            if cluster.faults.active and cluster.faults.storm_diverts(
-                now, route_seq
-            ):
+            if storms and cluster.faults.storm_diverts(now, route_seq):
                 # A rebalance storm throws the arrival at a hashed other
                 # shard, natural or not (the routing table is thrashing).
                 candidates = sorted(alive - {target_id}) or sorted(alive)

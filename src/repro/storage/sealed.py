@@ -27,7 +27,8 @@ from repro.storage.config import DEFAULT_BLOCK_BYTES
 
 
 class SealedStore:
-    """Prices sealed block traffic and keeps the session's spill counters."""
+    """Prices sealed block traffic and counts what operators seal and
+    unseal through :meth:`charge_seal`/:meth:`charge_unseal`."""
 
     def __init__(
         self,
@@ -57,33 +58,45 @@ class SealedStore:
             raise ConfigurationError("byte count must be non-negative")
         return max(1, -(-int(num_bytes) // self.block_bytes)) if num_bytes else 0
 
+    def _cycles(
+        self, num_bytes: float, cycles_per_byte: float, blocks: int
+    ) -> float:
+        """Crypto plus storage I/O per byte, one transition per block."""
+        params = self.params
+        return (
+            num_bytes * (cycles_per_byte + params.storage_io_cycles_per_byte)
+            + blocks * params.transition_cycles
+        )
+
     def seal_cycles(self, num_bytes: float) -> float:
         """Cycles to seal ``num_bytes`` out to untrusted storage."""
-        blocks = self.blocks_for(num_bytes)
-        return (
-            num_bytes
-            * (
-                self.params.seal_cycles_per_byte
-                + self.params.storage_io_cycles_per_byte
-            )
-            + blocks * self.params.transition_cycles
+        return self._cycles(
+            num_bytes,
+            self.params.seal_cycles_per_byte,
+            self.blocks_for(num_bytes),
         )
 
     def unseal_cycles(self, num_bytes: float) -> float:
         """Cycles to read ``num_bytes`` back in and unseal them."""
+        return self._cycles(
+            num_bytes,
+            self.params.unseal_cycles_per_byte,
+            self.blocks_for(num_bytes),
+        )
+
+    def spill_cycles(self, num_bytes: float) -> Tuple[float, float]:
+        """(seal, unseal) cycles for spilling ``num_bytes`` once."""
         blocks = self.blocks_for(num_bytes)
+        params = self.params
         return (
-            num_bytes
-            * (
-                self.params.unseal_cycles_per_byte
-                + self.params.storage_io_cycles_per_byte
-            )
-            + blocks * self.params.transition_cycles
+            self._cycles(num_bytes, params.seal_cycles_per_byte, blocks),
+            self._cycles(num_bytes, params.unseal_cycles_per_byte, blocks),
         )
 
     def roundtrip_cycles(self, num_bytes: float) -> float:
         """Seal + unseal cycles for spilling ``num_bytes`` once."""
-        return self.seal_cycles(num_bytes) + self.unseal_cycles(num_bytes)
+        seal, unseal = self.spill_cycles(num_bytes)
+        return seal + unseal
 
     # -- charging --------------------------------------------------------
 
@@ -123,8 +136,6 @@ class SealedStore:
         self.unsealed_blocks += self.blocks_for(num_bytes)
         return cycles
 
-    # -- inspection ------------------------------------------------------
-
 
 class SpillModel:
     """Wall-clock pricing of admission-time spills for the scheduler.
@@ -136,9 +147,9 @@ class SpillModel:
     out at dispatch and unsealed back during service: the scheduler calls
     :meth:`charge` with the overflow bytes and adds the returned seal +
     unseal seconds to the service time instead of the EDMM/paging
-    collapse penalty.  Counters accumulate in the wrapped
-    :class:`SealedStore` so per-query spills and operator-level spills
-    report through one set of numbers.
+    collapse penalty.  The scheduler counts its spills itself
+    (``SchedulerCounters.spills``/``spilled_bytes``), so :meth:`charge`
+    leaves the wrapped :class:`SealedStore`'s counters alone.
     """
 
     def __init__(self, store: SealedStore, frequency_hz: float) -> None:
@@ -147,18 +158,7 @@ class SpillModel:
         self.store = store
         self.frequency_hz = float(frequency_hz)
 
-    def seal_s(self, num_bytes: float) -> float:
-        return self.store.seal_cycles(num_bytes) / self.frequency_hz
-
-    def unseal_s(self, num_bytes: float) -> float:
-        return self.store.unseal_cycles(num_bytes) / self.frequency_hz
-
     def charge(self, num_bytes: float) -> Tuple[float, float]:
-        """Record one spill of ``num_bytes``; returns (seal_s, unseal_s)."""
-        store = self.store
-        store.sealed_bytes += num_bytes
-        store.unsealed_bytes += num_bytes
-        blocks = store.blocks_for(num_bytes)
-        store.sealed_blocks += blocks
-        store.unsealed_blocks += blocks
-        return self.seal_s(num_bytes), self.unseal_s(num_bytes)
+        """Price one spill of ``num_bytes``; returns (seal_s, unseal_s)."""
+        seal, unseal = self.store.spill_cycles(num_bytes)
+        return seal / self.frequency_hz, unseal / self.frequency_hz

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -487,11 +488,11 @@ class MetricsRegistry:
                 )
         records = sorted(
             (r for m in shards for r in m.records),
-            key=lambda r: (r.arrival_s, r.query_id),
+            key=attrgetter("arrival_s", "query_id"),
         )
         failures = sorted(
             (f for m in shards for f in m.failures),
-            key=lambda f: (f.failed_s, f.query_id),
+            key=attrgetter("failed_s", "query_id"),
         )
         return WorkloadMetrics(
             setting_label=setting_label,

@@ -44,6 +44,10 @@ class AdmissionDecision(NamedTuple):
     bypassed: bool = False
 
 
+#: The common pick, shared: the head fits without overflow.
+_HEAD_FITS = AdmissionDecision(0)
+
+
 class AdmissionPolicy:
     """Base policy: arrival order with an optional small-query bypass lane."""
 
@@ -99,7 +103,7 @@ class AdmissionPolicy:
         head = queue[0]
         overflow = self._admissible(head, free_cores, headroom_bytes)
         if overflow is not None:
-            return AdmissionDecision(0, overflow)
+            return AdmissionDecision(0, overflow) if overflow else _HEAD_FITS
         bypass_bytes = self.bypass_bytes
         if bypass_bytes is not None:
             for index, pending in enumerate(queue):
@@ -126,7 +130,8 @@ class FifoPolicy(AdmissionPolicy):
     ) -> Optional[int]:
         if pending.threads > free_cores:
             return None
-        return int(max(0.0, pending.working_set_bytes - headroom_bytes))
+        overflow = pending.working_set_bytes - headroom_bytes
+        return int(overflow) if overflow > 0.0 else 0
 
     def _block_reason(
         self, pending, free_cores: int, headroom_bytes: float

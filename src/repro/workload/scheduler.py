@@ -41,6 +41,15 @@ label threads into every trace event's attrs (``shard=...``) so tee'd
 shards stay distinguishable; un-sharded runs omit the attr and stay
 byte-identical to the pre-cluster build.
 
+**Events**: open-loop arrivals are generated up front and kept in one
+list, sorted once; :meth:`WorkloadScheduler.run` merges that list with
+an event heap that holds only what the run makes as it goes (finishes,
+retries, fault-window wakes and closed-loop submissions), so the heap
+stays as small as the number of queries in flight.  Same-instant ties
+resolve as if every event were on one heap keyed ``(time, kind, seq)``:
+finishes, then wakes, then arrivals, and pre-generated arrivals before
+any arrival the run pushes.
+
 Everything — arrivals, mixes, dispatch order, tie-breaking, fault draws,
 retry jitter — is a pure function of the workload configuration and its
 seeds: two runs of the same config produce identical metrics.
@@ -48,11 +57,13 @@ seeds: two runs of the same config produce identical metrics.
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
-from dataclasses import dataclass
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import NULL_INJECTOR, CrashDraw, NullInjector
@@ -114,6 +125,9 @@ _FINISH = 0
 _WAKE = 1
 _ARRIVAL = 2
 
+_time_of = itemgetter(0)  # an Arrival's time_s
+_new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
+
 
 @dataclass(slots=True)
 class PendingQuery:
@@ -131,15 +145,26 @@ class PendingQuery:
     arm: str = ""  # the planner arm serving this query ("" = static plan)
 
 
+#: A running attempt's fate, fixed at dispatch and carried by its finish
+#: event: (pending, start_s, overflow_bytes, bypassed, outcome,
+#: reserved_bytes, crash).
+_FinishState = Tuple[
+    PendingQuery, float, int, bool, str, int, Optional[CrashDraw]
+]
+
+
 class WorkloadScheduler:
     """Serves one workload configuration over simulated time.
 
-    :meth:`run` serves a set of streams to completion.  A cluster
+    :meth:`run` serves a set of streams to completion, merging the
+    pre-generated open-loop arrivals with the event heap.  A cluster
     scheduler multiplexes many shard schedulers on one simulated clock
-    instead: it calls :meth:`start`, reads the head of each ``_events``
-    heap in place (the next ``(time, kind, seq, payload)``, never popped
-    from outside), calls :meth:`step` to process exactly one event, and
-    calls :meth:`result` once no events remain.  Routed work crosses
+    instead: it calls :meth:`start`, which takes no open streams (every
+    arrival reaches a shard through :meth:`submit`, so all of a shard's
+    events are on its heap), reads the head of each ``_events`` heap in place
+    (the next ``(time, kind, seq, payload)``, never popped from outside),
+    calls :meth:`step` to process exactly one event, and calls
+    :meth:`result` once no events remain.  Routed work crosses
     shard boundaries through :meth:`submit` (deliver an arrival,
     optionally priced with a cross-socket shuffle), :meth:`evict` (a
     crashing shard hands back its queued and running queries) and
@@ -244,12 +269,30 @@ class WorkloadScheduler:
             raise ConfigurationError("duration must be positive")
         if not open_streams and not closed_streams:
             raise ConfigurationError("the workload needs at least one stream")
-        self.start(
-            open_streams=open_streams,
-            closed_streams=closed_streams,
-            duration_s=duration_s,
-        )
-        events, step = self._events, self.step
+        self.start(closed_streams=closed_streams, duration_s=duration_s)
+        # Open-loop arrivals, in stream order then time order; the stable
+        # sort keeps same-instant arrivals in stream order, which is the
+        # (time, kind, seq) order they would have on the heap.
+        arrivals: List[Arrival] = []
+        for stream in open_streams:
+            arrivals += stream.arrivals(duration_s)
+        if len(open_streams) > 1:
+            arrivals.sort(key=_time_of)
+        # Merge the sorted arrivals with the heap.  A heap event goes
+        # first when it is earlier, or same-instant and not an arrival
+        # (finishes and wakes sort before arrivals); a same-instant
+        # arrival on the heap was pushed during the run, so its seq is
+        # above every pre-generated arrival's and it goes after.
+        events, step, arrive = self._events, self.step, self._arrive
+        for arrival in arrivals:
+            now = arrival[0]
+            while events:
+                head = events[0]
+                if head[0] < now or (head[0] == now and head[1] != _ARRIVAL):
+                    step()
+                else:
+                    break
+            arrive(now, arrival)
         while events:
             step()
         return self.result()
@@ -257,7 +300,6 @@ class WorkloadScheduler:
     def start(
         self,
         *,
-        open_streams: Sequence[OpenLoopStream] = (),
         closed_streams: Sequence[ClosedLoopStream] = (),
         duration_s: float,
     ) -> None:
@@ -265,11 +307,15 @@ class WorkloadScheduler:
         trace run.
 
         Unlike :meth:`run` a run may start with no streams: a shard in a
-        cluster receives every arrival through :meth:`submit`.
+        cluster receives every arrival through :meth:`submit`.  Open-loop
+        streams go to :meth:`run`, which merges their arrivals with the
+        heap; a scheduler stepped from outside has none.
         """
         self._duration_s = duration_s
         self._tracer = current_tracer()
-        if self._tracer.enabled:
+        #: Read once per run: every trace branch tests this flag.
+        self._traced = self._tracer.enabled
+        if self._traced:
             self._emit(
                 RUN_START,
                 0.0,
@@ -286,7 +332,8 @@ class WorkloadScheduler:
         self._failures: List[FailureRecord] = []
         self._downtime_s = 0.0
         self._queue: Deque[PendingQuery] = deque()
-        self._running: Dict[int, PendingQuery] = {}
+        # qid -> the finish payload of its running attempt (see _dispatch)
+        self._running: Dict[int, _FinishState] = {}
         self._closed_by_name = {s.name: s for s in closed_streams}
         self._closed_rngs: Dict[str, random.Random] = {
             s.name: s.session_rng() for s in closed_streams
@@ -304,25 +351,16 @@ class WorkloadScheduler:
         self._next_id = self._query_id_base
         self._seq = 0
         self._queued_threads = 0  # incremental; backs the router's load score
-        self._reserved: Dict[int, int] = {}  # qid -> EPC bytes held running
-        self._cancelled: Set[int] = set()  # qids evicted while running
         self._finalised = False  # result() has run
 
         # (time, kind, seq, payload): kind breaks same-instant ties so a
         # finishing query releases its cores before a new arrival is seen.
+        # Seeded with one heapify: (time, kind, seq) totally orders
+        # events (payloads are never compared), so any heap over the
+        # same set drains identically.
         self._events: List[Tuple[float, int, int, object]] = []
-
-        # Batch-seed the initial event set: append everything, heapify
-        # once — O(n) instead of n heappushes, and pop order is unchanged
-        # because (time, kind, seq) totally orders events (payloads are
-        # never compared), so any heap over the same set drains
-        # identically.
         events = self._events
         seq = self._seq
-        for stream in open_streams:
-            for arrival in stream.arrivals(duration_s):
-                events.append((arrival.time_s, _ARRIVAL, seq, arrival))
-                seq += 1
         for stream in closed_streams:
             for arrival in stream.initial_arrivals(
                 self._closed_rngs[stream.name]
@@ -337,7 +375,7 @@ class WorkloadScheduler:
                 events.append((wake_s, _WAKE, seq, None))
                 seq += 1
         self._seq = seq
-        heapq.heapify(events)
+        heapify(events)
 
     def _cost_of(self, template: str) -> JobCost:
         try:
@@ -368,7 +406,7 @@ class WorkloadScheduler:
     def epc_headroom_fraction(self) -> float:
         """Free share of the (un-squeezed) EPC budget, clamped to [0, 1]."""
         budget = self._epc_budget
-        if budget == float("inf"):
+        if budget == math.inf:
             return 1.0
         free = max(0.0, budget - self._epc_used)
         return min(1.0, free / budget)
@@ -393,14 +431,7 @@ class WorkloadScheduler:
             self._push(arrival.time_s, _ARRIVAL, arrival)
             return
         self._push(
-            arrival.time_s,
-            _ARRIVAL,
-            _Routed(
-                arrival=arrival,
-                shuffle_s=shuffle_s,
-                arrival_s=arrival_s,
-                attempt=attempt,
-            ),
+            arrival.time_s, _ARRIVAL, (arrival, shuffle_s, arrival_s, attempt)
         )
 
     def evict(self, now: float) -> List[PendingQuery]:
@@ -415,11 +446,11 @@ class WorkloadScheduler:
         self._queue.clear()
         self._queued_threads = 0
         for qid in sorted(self._running):
-            pending = self._running[qid]
+            pending, _, _, _, _, reserved_bytes, _ = self._running[qid]
             self._free_cores += pending.threads
-            self._epc_used -= self._reserved.pop(qid)
-            self._cancelled.add(qid)
+            self._epc_used -= reserved_bytes
             victims.append(pending)
+        # A finish whose query is no longer running is stepped over.
         self._running.clear()
         return victims
 
@@ -429,17 +460,17 @@ class WorkloadScheduler:
         self._counters.arrivals += 1
         self._counters.shed += 1
         pending = PendingQuery(
-            query_id=self._next_id,
-            stream=arrival.stream,
-            template=arrival.template,
-            client=arrival.client,
-            arrival_s=now,
-            threads=cost.threads,
-            service_s=cost.service_s,
-            working_set_bytes=cost.working_set_bytes,
+            self._next_id,
+            arrival.stream,
+            arrival.template,
+            arrival.client,
+            now,
+            cost.threads,
+            cost.service_s,
+            cost.working_set_bytes,
         )
         self._next_id += 1
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(ARRIVAL, now, pending, queue_depth=len(self._queue))
             self._emit_query(SHED, now, pending, retry=False)
         self._fail_terminally(pending, now, outcome)
@@ -482,7 +513,7 @@ class WorkloadScheduler:
         self._emit(name, now, attrs, pending)
 
     def _push(self, time_s: float, kind: int, payload: object) -> None:
-        heapq.heappush(self._events, (time_s, kind, self._seq, payload))
+        heappush(self._events, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def _resubmit_closed(self, pending: PendingQuery, now: float) -> None:
@@ -491,13 +522,10 @@ class WorkloadScheduler:
         the client from the workload and drain the stream."""
         stream = self._closed_by_name.get(pending.stream)
         if stream is not None and now < self._duration_s:
-            self._push(
-                *_arrival_event(
-                    stream.next_arrival(
-                        self._closed_rngs[stream.name], pending.client, now
-                    )
-                )
+            arrival = stream.next_arrival(
+                self._closed_rngs[stream.name], pending.client, now
             )
+            self._push(arrival.time_s, _ARRIVAL, arrival)
 
     def _fail_terminally(
         self, pending: PendingQuery, now: float, outcome: str
@@ -515,7 +543,7 @@ class WorkloadScheduler:
                 outcome=outcome,
             )
         )
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 FAILED,
                 now,
@@ -538,7 +566,7 @@ class WorkloadScheduler:
         counters = self._counters
         resilience = self._resilience
         breaker = self._breaker
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 ATTEMPT_FAILED,
                 now,
@@ -549,7 +577,7 @@ class WorkloadScheduler:
             )
         if breaker is not None and outcome != "shed":
             if breaker.record_failure(pending.stream, now):
-                if self._tracer.enabled:
+                if self._traced:
                     self._emit(
                         BREAKER_OPEN,
                         now,
@@ -571,7 +599,7 @@ class WorkloadScheduler:
                 + reinit_s
             )
             counters.retries += 1
-            if self._tracer.enabled:
+            if self._traced:
                 self._emit_query(
                     RETRY,
                     now,
@@ -580,14 +608,16 @@ class WorkloadScheduler:
                     delay_s=delay_s,
                     outcome=outcome,
                 )
-            self._push(now + delay_s, _ARRIVAL, _Retry(pending))
+            # A retry's payload is the query itself.
+            self._push(now + delay_s, _ARRIVAL, pending)
             return
         if outcome == "shed":
             counters.shed += 1
         else:
             counters.failed += 1
         self._fail_terminally(pending, now, outcome)
-        self._resubmit_closed(pending, now)
+        if self._closed_by_name:
+            self._resubmit_closed(pending, now)
 
     def _plan_query(self, pending: PendingQuery, now: float) -> None:
         """(Re-)select the physical plan serving this attempt.
@@ -614,7 +644,7 @@ class WorkloadScheduler:
         pending.threads = arm.candidate.threads
         pending.service_s = arm.service_s
         pending.working_set_bytes = arm.working_set_bytes
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 PLANNER_CHOICE,
                 now,
@@ -628,21 +658,22 @@ class WorkloadScheduler:
             )
 
     def _dispatch(self, now: float) -> None:
+        """Admit queued queries until the policy blocks or the queue
+        empties (callers skip the call on an empty queue)."""
         queue = self._queue
-        if not queue:
-            # Nothing to admit, and an empty queue counts no block reason.
-            return
         policy = self._policy
         counters = self._counters
         injector = self._injector
         resilience = self._resilience
         faulting = self._faulting
+        cores = self._cores
         while queue:
             budget = self._epc_budget
             if faulting:
                 budget = budget * injector.epc_multiplier(now)
+            headroom = budget - self._epc_used
             decision = policy.pick(
-                queue, self._free_cores, max(0.0, budget - self._epc_used)
+                queue, self._free_cores, headroom if headroom > 0.0 else 0.0
             )
             if decision is None:
                 reason = policy.last_block_reason
@@ -652,22 +683,24 @@ class WorkloadScheduler:
                     counters.blocked_on_cores += 1
                 return
             index, overflow_bytes, bypassed = decision
-            pending = queue[index]
-            del queue[index]
-            self._queued_threads -= pending.threads
-            busy_before = self._cores - self._free_cores
+            if index:
+                pending = queue[index]
+                del queue[index]
+            else:
+                pending = queue.popleft()
+            threads = pending.threads
+            base_s = pending.service_s
+            self._queued_threads -= threads
+            free_cores = self._free_cores
             # The dispatch-time service decomposition (DISPATCH_TERMS): a
             # frozen base service time plus additive terms the trace
             # attributes separately.  Interference applies to every
             # dispatch; the penalty stages run in their fixed order, and
             # only where this scheduler can charge them.
             interference_s = (
-                pending.service_s
-                * INTERFERENCE_FACTOR
-                * busy_before
-                / self._cores
+                base_s * INTERFERENCE_FACTOR * (cores - free_cores) / cores
             )
-            service = pending.service_s + interference_s
+            service = base_s + interference_s
             reserved_bytes = pending.working_set_bytes
             stages = self._overflow_stages if overflow_bytes > 0 else self._stages
             charged = None
@@ -723,19 +756,22 @@ class WorkloadScheduler:
                 counters.bypass_dispatches += 1
             if now == pending.arrival_s:
                 counters.dispatched_immediately += 1
-            self._free_cores -= pending.threads
-            self._epc_used += reserved_bytes
-            self._epc_high_water = max(self._epc_high_water, self._epc_used)
-            if self._tracer.enabled:
+            free_cores -= threads
+            self._free_cores = free_cores
+            epc_used = self._epc_used + reserved_bytes
+            self._epc_used = epc_used
+            if epc_used > self._epc_high_water:
+                self._epc_high_water = epc_used
+            if self._traced:
                 attrs = {
                     **self._zero_terms,
                     self._interference_term: interference_s,
                     "queue_wait_s": now - pending.arrival_s,
-                    "base_service_s": pending.service_s,
+                    "base_service_s": base_s,
                     "overflow_bytes": overflow_bytes,
                     "bypassed": bypassed,
-                    "free_cores": self._free_cores,
-                    "epc_used_bytes": self._epc_used,
+                    "free_cores": free_cores,
+                    "epc_used_bytes": epc_used,
                 }
                 if charged:
                     attrs.update(charged)
@@ -743,21 +779,19 @@ class WorkloadScheduler:
                     attrs["attempt"] = pending.attempt
                 self._emit(DISPATCH, now, attrs, pending)
                 self._dispatched = True
-            self._running[pending.query_id] = pending
-            self._reserved[pending.query_id] = reserved_bytes
-            self._push(
-                now + attempt_s,
-                _FINISH,
-                _Finish(
-                    pending.query_id,
-                    now,
-                    overflow_bytes,
-                    bypassed,
-                    outcome,
-                    reserved_bytes,
-                    crash,
-                ),
+            # The attempt's fate rides its finish event as a plain tuple.
+            finish = (
+                pending,
+                now,
+                overflow_bytes,
+                bypassed,
+                outcome,
+                reserved_bytes,
+                crash,
             )
+            self._running[pending.query_id] = finish
+            heappush(self._events, (now + attempt_s, _FINISH, self._seq, finish))
+            self._seq += 1
 
     # -- penalty stages ----------------------------------------------------
     #
@@ -789,7 +823,7 @@ class WorkloadScheduler:
             # A sealed block failed its AES-GCM tag check on the way
             # back in.
             counters.torn_blocks += 1
-            if self._tracer.enabled:
+            if self._traced:
                 self._emit_query(
                     FAULT_TORN_BLOCK,
                     now,
@@ -807,14 +841,14 @@ class WorkloadScheduler:
             seal_s *= stall
             unseal_s *= stall
             counters.storage_stalled += 1
-            if self._tracer.enabled:
+            if self._traced:
                 self._emit_query(
                     FAULT_STORAGE_STALL, now, pending, inflation=stall
                 )
         penalty_s = seal_s + unseal_s
         counters.spills += 1
         counters.spilled_bytes += float(overflow_bytes)
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 SPILL,
                 now,
@@ -825,11 +859,8 @@ class WorkloadScheduler:
                 stalled=stalled,
                 penalty_s=penalty_s,
             )
-        return (
-            penalty_s,
-            max(0, pending.working_set_bytes - overflow_bytes),
-            None,
-        )
+        reserved_bytes = pending.working_set_bytes - overflow_bytes
+        return penalty_s, reserved_bytes if reserved_bytes > 0 else 0, None
 
     def _degrade_stage(
         self,
@@ -852,7 +883,7 @@ class WorkloadScheduler:
             * min(1.0, overflow_bytes / pending.working_set_bytes)
         )
         self._counters.degraded += 1
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 DEGRADED,
                 now,
@@ -882,7 +913,7 @@ class WorkloadScheduler:
         ):
             # Enclave.grow raised CapacityError.
             self._counters.edmm_denied += 1
-            if self._tracer.enabled:
+            if self._traced:
                 self._emit_query(
                     FAULT_EDMM_DENIED,
                     now,
@@ -894,7 +925,7 @@ class WorkloadScheduler:
         overflow_fraction = overflow_bytes / pending.working_set_bytes
         penalty_s = service_s * EDMM_OVERFLOW_SLOWDOWN * overflow_fraction
         self._counters.edmm_admissions += 1
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 EDMM_OVERFLOW,
                 now,
@@ -921,7 +952,7 @@ class WorkloadScheduler:
             return 0.0, reserved_bytes, None
         penalty_s = service_s * (inflation - 1.0)
         self._counters.aex_inflations += 1
-        if self._tracer.enabled:
+        if self._traced:
             self._emit_query(
                 FAULT_AEX,
                 now,
@@ -932,164 +963,178 @@ class WorkloadScheduler:
         return penalty_s, reserved_bytes, None
 
     def step(self) -> None:
-        """Process exactly one event (events must be pending)."""
-        counters = self._counters
-        breaker = self._breaker
-        selector = self._selector
-        queue = self._queue
-        now, kind, _, payload = heapq.heappop(self._events)
-        if kind == _ARRIVAL:
-            if isinstance(payload, _Retry):
-                # A retried attempt re-enters the queue like a fresh
-                # arrival but keeps its identity (and its original
-                # arrival time, so latency covers every attempt).
-                pending = payload.pending
-                if breaker is not None and breaker.is_open(
-                    pending.stream, now
-                ):
-                    if self._tracer.enabled:
-                        self._emit_query(SHED, now, pending, retry=True)
-                    self._fail_attempt(pending, now, "shed")
-                    return
-                if selector is not None:
-                    self._plan_query(pending, now)
-                queue.append(pending)
-                self._queued_threads += pending.threads
-                self._dispatch(now)
-                return
-            shuffle_s = 0.0
-            anchor_s: Optional[float] = None
-            attempt = 0
-            if isinstance(payload, _Routed):
-                shuffle_s = payload.shuffle_s
-                anchor_s = payload.arrival_s
-                attempt = payload.attempt
-                arrival = payload.arrival
-            else:
-                arrival = payload
-            cost = self._costs.get(arrival.template)
-            if cost is None:
-                self._cost_of(arrival.template)  # raises with the names
-            counters.arrivals += 1
-            pending = PendingQuery(
-                query_id=self._next_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                client=arrival.client,
-                arrival_s=now if anchor_s is None else anchor_s,
-                threads=cost.threads,
-                service_s=cost.service_s + shuffle_s,
-                working_set_bytes=cost.working_set_bytes,
-                attempt=attempt,
-            )
-            self._next_id += 1
-            if self._tracer.enabled:
-                self._emit_query(ARRIVAL, now, pending, queue_depth=len(queue))
-            if breaker is not None and breaker.is_open(pending.stream, now):
-                # The tenant's breaker is open: fail fast instead of
-                # burning cores on a service that is likely doomed.
-                if self._tracer.enabled:
-                    self._emit_query(SHED, now, pending, retry=False)
-                self._fail_attempt(pending, now, "shed")
-                return
-            if selector is not None:
-                self._plan_query(pending, now)
-            queue.append(pending)
-            self._queued_threads += pending.threads
-            # No resources were freed since the last dispatch round, so
-            # the only query this round can admit is the new arrival:
-            # an unchanged queue length means it stayed queued (an O(1)
-            # check; scanning the deque re-compared every field).
-            depth_before = len(queue)
-            self._dispatch(now)
-            if len(queue) == depth_before:
-                counters.queued += 1
-        elif kind == _WAKE:
-            # A fault window edge changed the admission state (e.g. an
-            # EPC squeeze ended): give the queue another chance.
-            self._dispatch(now)
-        else:
-            finish = payload
-            if self._cancelled and finish.query_id in self._cancelled:
+        """Process exactly one heap event (events must be pending)."""
+        now, kind, _, payload = heappop(self._events)
+        if kind == _FINISH:
+            (
+                pending,
+                start_s,
+                overflow_bytes,
+                bypassed,
+                outcome,
+                reserved_bytes,
+                crash,
+            ) = payload
+            if self._running.pop(pending.query_id, None) is None:
                 # The query was evicted (shard crash) while running; its
                 # resources were already released at eviction time.
-                self._cancelled.discard(finish.query_id)
                 return
-            pending = self._running.pop(finish.query_id)
-            self._reserved.pop(finish.query_id, None)
             self._free_cores += pending.threads
-            self._epc_used -= finish.reserved_bytes
-            if finish.outcome == "ok":
-                counters.completed += 1
-                if breaker is not None:
-                    breaker.record_success(pending.stream)
-                if self._tracer.enabled:
+            self._epc_used -= reserved_bytes
+            if outcome == "ok":
+                self._counters.completed += 1
+                if self._breaker is not None:
+                    self._breaker.record_success(pending.stream)
+                if self._traced:
                     self._emit_query(
                         FINISH,
                         now,
                         pending,
                         latency_s=now - pending.arrival_s,
-                        service_s=now - finish.start_s,
+                        service_s=now - start_s,
                     )
+                selector = self._selector
                 if selector is not None:
                     # Feed back the *charged service time* (base +
                     # every dispatch penalty), not the end-to-end
                     # latency: queue wait is shared backlog no arm
                     # controls, and it is scale-incompatible with the
                     # unobserved arms' service-time priors.
-                    selector.observe(
-                        pending.template,
-                        pending.arm,
-                        now - finish.start_s,
-                    )
-                    if self._tracer.enabled:
+                    selector.observe(pending.template, pending.arm, now - start_s)
+                    if self._traced:
                         self._emit_query(
                             PLANNER_OBSERVE,
                             now,
                             pending,
                             arm=pending.arm,
-                            service_s=now - finish.start_s,
+                            service_s=now - start_s,
                             latency_s=now - pending.arrival_s,
                         )
                 self._records.append(
-                    QueryRecord(
-                        pending.query_id,
-                        pending.stream,
-                        pending.template,
-                        pending.client,
-                        pending.arrival_s,
-                        finish.start_s,
-                        now,
-                        pending.working_set_bytes,
-                        finish.overflow_bytes,
-                        finish.bypassed,
-                        pending.attempt + 1,
+                    _new_tuple(
+                        QueryRecord,
+                        (
+                            pending.query_id,
+                            pending.stream,
+                            pending.template,
+                            pending.client,
+                            pending.arrival_s,
+                            start_s,
+                            now,
+                            pending.working_set_bytes,
+                            overflow_bytes,
+                            bypassed,
+                            pending.attempt + 1,
+                        ),
                     )
                 )
-                self._resubmit_closed(pending, now)
+                if self._closed_by_name:
+                    self._resubmit_closed(pending, now)
             else:
-                wasted_s = now - finish.start_s
+                wasted_s = now - start_s
                 reinit_s = 0.0
-                if finish.crash is not None:
-                    reinit_s = finish.crash.reinit_s
-                    if self._tracer.enabled:
+                if crash is not None:
+                    reinit_s = crash.reinit_s
+                    if self._traced:
                         self._emit_query(
                             FAULT_CRASH,
                             now,
                             pending,
                             attempt=pending.attempt,
-                            at_fraction=finish.crash.fraction,
+                            at_fraction=crash.fraction,
                             lost_s=wasted_s,
                             reinit_s=reinit_s,
                         )
                 self._fail_attempt(
                     pending,
                     now,
-                    finish.outcome,
+                    outcome,
                     wasted_s=wasted_s,
                     reinit_s=reinit_s,
                 )
-            self._dispatch(now)
+            if self._queue:
+                self._dispatch(now)
+        elif kind == _WAKE:
+            # A fault window edge changed the admission state (e.g. an
+            # EPC squeeze ended): give the queue another chance.
+            if self._queue:
+                self._dispatch(now)
+        elif type(payload) is Arrival:
+            self._arrive(now, payload)
+        elif type(payload) is PendingQuery:
+            self._requeue(now, payload)
+        else:
+            self._arrive(now, *payload)
+
+    def _arrive(
+        self,
+        now: float,
+        arrival: Arrival,
+        shuffle_s: float = 0.0,
+        anchor_s: Optional[float] = None,
+        attempt: int = 0,
+    ) -> None:
+        """A new query enters the queue: a pre-generated or closed-loop
+        arrival, or one routed here (``shuffle_s`` rides its service
+        time; a failover re-route keeps its first ``anchor_s`` and its
+        ``attempt``)."""
+        _, stream, template, client = arrival
+        cost = self._costs.get(template)
+        if cost is None:
+            self._cost_of(template)  # raises with the names
+        counters = self._counters
+        queue = self._queue
+        counters.arrivals += 1
+        pending = PendingQuery(
+            self._next_id,
+            stream,
+            template,
+            client,
+            now if anchor_s is None else anchor_s,
+            cost.threads,
+            cost.service_s + shuffle_s,
+            cost.working_set_bytes,
+            attempt,
+        )
+        self._next_id += 1
+        if self._traced:
+            self._emit_query(ARRIVAL, now, pending, queue_depth=len(queue))
+        breaker = self._breaker
+        if breaker is not None and breaker.is_open(stream, now):
+            # The tenant's breaker is open: fail fast instead of
+            # burning cores on a service that is likely doomed.
+            if self._traced:
+                self._emit_query(SHED, now, pending, retry=False)
+            self._fail_attempt(pending, now, "shed")
+            return
+        if self._selector is not None:
+            self._plan_query(pending, now)
+        queue.append(pending)
+        self._queued_threads += pending.threads
+        # No resources were freed since the last dispatch round, so
+        # the only query this round can admit is the new arrival:
+        # an unchanged queue length means it stayed queued (an O(1)
+        # check; scanning the deque re-compared every field).
+        depth_before = len(queue)
+        self._dispatch(now)
+        if len(queue) == depth_before:
+            counters.queued += 1
+
+    def _requeue(self, now: float, pending: PendingQuery) -> None:
+        """A retried attempt re-enters the queue like a fresh arrival but
+        keeps its identity (and its original arrival time, so latency
+        covers every attempt)."""
+        breaker = self._breaker
+        if breaker is not None and breaker.is_open(pending.stream, now):
+            if self._traced:
+                self._emit_query(SHED, now, pending, retry=True)
+            self._fail_attempt(pending, now, "shed")
+            return
+        if self._selector is not None:
+            self._plan_query(pending, now)
+        self._queue.append(pending)
+        self._queued_threads += pending.threads
+        self._dispatch(now)
 
     def result(self) -> WorkloadMetrics:
         """Finalise metrics and close the trace run (call exactly once)."""
@@ -1103,7 +1148,8 @@ class WorkloadScheduler:
         metrics = WorkloadMetrics(
             setting_label=self._setting_label,
             policy=self._policy.label,
-            records=sorted(self._records, key=lambda r: r.query_id),
+            # Records sort on their unique leading query_id.
+            records=sorted(self._records),
             counters=counters,
             epc_budget_bytes=self._epc_budget,
             epc_high_water_bytes=int(self._epc_high_water),
@@ -1111,7 +1157,7 @@ class WorkloadScheduler:
             failures=sorted(self._failures, key=lambda f: f.query_id),
             downtime_s=self._downtime_s,
         )
-        if self._tracer.enabled:
+        if self._traced:
             for name, value in counters.as_dict().items():
                 self._tracer.count(f"scheduler.{name}", value)
             end_attrs = {
@@ -1142,35 +1188,3 @@ class WorkloadScheduler:
                     gauge = f"{gauge}.{self._shard}"
                 self._tracer.gauge(gauge, self._epc_high_water)
         return metrics
-
-
-@dataclass(slots=True)
-class _Finish:
-    """An attempt's fate, fixed at dispatch and carried by its finish event."""
-
-    query_id: int
-    start_s: float
-    overflow_bytes: int
-    bypassed: bool
-    outcome: str
-    reserved_bytes: int
-    crash: Optional[CrashDraw]
-
-
-@dataclass(frozen=True)
-class _Retry:
-    pending: PendingQuery
-
-
-@dataclass(frozen=True)
-class _Routed:
-    """An arrival crossing a shard boundary (routed, or failover re-route)."""
-
-    arrival: Arrival
-    shuffle_s: float = 0.0
-    arrival_s: Optional[float] = None
-    attempt: int = 0
-
-
-def _arrival_event(arrival: Arrival) -> Tuple[float, int, Arrival]:
-    return arrival.time_s, _ARRIVAL, arrival

@@ -10,7 +10,15 @@ from repro.errors import (
     ConfigurationError,
     ZeroLengthWindowError,
 )
+from repro.faults import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    ResiliencePolicy,
+    make_injector,
+)
 from repro.workload import (
+    Arrival,
     ClosedLoopStream,
     EpcAwarePolicy,
     FifoPolicy,
@@ -324,6 +332,99 @@ class TestScheduler:
         assert counted["scheduler.completed"] == metrics.counters.completed
         run_ends = [r for r in tracer.records if r.name == "serving.run_end"]
         assert len(run_ends) == 1
+
+
+class _FixedStream:
+    """A stub open stream: a name and a fixed arrival list."""
+
+    def __init__(self, name, arrivals):
+        self.name = name
+        self._arrivals = [Arrival(t, name, template) for t, template in arrivals]
+
+    def arrivals(self, duration_s):
+        return list(self._arrivals)
+
+
+class TestSameInstantOrdering:
+    """Ties resolve as one heap keyed (time, kind, seq) would: finishes,
+    then wakes, then pre-generated arrivals in stream order, then arrivals
+    pushed during the run (retries).
+
+    One query runs at a time (two cores, two threads each), so every
+    service is its base time.  The timeline, by hand:
+
+    * 0.00  q0 ``p`` (s1) runs, poisoned;      0.25 it fails, retry at 0.50
+    * 0.50  q1 ``a`` (s2) runs to 1.00; the retry of q0 queues behind it
+    * 1.00  q0's retry runs to 1.25 (the poison window has closed)
+    * 1.25  q0 finishes, then q2 (s1) runs at once to 1.75, q3 (s2) queues
+    * 1.50  wake (squeeze starts): q3 still blocked on cores
+    * 1.75  q2 finishes; the squeezed budget (50 MB) blocks q3 on EPC
+    * 2.00  wake (squeeze ends): q3 runs to 2.50, then q4 (s1) queues
+    * 2.50  q4 runs to 3.00
+    """
+
+    COSTS = {
+        "a": JobCost("a", threads=2, service_s=0.5, working_set_bytes=60 * MB),
+        "p": JobCost("p", threads=2, service_s=0.25, working_set_bytes=60 * MB),
+    }
+
+    def run(self):
+        plan = FaultPlan(
+            "ties",
+            specs=(
+                FaultSpec(FaultKind.POISON_JOB, 0.0, 0.5, template="p"),
+                FaultSpec(FaultKind.EPC_SQUEEZE, 1.5, 2.0, magnitude=0.5),
+            ),
+        )
+        sched = WorkloadScheduler(
+            self.COSTS,
+            make_policy("epc-aware"),
+            cores=2,
+            epc_budget_bytes=100 * MB,
+            setting_label="test",
+            injector=make_injector(plan),
+            resilience=ResiliencePolicy(
+                max_retries=1, backoff_base_s=0.25, jitter=0.0
+            ),
+        )
+        return sched.run(
+            open_streams=(
+                _FixedStream("s1", [(0.0, "p"), (1.25, "a"), (2.0, "a")]),
+                _FixedStream("s2", [(0.5, "a"), (1.25, "a")]),
+            ),
+            duration_s=3.0,
+        )
+
+    def test_finish_frees_cores_before_same_instant_arrivals(self):
+        counters = self.run().counters
+        # q2 is dispatched by its own arrival at 1.25, not queued until
+        # q0's finish at the same instant frees the cores.
+        assert counters.dispatched_immediately == 3  # q0, q1, q2
+        assert counters.queued == 2  # q3, q4
+        # The retry's round at 0.50, q3's at 1.25, the wake at 1.50 and
+        # q4's at 2.00 (after the wake has dispatched q3, not before).
+        assert counters.blocked_on_cores == 4
+        assert counters.blocked_on_epc == 1
+        assert (counters.poisoned, counters.retries) == (1, 1)
+
+    def test_same_instant_arrivals_take_ids_in_stream_order(self):
+        streams = {r.query_id: r.stream for r in self.run().records}
+        assert streams == {0: "s1", 1: "s2", 2: "s1", 3: "s2", 4: "s1"}
+
+    def test_schedule_matches_the_hand_computed_one(self):
+        metrics = self.run()
+        schedule = {
+            r.query_id: (r.arrival_s, r.start_s, r.finish_s, r.attempts)
+            for r in metrics.records
+        }
+        assert schedule == {
+            0: (0.0, 1.0, 1.25, 2),
+            1: (0.5, 0.5, 1.0, 1),
+            2: (1.25, 1.25, 1.75, 1),
+            3: (1.25, 2.0, 2.5, 1),
+            4: (2.0, 2.5, 3.0, 1),
+        }
+        assert metrics.failures == []
 
 
 class TestMetricsRegressions:
